@@ -826,10 +826,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // BenchmarkServeThroughput measures the framed RPC front door end to end:
 // four loopback client connections flood the demo ledger operator and every
 // event's receipt round trip is recorded client-side. events/s is the
-// aggregate submit-to-receipt rate over the wire (framing + gob + kernel
-// socket path + receipt fan-out on top of the engine); rtt-p95-us and
-// rtt-p99-us are the tail receipt round-trip times in microseconds. The CI
-// bench gate tracks the ns/op of the whole flood.
+// aggregate submit-to-receipt rate over the wire (framing + binary payload
+// codec + kernel socket path + receipt fan-out on top of the engine);
+// rtt-p95-us and rtt-p99-us are the tail receipt round-trip times in
+// microseconds. The CI bench gate tracks the ns/op of the whole flood.
 func BenchmarkServeThroughput(b *testing.B) {
 	const (
 		conns   = 4

@@ -38,12 +38,28 @@ type Config = rpcserve.ClientConfig
 // delivered in submit order.
 type Receipt = rpcserve.Receipt
 
-// Codec encodes Submit payloads; implement it to speak something other
-// than the default gob encoding.
+// Codec encodes Submit payloads. Config.Codec == nil selects BinaryCodec;
+// implement Codec (and offer it server-side) to speak something else.
 type Codec = rpcserve.Codec
 
-// GobCodec is the default payload codec.
+// BinaryCodec is the default payload codec: a one-byte type tag followed by
+// the type's own fixed layout (see WirePayload), with no reflection on
+// either end; types without a layout travel gob-boxed behind tag 0, so
+// Submit accepts any registered type (docs/PROTOCOL.md §5.1).
+type BinaryCodec = rpcserve.BinaryCodec
+
+// GobCodec carries every payload as a self-contained encoding/gob stream.
+// It was the default before protocol version 2 and is still offered by
+// every server, but costs two orders of magnitude more CPU per event than
+// a BinaryCodec layout; select it only for sessions that want gob on the
+// wire for every payload.
 type GobCodec = rpcserve.GobCodec
+
+// WirePayload is what a payload type implements to get a fixed binary
+// layout under BinaryCodec: a tag unique among the deployment's payload
+// types (1–255), an append of its fields, and the matching read. Transfer
+// and Deposit implement it (tags 1 and 2).
+type WirePayload = rpcserve.WirePayload
 
 // Status is a receipt outcome or session error code.
 type Status = rpcserve.Status
@@ -84,9 +100,12 @@ const LedgerOperator = rpcserve.LedgerOperatorName
 // starts the receipt reader.
 func Dial(addr string, cfg Config) (*Client, error) { return rpcserve.Dial(addr, cfg) }
 
-// RegisterPayload registers a concrete payload type with the gob codec;
-// call it on both client and server for every application payload type
-// before the first Submit. Transfer and Deposit are pre-registered.
+// RegisterPayload registers a concrete payload type; call it on both client
+// and server for every application payload type before the first Submit.
+// Every type is registered with gob (GobCodec, and BinaryCodec's tag-0
+// fallback); a type implementing WirePayload also claims its tag, and is
+// from then on sent and decoded in its binary layout. Two types claiming
+// one tag panic. Transfer and Deposit are pre-registered.
 func RegisterPayload(v any) { rpcserve.RegisterPayload(v) }
 
 // AccountKey names demo-ledger account i, matching the server's preload.

@@ -45,10 +45,15 @@ func (e *Engine) Run(b *workload.Batch, threads int, bd *metrics.Breakdown) base
 	}
 
 	// Single-version state: S-Store keeps one copy per key, which is why
-	// its memory footprint stays flat in Fig. 16b.
-	state := make(map[workload.Key]int64, len(b.State))
+	// its memory footprint stays flat in Fig. 16b. One map per partition:
+	// partitions execute concurrently, and a Go map tolerates no concurrent
+	// writers even on distinct keys.
+	state := partitioned{partOf: partOf, parts: make([]map[workload.Key]int64, nparts)}
+	for p := range state.parts {
+		state.parts[p] = make(map[workload.Key]int64, len(b.State)/nparts+1)
+	}
 	for k, v := range b.State {
-		state[k] = v
+		state.set(k, v)
 	}
 
 	// Sort transactions by timestamp and build per-partition queues.
@@ -145,18 +150,35 @@ func (e *Engine) Run(b *workload.Batch, threads int, bd *metrics.Breakdown) base
 	}
 	wg.Wait()
 
+	final := make(map[workload.Key]int64, len(b.State))
+	for _, part := range state.parts {
+		for k, v := range part {
+			final[k] = v
+		}
+	}
 	return baseline.Result{
 		Committed:  committed,
 		Aborted:    aborted,
 		Attempts:   1,
-		FinalState: state,
+		FinalState: final,
 	}
 }
+
+// partitioned is the store: each key lives in the map of the partition it
+// hashes to. A transaction holds every partition its keys hash to (the
+// rendezvous), so it is the only reader and writer of those maps.
+type partitioned struct {
+	partOf func(workload.Key) int
+	parts  []map[workload.Key]int64
+}
+
+func (s partitioned) get(k workload.Key) int64    { return s.parts[s.partOf(k)][k] }
+func (s partitioned) set(k workload.Key, v int64) { s.parts[s.partOf(k)][k] = v }
 
 // runTxn executes one transaction against the partitioned state with
 // buffered writes: reads observe pre-transaction values, and an abort
 // discards the buffer (atomicity without undo logging).
-func runTxn(s workload.TxnSpec, state map[workload.Key]int64, bd *metrics.Breakdown) bool {
+func runTxn(s workload.TxnSpec, state partitioned, bd *metrics.Breakdown) bool {
 	sw := metrics.Start()
 	defer sw.Stop(bd, metrics.Useful)
 
@@ -168,11 +190,11 @@ func runTxn(s workload.TxnSpec, state map[workload.Key]int64, bd *metrics.Breakd
 		}
 		src := make([]int64, len(op.Srcs))
 		for i, k := range op.Srcs {
-			src[i] = state[k]
+			src[i] = state.get(k)
 		}
 		if op.Fn == workload.FnRead {
 			if len(src) == 0 {
-				src = []int64{state[key]}
+				src = []int64{state.get(key)}
 			}
 			if _, ok := workload.Eval(op, src); !ok {
 				return false
@@ -186,7 +208,7 @@ func runTxn(s workload.TxnSpec, state map[workload.Key]int64, bd *metrics.Breakd
 		buf[key] = v
 	}
 	for k, v := range buf {
-		state[k] = v
+		state.set(k, v)
 	}
 	return true
 }

@@ -251,6 +251,13 @@ func (ex *executor) takeFailed() []*txn.Operation {
 	return out
 }
 
+// failurePending reports whether a recorded failure awaits an abort round.
+func (ex *executor) failurePending() bool {
+	ex.failedMu.Lock()
+	defer ex.failedMu.Unlock()
+	return len(ex.failed) > 0
+}
+
 func (ex *executor) recordFailure(op *txn.Operation) {
 	ex.failedMu.Lock()
 	ex.failed = append(ex.failed, op)
@@ -334,9 +341,12 @@ func (ex *executor) runOp(op *txn.Operation, sc *scratch) bool {
 	sc.ctx = txn.Ctx{TS: op.TS(), Blotter: op.Txn.Blotter, Sink: &sc.sink}
 	err := ex.apply(op, sc)
 	if err != nil {
+		// Record before publishing ABT: once every operation reads settled,
+		// dfsFinished must find this failure already pending, or a worker
+		// could leave while the abort round is still to reset its chunk.
+		ex.recordFailure(op)
 		op.SetState(txn.ABT) // T4
 		op.Txn.MarkAborted(true)
-		ex.recordFailure(op)
 		return false
 	}
 	op.SetState(txn.EXE) // T2
@@ -381,9 +391,9 @@ func (ex *executor) runFused(op *txn.Operation, sc *scratch) bool {
 		var src []txn.Value
 		if len(c.SrcIDs) > 0 { // self-sourced: Fusible guarantees src == key
 			if !curOK {
+				ex.recordFailure(c) // before ABT is visible, as in runOp
 				c.SetState(txn.ABT)
 				c.Txn.MarkAborted(true)
-				ex.recordFailure(c)
 				failed++
 				continue
 			}
@@ -399,9 +409,9 @@ func (ex *executor) runFused(op *txn.Operation, sc *scratch) bool {
 			v = src[0]
 		}
 		if err != nil {
+			ex.recordFailure(c) // before ABT is visible, as in runOp
 			c.SetState(txn.ABT) // T4
 			c.Txn.MarkAborted(true)
-			ex.recordFailure(c)
 			failed++
 			continue
 		}

@@ -178,14 +178,18 @@ func (ex *executor) epochRun(op *txn.Operation, myEpoch int64, wid int) runStatu
 // DFS exploration: the detecting thread drains the failure set and performs
 // rollback while all other threads are held out by the epoch fence. The
 // caller must not be inside the epoch.
+//
+// The failure set is drained only once the fence is up: emptied any earlier,
+// a DFS worker's dfsFinished could read "all settled, nothing pending" in
+// the gap before the fence, leave, and strand the operations this round is
+// about to reset in its chunk.
 func (ex *executor) eagerAbort() {
 	ex.abortMu.Lock()
-	failed := ex.takeFailed()
-	if len(failed) > 0 {
+	if ex.failurePending() {
 		ex.quiesce(func() {
 			sw := metrics.Start()
 			ex.flushResults()
-			ex.handleAborts(failed)
+			ex.handleAborts(ex.takeFailed())
 			sw.Stop(ex.cfg.Breakdown, metrics.Abort)
 		})
 	}
@@ -238,14 +242,9 @@ func (ex *executor) dfsWorker(id, threads int) {
 		}
 		// Worker 0 doubles as the eager-abort coordinator so failures do
 		// not linger while other threads spin.
-		if id == 0 && ex.cfg.Decision.Abort == sched.EAbort {
-			ex.failedMu.Lock()
-			pending := len(ex.failed) > 0
-			ex.failedMu.Unlock()
-			if pending {
-				ex.eagerAbort()
-				progressed = true
-			}
+		if id == 0 && ex.cfg.Decision.Abort == sched.EAbort && ex.failurePending() {
+			ex.eagerAbort()
+			progressed = true
 		}
 		if ex.dfsFinished(id) {
 			return
@@ -274,13 +273,7 @@ func (ex *executor) dfsFinished(wid int) bool {
 			return false
 		}
 	}
-	if ex.cfg.Decision.Abort == sched.EAbort {
-		ex.failedMu.Lock()
-		pending := len(ex.failed) > 0
-		ex.failedMu.Unlock()
-		return !pending
-	}
-	return true
+	return ex.cfg.Decision.Abort != sched.EAbort || !ex.failurePending()
 }
 
 // runNS is non-structured exploration (paper Section 5.1): per-shard ready

@@ -3,8 +3,10 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"morphstream/internal/store"
 	"morphstream/internal/tpg"
@@ -86,6 +88,29 @@ func blotterSig(txns []*txn.Transaction) map[int64][]string {
 	return sig
 }
 
+// matrixWatchdog bounds one Run of the matrix: every case finishes in
+// milliseconds, so a run this long is a livelock.
+const matrixWatchdog = 30 * time.Second
+
+// runWatched is Run with a liveness bound: a run that outlives
+// matrixWatchdog fails the test with every goroutine's stack, naming the
+// strategy that hung, instead of eating the package timeout. The hung
+// workers are left spinning; the failure is the signal.
+func runWatched(t *testing.T, name string, g *tpg.Graph, cfg Config) Result {
+	t.Helper()
+	done := make(chan Result, 1)
+	go func() { done <- Run(g, cfg) }()
+	select {
+	case res := <-done:
+		return res
+	case <-time.After(matrixWatchdog):
+	}
+	buf := make([]byte, 1<<20)
+	t.Fatalf("%s: Run still going after %s; goroutines:\n%s",
+		name, matrixWatchdog, buf[:runtime.Stack(buf, true)])
+	return Result{}
+}
+
 // checkMatrixCase runs one seeded workload through all 12 strategies, with
 // fusion off and on, and fails if any combination diverges from the serial
 // oracle in final state, abort set, commit/abort counts, or per-event
@@ -107,7 +132,7 @@ func checkMatrixCase(t *testing.T, mc matrixCase) {
 					mc.kind, mc.seed, d, threads, fusion)
 				txns, table := batch.Materialize()
 				g := buildGraphFromTable(txns, table, fusion)
-				res := Run(g, Config{Decision: d, Threads: threads, Table: table})
+				res := runWatched(t, name, g, Config{Decision: d, Threads: threads, Table: table})
 				if res.Committed != oracle.Committed || res.Aborted != oracle.Aborted {
 					t.Errorf("%s: committed/aborted = %d/%d; oracle %d/%d",
 						name, res.Committed, res.Aborted, oracle.Committed, oracle.Aborted)

@@ -17,8 +17,8 @@ import (
 // concurrent client connections flood the demo ledger operator over
 // loopback TCP and every event's receipt round-trip time is recorded. The
 // in-process row runs the same event stream straight into the engine, so
-// the delta is the cost of the wire: framing, gob, the kernel socket path,
-// and the per-connection receipt fan-out.
+// the delta is the cost of the wire: framing, the payload codec, the kernel
+// socket path, and the per-connection receipt fan-out.
 
 // ServeFloodResult is one flood run's measurement.
 type ServeFloodResult struct {
@@ -259,7 +259,7 @@ func ServeFlood(scale Scale, conns, threads int) (*Report, error) {
 	})
 	r.Notes = append(r.Notes,
 		"rpc row: each connection self-paces on an inflight-receipt window; RTT is submit-to-receipt as seen by the client",
-		"receipts are per-event frames correlated by connection-scoped txn id, delivered in submit order (exactly once)",
+		"receipts are correlated by connection-scoped txn id and delivered per event, in submit order, exactly once (on the wire: one frame per session per batch)",
 		fmt.Sprintf("ledger: %d accounts per connection (disjoint ranges), initial balance %d; punctuation every 4096 events or 2ms", span, balance),
 	)
 	return r, nil

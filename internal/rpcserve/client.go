@@ -32,13 +32,14 @@ type ClientConfig struct {
 	// Operator names the server-side operator this session submits to.
 	// Required.
 	Operator string
-	// Codec encodes Submit payloads; nil means GobCodec. The server must
-	// offer a codec of the same name.
+	// Codec encodes Submit payloads; nil means BinaryCodec. The server
+	// must offer a codec of the same name (every server offers "binary"
+	// and "gob").
 	Codec Codec
 	// DialTimeout bounds connecting plus the Hello/HelloOK handshake;
 	// 0 means 10s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write; 0 means 10s.
+	// WriteTimeout bounds each outbound socket write; 0 means 10s.
 	WriteTimeout time.Duration
 	// ReadTimeout, when > 0, bounds the idle time between inbound frames.
 	// The default 0 lets the client wait indefinitely for receipts (an
@@ -86,8 +87,15 @@ type Client struct {
 	mu  sync.Mutex
 	err error
 
+	// enc is Submit's frame scratch: header, then the payload the codec
+	// appends behind it, written out as one piece and reused.
+	enc     []byte
 	scratch [HeaderSize]byte
 }
+
+// defaultReceiptBuffer is the Receipts channel capacity when ClientConfig
+// leaves ReceiptBuffer unset.
+const defaultReceiptBuffer = 1024
 
 // Dial connects to a Server at addr, performs the Hello handshake for
 // cfg.Operator, and starts the receipt reader. The returned client owns the
@@ -97,7 +105,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		return nil, errors.New("rpcserve: ClientConfig.Operator is required")
 	}
 	if cfg.Codec == nil {
-		cfg.Codec = GobCodec{}
+		cfg.Codec = BinaryCodec{}
 	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = defaultWriteTimeout
@@ -106,7 +114,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		cfg.WriteTimeout = defaultWriteTimeout
 	}
 	if cfg.ReceiptBuffer == 0 {
-		cfg.ReceiptBuffer = sessionOutbound
+		cfg.ReceiptBuffer = defaultReceiptBuffer
 	}
 	deadline := time.Now().Add(cfg.DialTimeout)
 	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
@@ -116,8 +124,9 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		conn:       conn,
 		fr:         newFrameReader(bufio.NewReaderSize(conn, 32<<10), cfg.MaxPayload),
-		bw:         bufio.NewWriterSize(conn, 32<<10),
+		bw:         bufio.NewWriterSize(timedWriter{conn, cfg.WriteTimeout}, 32<<10),
 		codec:      cfg.Codec,
+		enc:        make([]byte, HeaderSize, 256),
 		cfg:        cfg,
 		receipts:   make(chan Receipt, cfg.ReceiptBuffer),
 		drained:    make(chan uint64, 4),
@@ -170,24 +179,21 @@ func (c *Client) Submit(v any) (uint64, error) {
 	if c.closing.Load() {
 		return 0, ErrClientClosed
 	}
-	data, err := c.codec.Encode(v)
+	buf, err := c.codec.Append(c.enc[:HeaderSize], v)
 	if err != nil {
 		return 0, err
 	}
+	c.enc = buf
 	c.nextTxn++
 	id := c.nextTxn
-	if err := c.write(Frame{Type: FrameSubmit, TxnID: id, Payload: data}); err != nil {
-		return id, err
-	}
-	return id, nil
+	putHeader(buf, FrameSubmit, StatusOK, id, uint32(len(buf)-HeaderSize))
+	_, err = c.bw.Write(buf)
+	return id, err
 }
 
 // Flush pushes buffered Submits to the server. Call it before waiting on
 // Receipts for events that may still sit in the write buffer.
-func (c *Client) Flush() error {
-	c.armWrite()
-	return c.bw.Flush()
-}
+func (c *Client) Flush() error { return c.bw.Flush() }
 
 // Drain flushes buffered Submits and round-trips a flush barrier: when it
 // returns nil, every prior Submit has been executed and its receipt is in
@@ -263,27 +269,21 @@ func (c *Client) setErr(err error) {
 	c.mu.Unlock()
 }
 
-// armWrite bounds the next write(s) to the socket.
-func (c *Client) armWrite() {
-	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-}
-
 // write frames f into the buffered writer. A write error is returned to
 // the caller but does not become the session's terminal error: the reader
 // owns terminal state (a broken socket surfaces there too, and during a
 // server drain the reader's ErrServerDraining is the truthful cause while
 // the write-side reset is just its echo).
-func (c *Client) write(f Frame) error {
-	c.armWrite()
-	return writeFrame(c.bw, c.scratch[:], f)
-}
+func (c *Client) write(f Frame) error { return writeFrame(c.bw, c.scratch[:], f) }
 
-// readLoop owns the inbound stream after the handshake: receipts go to the
+// readLoop owns the inbound stream after the handshake: each Receipt frame
+// is validated whole, then expanded into one Receipt per event on the
 // Receipts channel (in arrival order — which is submit order), DrainOK
 // resolves Drain, GoodbyeOK and server Goodbye end the session.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	defer close(c.receipts)
+	deliver := func(r Receipt) { c.receipts <- r }
 	for {
 		if t := c.cfg.ReadTimeout; t > 0 && !c.closing.Load() {
 			c.conn.SetReadDeadline(time.Now().Add(t))
@@ -297,12 +297,11 @@ func (c *Client) readLoop() {
 		}
 		switch f.Type {
 		case FrameReceipt:
-			seq, durable, perr := parseReceiptPayload(f.Payload)
-			if perr != nil {
-				c.setErr(perr)
+			if err := walkReceipts(f, nil); err != nil {
+				c.setErr(err)
 				return
 			}
-			c.receipts <- Receipt{TxnID: f.TxnID, Status: f.Status, Seq: seq, Durable: durable}
+			_ = walkReceipts(f, deliver) // validated above
 		case FrameDrainOK:
 			select {
 			case c.drained <- f.TxnID:

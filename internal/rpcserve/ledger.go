@@ -3,6 +3,7 @@ package rpcserve
 import (
 	"fmt"
 
+	"morphstream/internal/codec"
 	"morphstream/internal/engine"
 	"morphstream/internal/store"
 	"morphstream/internal/txn"
@@ -27,6 +28,50 @@ type Transfer struct {
 type Deposit struct {
 	To     string
 	Amount int64
+}
+
+// Wire tags of the demo payloads (docs/PROTOCOL.md §5.1).
+const (
+	tagTransfer = 1
+	tagDeposit  = 2
+)
+
+// WireTag implements WirePayload.
+func (Transfer) WireTag() uint8 { return tagTransfer }
+
+// AppendWire implements WirePayload: From, To, Amount.
+func (t Transfer) AppendWire(dst []byte) []byte {
+	dst = codec.AppendString(dst, t.From)
+	dst = codec.AppendString(dst, t.To)
+	return codec.AppendVarint(dst, t.Amount)
+}
+
+// ReadWire implements WirePayload.
+func (Transfer) ReadWire(src []byte) (any, error) {
+	r := codec.NewReader(src)
+	t := Transfer{From: r.String(), To: r.String(), Amount: r.Varint()}
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// WireTag implements WirePayload.
+func (Deposit) WireTag() uint8 { return tagDeposit }
+
+// AppendWire implements WirePayload: To, Amount.
+func (d Deposit) AppendWire(dst []byte) []byte {
+	return codec.AppendVarint(codec.AppendString(dst, d.To), d.Amount)
+}
+
+// ReadWire implements WirePayload.
+func (Deposit) ReadWire(src []byte) (any, error) {
+	r := codec.NewReader(src)
+	d := Deposit{To: r.String(), Amount: r.Varint()}
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 func init() {

@@ -3,8 +3,11 @@ package rpcserve
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -442,13 +445,49 @@ func TestProtocolErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hello := func(t *testing.T, conn net.Conn, fr *frameReader) {
+	hello := func(t *testing.T, conn net.Conn, fr *frameReader, codec string) {
 		t.Helper()
-		send(t, conn, Frame{Type: FrameHello, Payload: encodeHello("gob", LedgerOperatorName)})
+		send(t, conn, Frame{Type: FrameHello, Payload: encodeHello(codec, LedgerOperatorName)})
 		f, err := fr.read()
 		if err != nil || f.Type != FrameHelloOK {
 			t.Fatalf("hello: frame %v err %v", f.Type, err)
 		}
+	}
+	// encode builds a Submit payload with codec c.
+	encode := func(t *testing.T, c Codec, v any) []byte {
+		t.Helper()
+		p, err := c.Append(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// oneReceipt reads a Receipt frame and expects exactly one entry.
+	oneReceipt := func(t *testing.T, fr *frameReader) Receipt {
+		t.Helper()
+		f, err := fr.read()
+		if err != nil || f.Type != FrameReceipt {
+			t.Fatalf("want receipt, got (%v, err %v)", f.Type, err)
+		}
+		rs, err := expand(f)
+		if err != nil || len(rs) != 1 {
+			t.Fatalf("receipt frame: %d entries, err %v", len(rs), err)
+		}
+		return rs[0]
+	}
+	// payloads are the three encodings a v2 server accepts for one event:
+	// the binary layout, the binary codec's gob escape hatch, and the gob
+	// codec proper.
+	type encoding struct {
+		name, codec string
+		payload     func(t *testing.T, v any) []byte
+	}
+	encodings := []encoding{
+		{"binary", "binary", func(t *testing.T, v any) []byte { return encode(t, BinaryCodec{}, v) }},
+		{"binary tag 0", "binary", func(t *testing.T, v any) []byte {
+			return append([]byte{gobTag}, encode(t, GobCodec{}, v)...)
+		}},
+		{"gob", "gob", func(t *testing.T, v any) []byte { return encode(t, GobCodec{}, v) }},
 	}
 	expectError := func(t *testing.T, fr *frameReader, want Status) {
 		t.Helper()
@@ -471,13 +510,20 @@ func TestProtocolErrors(t *testing.T) {
 		expectError(t, fr, StatusBadMagic)
 	})
 	t.Run("bad version", func(t *testing.T) {
-		conn, fr := dial(t)
-		raw := header(FrameHello, 0, 0, 0)
-		raw[4] = 42
-		if _, err := conn.Write(raw); err != nil {
-			t.Fatal(err)
+		// Version 1 is the peer most likely to turn up: its Hello must be
+		// refused on the header alone, then the connection closed.
+		for _, v := range []byte{1, 42} {
+			conn, fr := dial(t)
+			raw := append(header(FrameHello, 0, 0, 13), encodeHello("gob", LedgerOperatorName)...)
+			raw[4] = v
+			if _, err := conn.Write(raw); err != nil {
+				t.Fatal(err)
+			}
+			expectError(t, fr, StatusBadVersion)
+			if _, err := fr.read(); err != io.EOF {
+				t.Fatalf("version %d: after the error frame: %v, want EOF", v, err)
+			}
 		}
-		expectError(t, fr, StatusBadVersion)
 	})
 	t.Run("unknown codec", func(t *testing.T) {
 		conn, fr := dial(t)
@@ -486,7 +532,7 @@ func TestProtocolErrors(t *testing.T) {
 	})
 	t.Run("unknown operator", func(t *testing.T) {
 		conn, fr := dial(t)
-		send(t, conn, Frame{Type: FrameHello, Payload: encodeHello("gob", "no-such-op")})
+		send(t, conn, Frame{Type: FrameHello, Payload: encodeHello("binary", "no-such-op")})
 		expectError(t, fr, StatusUnknownOperator)
 	})
 	t.Run("submit before hello", func(t *testing.T) {
@@ -496,66 +542,204 @@ func TestProtocolErrors(t *testing.T) {
 	})
 	t.Run("oversized payload", func(t *testing.T) {
 		conn, fr := dial(t)
-		hello(t, conn, fr)
+		hello(t, conn, fr, "binary")
 		raw := header(FrameSubmit, 0, 1, DefaultMaxPayload+1)
 		if _, err := conn.Write(raw); err != nil {
 			t.Fatal(err)
 		}
 		expectError(t, fr, StatusTooLarge)
 	})
-	t.Run("txn id not increasing", func(t *testing.T) {
-		conn, fr := dial(t)
-		hello(t, conn, fr)
-		payload, err := GobCodec{}.Encode(Deposit{To: AccountKey(0), Amount: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		send(t, conn, Frame{Type: FrameSubmit, TxnID: 5, Payload: payload})
-		send(t, conn, Frame{Type: FrameSubmit, TxnID: 5, Payload: payload})
-		for {
+	for _, enc := range encodings {
+		t.Run("txn id not increasing/"+enc.name, func(t *testing.T) {
+			conn, fr := dial(t)
+			hello(t, conn, fr, enc.codec)
+			payload := enc.payload(t, Deposit{To: AccountKey(0), Amount: 1})
+			send(t, conn, Frame{Type: FrameSubmit, TxnID: 5, Payload: payload})
+			send(t, conn, Frame{Type: FrameSubmit, TxnID: 5, Payload: payload})
+			for {
+				f, err := fr.read()
+				if err != nil {
+					t.Fatalf("expected protocol error frame, got read error %v", err)
+				}
+				if f.Type == FrameReceipt {
+					continue // the first submit's receipt may arrive first
+				}
+				if f.Type != FrameError || f.Status != StatusProtocol {
+					t.Fatalf("got (%v, %v), want (error, protocol-violation)", f.Type, f.Status)
+				}
+				break
+			}
+		})
+		t.Run("goodbye flushes then closes/"+enc.name, func(t *testing.T) {
+			conn, fr := dial(t)
+			hello(t, conn, fr, enc.codec)
+			send(t, conn, Frame{Type: FrameSubmit, TxnID: 1, Payload: enc.payload(t, Deposit{To: AccountKey(1), Amount: 2})})
+			send(t, conn, Frame{Type: FrameGoodbye})
+			if r := oneReceipt(t, fr); r.TxnID != 1 || r.Status != StatusCommitted {
+				t.Fatalf("want committed receipt for txn 1 before goodbye-ok, got %+v", r)
+			}
 			f, err := fr.read()
-			if err != nil {
-				t.Fatalf("expected protocol error frame, got read error %v", err)
+			if err != nil || f.Type != FrameGoodbyeOK {
+				t.Fatalf("want goodbye-ok, got (%v, err %v)", f.Type, err)
 			}
-			if f.Type == FrameReceipt {
-				continue // the first submit's receipt may arrive first
-			}
-			if f.Type != FrameError || f.Status != StatusProtocol {
-				t.Fatalf("got (%v, %v), want (error, protocol-violation)", f.Type, f.Status)
-			}
-			break
-		}
-	})
+		})
+	}
 	t.Run("undecodable payload gets invalid receipt", func(t *testing.T) {
-		conn, fr := dial(t)
-		hello(t, conn, fr)
-		send(t, conn, Frame{Type: FrameSubmit, TxnID: 1, Payload: []byte("not gob at all")})
-		f, err := fr.read()
+		bad := map[string][]byte{
+			"empty":             nil,
+			"unregistered tag":  {200, 1, 2, 3},
+			"truncated layout":  encode(t, BinaryCodec{}, Deposit{To: AccountKey(0), Amount: 1})[:4],
+			"trailing bytes":    append(encode(t, BinaryCodec{}, Deposit{To: AccountKey(0), Amount: 1}), 0),
+			"tag 0, not gob":    append([]byte{gobTag}, "not gob at all"...),
+			"string over frame": {tagDeposit, 0xff, 0xff, 0x03, 'x'},
+		}
+		for name, payload := range bad {
+			conn, fr := dial(t)
+			hello(t, conn, fr, "binary")
+			send(t, conn, Frame{Type: FrameSubmit, TxnID: 1, Payload: payload})
+			if r := oneReceipt(t, fr); r.TxnID != 1 || r.Status != StatusInvalid {
+				t.Fatalf("%s: got %+v, want (txn 1, invalid)", name, r)
+			}
+		}
+	})
+}
+
+// TestVersionSkewClient points the v2 client at a peer that answers like a
+// v1 server: the Dial must fail on the version byte, never parse the frame.
+func TestVersionSkewClient(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.ReadFull(conn, make([]byte, HeaderSize)) // the v2 Hello's header
+		// What a v1 server says to a version it does not speak.
+		raw := append(header(FrameError, StatusBadVersion, 0, 9), "version 2"...)
+		raw[4] = 1
+		conn.Write(raw)
+	}()
+	_, err = Dial(lis.Addr().String(), ClientConfig{Operator: LedgerOperatorName, DialTimeout: 5 * time.Second})
+	if err == nil || !strings.Contains(err.Error(), StatusBadVersion.String()) {
+		t.Fatalf("Dial against a v1 peer: err = %v, want %s", err, StatusBadVersion)
+	}
+}
+
+// TestReceiptFramesSplitAtMaxPayload shrinks the payload bound until one
+// batch's receipts cannot share a frame: the client must still see every
+// receipt once, in order, and no frame may exceed the bound.
+func TestReceiptFramesSplitAtMaxPayload(t *testing.T) {
+	const maxPayload = 64
+	_, addr := newTestServer(t, 8, 100, func(cfg *Config) {
+		cfg.MaxPayload = maxPayload
+		cfg.Engine.PunctuateEvery = 1 << 20 // one batch: everything until the drain
+		cfg.Engine.PunctuateInterval = 0
+	})
+	ops := genOps(11, 500, 0, 8, 100)
+	c, err := Dial(addr, ClientConfig{Operator: LedgerOperatorName, MaxPayload: maxPayload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []Receipt)
+	go func() {
+		var rs []Receipt
+		for r := range c.Receipts() {
+			rs = append(rs, r)
+		}
+		got <- rs
+	}()
+	for _, o := range ops {
+		if _, err := c.Submit(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v (an oversized receipt frame would surface here as too-large)", err)
+	}
+	rs := <-got
+	if len(rs) != len(ops) {
+		t.Fatalf("%d receipts, want %d", len(rs), len(ops))
+	}
+	for i, r := range rs {
+		if r.TxnID != uint64(i+1) || r.Seq != rs[0].Seq {
+			t.Fatalf("receipt %d: txn %d seq %d, want txn %d in batch %d", i, r.TxnID, r.Seq, i+1, rs[0].Seq)
+		}
+	}
+}
+
+// TestOnBatchGroupsReceiptsBySession feeds the result sink one batch whose
+// events interleave two sessions: each session must get exactly one Receipt
+// frame, holding its own outcomes in plan order, and its outstanding FIFO
+// must shrink by as many.
+func TestOnBatchGroupsReceiptsBySession(t *testing.T) {
+	s := New(Config{})
+	var sessions [2]*session
+	for i := range sessions {
+		server, client := net.Pipe()
+		defer server.Close()
+		defer client.Close()
+		sessions[i] = newSession(s, server)
+	}
+	statuses := []Status{StatusCommitted, StatusAborted, StatusDropped, StatusInvalid}
+	var want [2][]Receipt
+	for i := 0; i < 40; i++ {
+		k := i % 3 % 2 // A B A A B A ...: uneven interleaving
+		ss := sessions[k]
+		id := uint64(10*len(want[k]) + 1) // sparse IDs: multi-valued deltas
+		ss.pushOutstanding(id)
+		s.pending = append(s.pending, &envelope{sess: ss, txnID: id, status: statuses[i%len(statuses)]})
+		want[k] = append(want[k], Receipt{TxnID: id, Status: statuses[i%len(statuses)], Seq: 3, Durable: true})
+	}
+	sessions[0].pushOutstanding(999) // read, not in this batch: stays outstanding
+	s.onBatch(&engine.BatchResult{Seq: 3, Durable: true})
+
+	if len(s.pending) != 0 || len(s.touched) != 0 {
+		t.Fatalf("sink left %d pending, %d touched", len(s.pending), len(s.touched))
+	}
+	for k, ss := range sessions {
+		if len(ss.out) != 1 {
+			t.Fatalf("session %d: %d frames queued, want 1", k, len(ss.out))
+		}
+		got, err := expand((<-ss.out).Frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Type != FrameReceipt || f.Status != StatusInvalid || f.TxnID != 1 {
-			t.Fatalf("got (%v, %v, txn %d), want (receipt, invalid, txn 1)", f.Type, f.Status, f.TxnID)
+		if !reflect.DeepEqual(got, want[k]) {
+			t.Fatalf("session %d: receipts %+v, want %+v", k, got, want[k])
 		}
-	})
-	t.Run("goodbye flushes then closes", func(t *testing.T) {
-		conn, fr := dial(t)
-		hello(t, conn, fr)
-		payload, err := GobCodec{}.Encode(Deposit{To: AccountKey(1), Amount: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		send(t, conn, Frame{Type: FrameSubmit, TxnID: 1, Payload: payload})
-		send(t, conn, Frame{Type: FrameGoodbye})
-		f, err := fr.read()
-		if err != nil || f.Type != FrameReceipt || f.Status != StatusCommitted {
-			t.Fatalf("want committed receipt before goodbye-ok, got (%v, %v, err %v)", f.Type, f.Status, err)
-		}
-		f, err = fr.read()
-		if err != nil || f.Type != FrameGoodbyeOK {
-			t.Fatalf("want goodbye-ok, got (%v, err %v)", f.Type, err)
-		}
-	})
+	}
+	if rest := sessions[0].takeOutstanding(); len(rest) != 1 || rest[0] != 999 {
+		t.Fatalf("session 0 outstanding after the batch: %v, want [999]", rest)
+	}
+	if rest := sessions[1].takeOutstanding(); len(rest) != 0 {
+		t.Fatalf("session 1 outstanding after the batch: %v, want none", rest)
+	}
+}
+
+// TestGobCodecClient keeps the non-default codec working end to end.
+func TestGobCodecClient(t *testing.T) {
+	_, addr := newTestServer(t, 8, 100)
+	c, err := Dial(addr, ClientConfig{Operator: LedgerOperatorName, Codec: GobCodec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(Deposit{To: AccountKey(3), Amount: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-c.Receipts(); r.TxnID != 1 || r.Status != StatusCommitted {
+		t.Fatalf("got %+v, want txn 1 committed", r)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDialRejections covers the client-side surface of handshake failures.
@@ -581,4 +765,48 @@ func waitSessionsGone(t *testing.T, srv *Server) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("sessions leaked: %d still live", srv.Sessions())
+}
+
+// mallocsDuring counts the heap allocations of the whole process while fn
+// runs — every goroutine's, which is the point: the wire's cost is spread
+// over client, session reader, executor fan-out and session writer.
+func mallocsDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestWireAllocsPerEvent is the allocation budget of the front door: the
+// same events cost fewer than ten allocations each more over a loopback
+// connection than ingested in-process (ROADMAP item 3's target; gob alone
+// spent ~200). One connection and count-only punctuation make both runs
+// plan the identical sequence of batches, so the difference is the wire's:
+// payload decode, envelope, session queues, receipt fan-out, client.
+func TestWireAllocsPerEvent(t *testing.T) {
+	const (
+		events   = 8192
+		accounts = 64
+		balance  = int64(1000)
+	)
+	ops := [][]any{genOps(31, events, 0, accounts, balance)}
+	var inProcess, wire uint64
+	inProcess = mallocsDuring(func() { runOracle(t, ops, accounts, balance) })
+
+	_, addr := newTestServer(t, accounts, balance, func(cfg *Config) {
+		cfg.Engine.PunctuateInterval = 0 // the oracle's batches: every 256 events
+	})
+	var got []Receipt
+	wire = mallocsDuring(func() { got = floodClient(t, addr, ops[0]) })
+	if len(got) != events {
+		t.Fatalf("%d receipts, want %d", len(got), events)
+	}
+	perEvent := (float64(wire) - float64(inProcess)) / events
+	t.Logf("allocs/event: %.1f over the wire, %.1f in-process, wire adds %.1f",
+		float64(wire)/events, float64(inProcess)/events, perEvent)
+	if perEvent >= 10 {
+		t.Errorf("the wire adds %.1f allocs/event, want < 10", perEvent)
+	}
 }

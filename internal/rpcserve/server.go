@@ -24,7 +24,7 @@ type Config struct {
 	Options []engine.Option
 	// MaxPayload bounds a Submit payload; 0 means DefaultMaxPayload.
 	MaxPayload uint32
-	// WriteTimeout bounds each frame write to a client. A client that
+	// WriteTimeout bounds each socket write to a client. A client that
 	// stops reading its receipts stalls its session's writer; when the
 	// stall exceeds this bound the session is killed so receipt fan-out
 	// for other connections never blocks on it. 0 means 10s.
@@ -40,11 +40,12 @@ type Config struct {
 // WriteTimeout unset.
 const defaultWriteTimeout = 10 * time.Second
 
-// sessionOutbound is the per-session receipt queue depth: deep enough to
-// batch a punctuation's worth of receipts between flushes, bounded so a
-// stalled client surfaces as write-timeout pressure instead of unbounded
-// memory.
-const sessionOutbound = 1024
+// sessionOutbound is the per-session outbound queue depth in frames. A
+// session gets one Receipt frame per punctuation batch, so this is how many
+// batches the executor may run ahead of a slow reader before its fan-out
+// blocks on that session (and the write timeout starts to bite); bounded so
+// a stalled client costs at most this many frames of memory.
+const sessionOutbound = 64
 
 // Server is the framed-RPC front door: it owns an engine, accepts TCP
 // connections, maps each onto an ingest session multiplexed over the
@@ -67,10 +68,12 @@ type Server struct {
 	wg sync.WaitGroup
 
 	// pending accumulates the current batch's post-processed envelopes
-	// between PostProcess and the result sink. Both run on the engine's
-	// executor goroutine, so no lock guards it — which is also why the
-	// server never drives the engine's synchronous facade.
+	// between PostProcess and the result sink, and touched the sessions the
+	// sink found among them. Both run on the engine's executor goroutine,
+	// so no lock guards them — which is also why the server never drives
+	// the engine's synchronous facade.
 	pending []*envelope
+	touched []*session
 
 	inst serverInstruments
 }
@@ -124,7 +127,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		ops:      make(map[string]engine.Operator),
-		codecs:   map[string]Codec{GobCodec{}.Name(): GobCodec{}},
+		codecs:   map[string]Codec{BinaryCodec{}.Name(): BinaryCodec{}, GobCodec{}.Name(): GobCodec{}},
 		sessions: make(map[*session]struct{}),
 	}
 	opts := make([]engine.Option, 0, len(cfg.Options)+1)
@@ -141,8 +144,8 @@ func (s *Server) Register(name string, op engine.Operator) {
 	s.ops[name] = op
 }
 
-// RegisterCodec offers an additional payload codec (gob is always
-// available). Call before Serve.
+// RegisterCodec offers an additional payload codec beside the two every
+// server speaks: "binary" (the client default) and "gob". Call before Serve.
 func (s *Server) RegisterCodec(c Codec) {
 	s.codecs[c.Name()] = c
 }
@@ -274,28 +277,48 @@ func (s *Server) logf(format string, args ...any) {
 
 // onBatch is the engine's result sink: it runs on the executor goroutine,
 // in punctuation order, and fans the batch's envelopes out to their
-// sessions as receipt frames. Per-session receipt order equals submit
-// order: a session's reader is a single ring producer, batches execute in
-// sequence, and PostProcess visits a batch's events in plan order.
+// sessions — one Receipt frame per session holding all of that session's
+// outcomes (split only where it would outgrow MaxPayload). Per-session
+// receipt order equals submit order: a session's reader is a single ring
+// producer, batches execute in sequence, and PostProcess visits a batch's
+// events in plan order.
 func (s *Server) onBatch(res *engine.BatchResult) {
+	// Count first, so each session's payload buffer is sized to its own
+	// share of the batch however many sessions the batch interleaves.
+	for _, env := range s.pending {
+		if env.sess.acks == 0 {
+			s.touched = append(s.touched, env.sess)
+		}
+		env.sess.acks++
+	}
 	for i, env := range s.pending {
 		ss := env.sess
-		ss.ackOutstanding()
-		payload := make([]byte, receiptPayloadSize)
-		encodeReceiptPayload(payload, res.Seq, res.Durable)
-		ss.send(Frame{Type: FrameReceipt, Status: env.status, TxnID: env.txnID, Payload: payload})
+		if ss.rb.full(s.cfg.MaxPayload) {
+			ss.send(ss.rb.frame(res.Seq, res.Durable))
+		}
+		ss.rb.add(env.txnID, env.status, ss.acks)
 		s.pending[i] = nil
 	}
 	s.pending = s.pending[:0]
+	for i, ss := range s.touched {
+		ss.ackOutstanding(ss.acks)
+		ss.acks = 0
+		ss.send(ss.rb.frame(res.Seq, res.Durable))
+		s.touched[i] = nil
+	}
+	s.touched = s.touched[:0]
 }
 
-// envelope carries one submitted event through the engine: the session and
-// txn ID route the receipt back, inner is the application-facing event the
-// registered operator sees, and status accumulates the outcome.
+// envelope carries one submitted event through the engine in a single
+// allocation: the session and txn ID route the receipt back, outer is the
+// event the engine ingests (its Data points back at the envelope), inner is
+// the application-facing event the registered operator sees, and status
+// accumulates the outcome.
 type envelope struct {
 	sess  *session
 	txnID uint64
-	inner *engine.Event
+	outer engine.Event
+	inner engine.Event
 	// status is StatusInvalid when the payload failed to decode (preset by
 	// the reader), StatusDropped when the inner operator rejected the
 	// event (set at plan time), else Committed/Aborted (set at
@@ -319,7 +342,7 @@ func (o serverOp) PreProcess(ev *engine.Event) (*txn.EventBlotter, error) {
 	env := ev.Data.(*envelope)
 	var eb *txn.EventBlotter
 	if env.status == StatusOK {
-		ieb, err := env.sess.op.PreProcess(env.inner)
+		ieb, err := env.sess.op.PreProcess(&env.inner)
 		if err != nil || ieb == nil {
 			env.status = StatusDropped
 		} else {
@@ -355,7 +378,7 @@ func (o serverOp) StateAccess(eb *txn.EventBlotter, b *txn.Builder) error {
 func (o serverOp) PostProcess(ev *engine.Event, eb *txn.EventBlotter, aborted bool) error {
 	env := ev.Data.(*envelope)
 	if env.status == StatusOK {
-		_ = env.sess.op.PostProcess(env.inner, eb, aborted)
+		_ = env.sess.op.PostProcess(&env.inner, eb, aborted)
 		if aborted {
 			env.status = StatusAborted
 		} else {
@@ -403,6 +426,13 @@ type session struct {
 	outs    []uint64
 	outHead int
 
+	// rb is the Receipt frame under construction and acks the session's
+	// event count in the batch being fanned out; both belong to whoever
+	// runs the fan-out — the executor goroutine, then finishDrain once it
+	// stopped.
+	rb   receiptBatch
+	acks int
+
 	scratch [HeaderSize]byte
 }
 
@@ -411,7 +441,7 @@ func newSession(s *Server, conn net.Conn) *session {
 		srv:  s,
 		conn: conn,
 		fr:   newFrameReader(bufio.NewReaderSize(conn, 32<<10), s.cfg.MaxPayload),
-		bw:   bufio.NewWriterSize(conn, 32<<10),
+		bw:   bufio.NewWriterSize(timedWriter{conn, s.cfg.WriteTimeout}, 32<<10),
 		out:  make(chan outFrame, sessionOutbound),
 		done: make(chan struct{}),
 	}
@@ -464,11 +494,11 @@ func (ss *session) pushOutstanding(id uint64) {
 	ss.omu.Unlock()
 }
 
-// ackOutstanding pops the FIFO head — receipts leave in submit order.
-func (ss *session) ackOutstanding() {
+// ackOutstanding pops the n oldest IDs — receipts leave in submit order.
+func (ss *session) ackOutstanding(n int) {
 	ss.omu.Lock()
-	if ss.outHead < len(ss.outs) {
-		ss.outHead++
+	if ss.outHead+n <= len(ss.outs) {
+		ss.outHead += n
 		if ss.outHead == len(ss.outs) {
 			ss.outs = ss.outs[:0]
 			ss.outHead = 0
@@ -520,13 +550,19 @@ func (ss *session) armRead() bool {
 }
 
 // finishDrain runs after the engine flushed: whatever is still outstanding
-// never executed, so it is failed explicitly — then the server says
-// Goodbye and the writer flushes and closes.
+// never executed, so it is failed explicitly — batched like any other
+// receipts, under seq 0 — then the server says Goodbye and the writer
+// flushes and closes.
 func (ss *session) finishDrain() {
-	for _, id := range ss.takeOutstanding() {
-		payload := make([]byte, receiptPayloadSize)
-		encodeReceiptPayload(payload, 0, false)
-		ss.send(Frame{Type: FrameReceipt, Status: StatusFailed, TxnID: id, Payload: payload})
+	failed := ss.takeOutstanding()
+	for _, id := range failed {
+		if ss.rb.full(ss.srv.cfg.MaxPayload) {
+			ss.send(ss.rb.frame(0, false))
+		}
+		ss.rb.add(id, StatusFailed, len(failed))
+	}
+	if len(failed) > 0 {
+		ss.send(ss.rb.frame(0, false))
 	}
 	ss.sendLast(Frame{Type: FrameGoodbye, Status: StatusShuttingDown})
 }
@@ -541,9 +577,6 @@ func (ss *session) writeLoop() {
 	for {
 		select {
 		case of := <-ss.out:
-			if ss.srv.cfg.WriteTimeout > 0 {
-				ss.conn.SetWriteDeadline(time.Now().Add(ss.srv.cfg.WriteTimeout))
-			}
 			if err := writeFrame(ss.bw, ss.scratch[:], of.Frame); err != nil {
 				return
 			}
@@ -593,15 +626,15 @@ func (ss *session) readLoop() {
 				return
 			}
 			lastTxn, haveTxn = f.TxnID, true
-			now := time.Now()
 			env := &envelope{sess: ss, txnID: f.TxnID}
+			env.outer = engine.Event{Data: env, Arrival: time.Now()}
 			if v, err := ss.codec.Decode(f.Payload); err != nil {
 				env.status = StatusInvalid
 			} else {
-				env.inner = &engine.Event{Data: v, Arrival: now}
+				env.inner = engine.Event{Data: v, Arrival: env.outer.Arrival}
 			}
 			ss.pushOutstanding(f.TxnID)
-			if err := ss.srv.eng.Ingest(serverOp{ss.srv}, &engine.Event{Data: env, Arrival: now}); err != nil {
+			if err := ss.srv.eng.Ingest(serverOp{ss.srv}, &env.outer); err != nil {
 				if ss.srv.draining.Load() {
 					// The engine closed under us mid-drain: the event was
 					// never ingested; finishDrain fails it explicitly.

@@ -47,8 +47,8 @@ func scrapeValue(t *testing.T, url, name, labels string) (float64, bool) {
 // TestFloodWhileScraping runs the multi-connection flood with a live
 // registry while a scraper hammers the admin /metrics endpoint: counters
 // must be monotonic across scrapes (merges never tear), and once the flood
-// drains the frame counters must account for exactly every submit and every
-// receipt.
+// drains the frame counters must account for exactly every submit, and for
+// receipts batched into far fewer frames than events.
 func TestFloodWhileScraping(t *testing.T) {
 	const (
 		conns   = 4
@@ -138,8 +138,11 @@ func TestFloodWhileScraping(t *testing.T) {
 	if v, _ := scrapeValue(t, url, "morph_rpc_frames_in_total", `{type="submit"}`); v != total {
 		t.Errorf("frames_in submit = %v, want %v", v, total)
 	}
-	if v, _ := scrapeValue(t, url, "morph_rpc_frames_out_total", `{type="receipt"}`); v != total {
-		t.Errorf("frames_out receipt = %v, want %v", v, total)
+	// How many frames depends on where the interval punctuation fell; that
+	// they are batched at all is the point (the grouping itself is pinned
+	// by TestOnBatchGroupsReceiptsBySession).
+	if v, _ := scrapeValue(t, url, "morph_rpc_frames_out_total", `{type="receipt"}`); v < 1 || v >= total {
+		t.Errorf("frames_out receipt = %v, want batched: at least 1, fewer than %v", v, total)
 	}
 	if v, _ := scrapeValue(t, url, "morph_rpc_connections_total", ""); v != conns {
 		t.Errorf("connections = %v, want %d", v, conns)

@@ -11,7 +11,8 @@
 //
 //   - wire.go — the frame format: a fixed 20-byte header (magic, version,
 //     frame type, status, txn ID, payload size) followed by the payload.
-//   - codec.go — pluggable payload encoding; gob is the default.
+//   - codec.go — pluggable payload encoding; the tagged fixed-layout binary
+//     codec is the default, gob the per-payload escape hatch behind tag 0.
 //   - server.go — the Server: session lifecycle, receipt fan-out, graceful
 //     drain.
 //
@@ -23,6 +24,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"time"
+
+	"morphstream/internal/codec"
 )
 
 // Wire-format constants (docs/PROTOCOL.md §2). The magic and version lead
@@ -33,8 +38,10 @@ const (
 	HeaderSize = 20
 	// ProtocolVersion is the wire-format version this package speaks.
 	// Incompatible header or semantics changes bump it; compatible
-	// extensions add frame types or status codes instead.
-	ProtocolVersion = 1
+	// extensions add frame types or status codes instead. Version 2 made
+	// the binary payload codec the default and batched receipts: one
+	// Receipt frame now reports a run of events (docs/PROTOCOL.md §3.4).
+	ProtocolVersion = 2
 	// DefaultMaxPayload bounds a frame's payload unless Config overrides
 	// it; an oversized announced payload is a protocol error, never an
 	// allocation.
@@ -59,9 +66,10 @@ const (
 	// FrameSubmit carries one encoded input event under a fresh
 	// connection-scoped transaction ID (strictly increasing per session).
 	FrameSubmit FrameType = 3
-	// FrameReceipt reports one submitted event's outcome: the header echoes
-	// the txn ID, the status carries the outcome, and the payload carries
-	// the batch sequence number and durability flag.
+	// FrameReceipt reports the outcomes of a run of one session's submitted
+	// events that executed in the same punctuation batch: the payload
+	// carries the batch sequence number, the durability flag, and one
+	// (txn ID delta, outcome) entry per event, in submit order.
 	FrameReceipt FrameType = 4
 	// FrameDrain requests a flush barrier: every event submitted before it
 	// is executed and receipted before DrainOK.
@@ -106,12 +114,13 @@ func (t FrameType) String() string {
 	return fmt.Sprintf("frame(%d)", uint8(t))
 }
 
-// Status is the 16-bit header status field: receipt outcomes on
-// FrameReceipt, error codes on FrameError, zero elsewhere
-// (docs/PROTOCOL.md §4).
+// Status is an outcome or error code (docs/PROTOCOL.md §4): receipt outcomes
+// travel one byte each inside a FrameReceipt payload, error codes in the
+// 16-bit header status field of a FrameError; the header field is zero
+// elsewhere.
 type Status uint16
 
-// Receipt outcomes (Status on FrameReceipt).
+// Receipt outcomes (one per entry of a FrameReceipt).
 const (
 	// StatusOK is the zero status carried by non-receipt, non-error frames.
 	StatusOK Status = 0
@@ -332,25 +341,112 @@ func parseHello(p []byte) (codec, operator string, err error) {
 	return codec, string(rest[1:]), nil
 }
 
-// receiptPayloadSize is the fixed Receipt payload length: an 8-byte batch
-// sequence number plus a 1-byte durability flag.
-const receiptPayloadSize = 9
+// Receipt payload layout (docs/PROTOCOL.md §3.4): a fixed part — the
+// 8-byte batch sequence number and the 1-byte durability flag — then a
+// uvarint entry count and that many (uvarint txn-ID delta, 1-byte outcome)
+// entries. Deltas chain from the header's txn ID, which the server sets to
+// the first entry's ID (so the first delta is 0).
+const (
+	receiptFixed = 9
+	// receiptPrefix is what a receiptBatch reserves ahead of its entries:
+	// the fixed part plus the widest possible count.
+	receiptPrefix = receiptFixed + binary.MaxVarintLen64
+	// receiptEntryMax is the widest possible entry.
+	receiptEntryMax = binary.MaxVarintLen64 + 1
+)
 
-// encodeReceiptPayload serialises a receipt payload into dst
-// (≥ receiptPayloadSize bytes) and returns the filled slice.
-func encodeReceiptPayload(dst []byte, seq int64, durable bool) []byte {
-	binary.BigEndian.PutUint64(dst[0:8], uint64(seq))
-	dst[8] = 0
-	if durable {
-		dst[8] = 1
-	}
-	return dst[:receiptPayloadSize]
+// receiptBatch accumulates one session's receipts of one punctuation batch
+// into a single Receipt payload. The entries are appended behind a reserved
+// prefix; frame writes the fixed part and the count — known only then —
+// right-aligned into it, so the payload is built in one pass and one
+// buffer.
+type receiptBatch struct {
+	buf   []byte
+	base  uint64 // first entry's txn ID
+	last  uint64
+	count int
 }
 
-// parseReceiptPayload decodes a receipt payload.
-func parseReceiptPayload(p []byte) (seq int64, durable bool, err error) {
-	if len(p) != receiptPayloadSize {
-		return 0, false, &wireError{StatusBadFrame, "malformed receipt payload"}
+// add appends one entry; hint sizes a fresh buffer (expected entries).
+func (b *receiptBatch) add(id uint64, st Status, hint int) {
+	if b.count == 0 {
+		b.buf = make([]byte, receiptPrefix, receiptPrefix+2*hint+receiptEntryMax)
+		b.base, b.last = id, id
 	}
-	return int64(binary.BigEndian.Uint64(p[0:8])), p[8] != 0, nil
+	b.buf = append(codec.AppendUvarint(b.buf, id-b.last), byte(st))
+	b.last = id
+	b.count++
+}
+
+// full reports whether one more entry could push the payload past max.
+func (b *receiptBatch) full(max uint32) bool {
+	return b.count > 0 && len(b.buf)+receiptEntryMax > int(max)
+}
+
+// frame finishes the payload and resets the batch; the returned frame owns
+// the buffer.
+func (b *receiptBatch) frame(seq int64, durable bool) Frame {
+	var count [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(count[:], uint64(b.count))
+	p := b.buf[receiptPrefix-receiptFixed-k:]
+	binary.BigEndian.PutUint64(p[0:8], uint64(seq))
+	p[8] = 0
+	if durable {
+		p[8] = 1
+	}
+	copy(p[receiptFixed:], count[:k])
+	f := Frame{Type: FrameReceipt, TxnID: b.base, Payload: p}
+	*b = receiptBatch{}
+	return f
+}
+
+// walkReceipts decodes a Receipt frame, calling emit once per entry in
+// order; a nil emit only validates. Nothing is allocated whatever the
+// payload claims: a count the payload cannot hold, a malformed varint, a
+// repeated or overflowing txn ID, an unknown outcome and trailing bytes are
+// all StatusBadFrame.
+func walkReceipts(f Frame, emit func(Receipt)) error {
+	r := codec.NewReader(f.Payload)
+	fixed := r.Bytes(receiptFixed)
+	count := r.Uvarint()
+	if r.Err() != nil || fixed[8] > 1 || count == 0 || count > uint64(r.Len())/2 {
+		return errBadReceipt
+	}
+	rc := Receipt{
+		TxnID:   f.TxnID,
+		Seq:     int64(binary.BigEndian.Uint64(fixed[0:8])),
+		Durable: fixed[8] == 1,
+	}
+	for i := uint64(0); i < count; i++ {
+		delta := r.Uvarint()
+		rc.Status = Status(r.Byte())
+		if r.Err() != nil || (i > 0 && delta == 0) || rc.TxnID+delta < rc.TxnID || !rc.Final() {
+			return errBadReceipt
+		}
+		rc.TxnID += delta
+		if emit != nil {
+			emit(rc)
+		}
+	}
+	if r.Finish() != nil {
+		return errBadReceipt
+	}
+	return nil
+}
+
+var errBadReceipt = &wireError{StatusBadFrame, "malformed receipt payload"}
+
+// timedWriter arms the connection's write deadline on every socket write.
+// Wrapped in a bufio.Writer that is one deadline per flushed burst, not one
+// per frame; a peer that stops reading still surfaces as a timed-out write.
+type timedWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (w timedWriter) Write(p []byte) (int, error) {
+	if w.timeout > 0 {
+		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+	return w.conn.Write(p)
 }

@@ -9,10 +9,10 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Type: FrameHello, Payload: encodeHello("gob", "transfer")},
+		{Type: FrameHello, Payload: encodeHello("binary", "transfer")},
 		{Type: FrameHelloOK},
 		{Type: FrameSubmit, TxnID: 1, Payload: []byte("payload-bytes")},
-		{Type: FrameReceipt, Status: StatusCommitted, TxnID: 1, Payload: encodeReceiptPayload(make([]byte, receiptPayloadSize), 42, true)},
+		batchOf(42, true, receiptEntry{1, StatusCommitted}),
 		{Type: FrameDrain, TxnID: 7},
 		{Type: FrameDrainOK, TxnID: 7},
 		{Type: FrameGoodbye, Status: StatusShuttingDown},
@@ -97,41 +97,96 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReceiptPayloadRoundTrip(t *testing.T) {
-	p := encodeReceiptPayload(make([]byte, receiptPayloadSize), 99, true)
-	seq, durable, err := parseReceiptPayload(p)
-	if err != nil || seq != 99 || !durable {
-		t.Fatalf("got (%d, %v, %v)", seq, durable, err)
+// receiptEntry is one (txn ID, outcome) pair of a Receipt frame under test.
+type receiptEntry struct {
+	id uint64
+	st Status
+}
+
+// batchOf builds a Receipt frame through the server's own encoder.
+func batchOf(seq int64, durable bool, entries ...receiptEntry) Frame {
+	var rb receiptBatch
+	for _, e := range entries {
+		rb.add(e.id, e.st, len(entries))
 	}
-	if _, _, err := parseReceiptPayload(p[:4]); err == nil {
-		t.Fatal("short receipt payload: expected error")
+	return rb.frame(seq, durable)
+}
+
+// expand decodes a Receipt frame the way the client's reader does:
+// validate whole, then emit.
+func expand(f Frame) ([]Receipt, error) {
+	if err := walkReceipts(f, nil); err != nil {
+		return nil, err
+	}
+	var out []Receipt
+	_ = walkReceipts(f, func(r Receipt) { out = append(out, r) })
+	return out, nil
+}
+
+func TestReceiptBatchRoundTrip(t *testing.T) {
+	// Sparse and huge IDs (multi-byte deltas), every outcome, and enough
+	// entries for a two-byte count.
+	entries := []receiptEntry{{7, StatusCommitted}, {8, StatusAborted}, {300, StatusDropped},
+		{301, StatusInvalid}, {1 << 40, StatusFailed}}
+	for i := 0; i < 200; i++ {
+		entries = append(entries, receiptEntry{1<<40 + 1 + uint64(i), StatusCommitted})
+	}
+	f := batchOf(99, true, entries...)
+	if f.Type != FrameReceipt || f.TxnID != 7 || f.Status != StatusOK {
+		t.Fatalf("frame header (%v, txn %d, %v)", f.Type, f.TxnID, f.Status)
+	}
+	got, err := expand(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(entries) {
+		t.Fatalf("%d receipts, want %d", len(got), len(entries))
+	}
+	for i, r := range got {
+		if r.TxnID != entries[i].id || r.Status != entries[i].st || r.Seq != 99 || !r.Durable {
+			t.Fatalf("receipt %d: %+v, want %+v seq 99 durable", i, r, entries[i])
+		}
+	}
+	// A dense batch costs two bytes an event.
+	dense := make([]receiptEntry, 1024)
+	for i := range dense {
+		dense[i] = receiptEntry{uint64(i + 1), StatusCommitted}
+	}
+	if n := len(batchOf(1, false, dense...).Payload); n != receiptFixed+2+2*len(dense) {
+		t.Fatalf("dense 1024-entry payload is %d bytes", n)
 	}
 }
 
-func TestGobCodecFramesAreSelfContained(t *testing.T) {
-	c := GobCodec{}
-	a, err := c.Encode(Transfer{From: "a", To: "b", Amount: 3})
-	if err != nil {
-		t.Fatal(err)
+func TestReceiptBatchRejectsMalformed(t *testing.T) {
+	good := batchOf(5, false, receiptEntry{1, StatusCommitted}, receiptEntry{2, StatusAborted})
+	mut := func(fn func(p []byte) []byte) Frame {
+		f := good
+		f.Payload = fn(append([]byte(nil), good.Payload...))
+		return f
 	}
-	b, err := c.Encode(Deposit{To: "c", Amount: 9})
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string]Frame{
+		"empty":              mut(func(p []byte) []byte { return nil }),
+		"fixed part only":    mut(func(p []byte) []byte { return p[:receiptFixed] }),
+		"truncated entry":    mut(func(p []byte) []byte { return p[:len(p)-1] }),
+		"trailing byte":      mut(func(p []byte) []byte { return append(p, 0) }),
+		"durable flag 2":     mut(func(p []byte) []byte { p[8] = 2; return p }),
+		"zero count":         mut(func(p []byte) []byte { p[receiptFixed] = 0; return p }),
+		"count over payload": mut(func(p []byte) []byte { p[receiptFixed] = 3; return p }),
+		"huge count": mut(func(p []byte) []byte {
+			return append(p[:receiptFixed], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+		}),
+		"overlong count":   mut(func(p []byte) []byte { return append(p[:receiptFixed], 0x82, 0x00, 0, 1, 1, 2) }),
+		"repeated txn id":  mut(func(p []byte) []byte { p[len(p)-2] = 0; return p }),
+		"unknown outcome":  mut(func(p []byte) []byte { p[len(p)-1] = 9; return p }),
+		"outcome zero":     mut(func(p []byte) []byte { p[len(p)-1] = 0; return p }),
+		"txn id overflows": {Type: FrameReceipt, TxnID: ^uint64(0), Payload: batchOf(5, false, receiptEntry{0, StatusCommitted}, receiptEntry{1, StatusCommitted}).Payload},
 	}
-	// Decode out of order: each frame must stand alone.
-	vb, err := c.Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, err := c.Decode(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if va.(Transfer).Amount != 3 || vb.(Deposit).Amount != 9 {
-		t.Fatalf("got %v, %v", va, vb)
-	}
-	if _, err := c.Decode([]byte("garbage")); err == nil {
-		t.Fatal("garbage decode: expected error")
+	for name, f := range cases {
+		if got, err := expand(f); err == nil {
+			t.Errorf("%s: decoded %d receipts, want a bad-frame error", name, len(got))
+		} else {
+			assertWireError(t, err, StatusBadFrame)
+		}
 	}
 }
 
