@@ -507,9 +507,7 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 			if committed == 0 {
 				b.Fatal("no transactions committed")
 			}
-			if st.ExecBusy > 0 {
-				overlapFrac += float64(st.Overlap) / float64(st.ExecBusy)
-			}
+			overlapFrac += st.Ratio()
 		}
 		b.ReportMetric(float64(cfg.Txns*b.N)/b.Elapsed().Seconds(), "events/s")
 		b.ReportMetric(overlapFrac/float64(b.N), "overlap/exec")
@@ -525,7 +523,8 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 			b.StopTimer()
 			dir := b.TempDir()
 			b.StartTimer()
-			committed, _, _ := harness.RunPipelinedDurable(batch, batchSize, threads, dir, wal.SyncPunctuation)
+			committed, _, _ := harness.RunPipelined(batch, batchSize, threads,
+				engine.WithDurability(&engine.Durability{Dir: dir, Sync: wal.SyncPunctuation}))
 			if committed == 0 {
 				b.Fatal("no transactions committed")
 			}
@@ -817,7 +816,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(cfg.Txns*b.N)/b.Elapsed().Seconds(), "events/s")
-		if c := reg.Counter("morph_engine_events_planned_total", ""); c.Value() == 0 {
+		if h := reg.Histogram("morph_engine_event_latency_ns", ""); h.Snapshot().Count == 0 {
 			b.Fatal("telemetry on but no events recorded")
 		}
 	})
@@ -849,7 +848,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		last = res
 	}
 	b.ReportMetric(float64(last.Events*b.N)/b.Elapsed().Seconds(), "events/s")
-	ps := last.RTT.Percentiles(95, 99)
-	b.ReportMetric(float64(ps[0].Microseconds()), "rtt-p95-us")
-	b.ReportMetric(float64(ps[1].Microseconds()), "rtt-p99-us")
+	rtt := last.RTT.Snapshot()
+	b.ReportMetric(float64(rtt.Quantile(0.95)/1000), "rtt-p95-us")
+	b.ReportMetric(float64(rtt.Quantile(0.99)/1000), "rtt-p99-us")
 }

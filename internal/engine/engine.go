@@ -102,8 +102,9 @@ type Config struct {
 	// batch's net state deltas, Close closes the log. See durability.go.
 	Durability *Durability
 	// Telemetry, when non-nil, registers the engine's instruments (and the
-	// executor's and WAL's, plumbed through) on the registry: per-batch
-	// counters, latency histograms, and scrape-time ring/overlap/WAL views.
+	// executor's and WAL's, plumbed through) on the registry: per-batch and
+	// per-event latency histograms, and scrape-time counter/ring/overlap/WAL
+	// views.
 	// Nil costs the hot path nothing beyond nil-check branches. See
 	// stats.go and morphstream.WithTelemetry.
 	Telemetry *telemetry.Registry
@@ -286,9 +287,6 @@ type Engine struct {
 	table *store.Table
 	pc    progressController
 
-	// StreamManager state.
-	latency *metrics.LatencyRecorder
-
 	// TxnManager state: transaction sequence and the per-group builder
 	// pool shared by the planning and execution stages.
 	txnSeq   atomic.Int64
@@ -310,9 +308,11 @@ type Engine struct {
 
 	// TxnScheduler state: profiled workload characteristics feeding the
 	// decision model. Written only by the execution stage (one goroutine
-	// at a time in either mode).
+	// at a time in either mode). lastUseful is the cumulative Useful reading
+	// at the previous batch boundary, so C is profiled per batch.
 	lastAbortRatio float64
 	lastComplexity time.Duration
+	lastUseful     time.Duration
 
 	// Breakdown accumulates the time breakdown across batches.
 	Breakdown *metrics.Breakdown
@@ -412,8 +412,7 @@ func New(cfg Config, opts ...Option) *Engine {
 	e := &Engine{
 		cfg:            cfg,
 		table:          store.NewTable(),
-		latency:        metrics.NewLatencyRecorder(),
-		lastComplexity: 10 * time.Microsecond,
+		lastComplexity: sched.DefaultComplexity,
 		Breakdown:      &metrics.Breakdown{},
 		results:        make(chan *BatchResult, resultsBuffer),
 	}
@@ -426,12 +425,8 @@ func New(cfg Config, opts ...Option) *Engine {
 // Drain/Close.
 func (e *Engine) Table() *store.Table { return e.table }
 
-// Latency exposes the end-to-end latency recorder.
-func (e *Engine) Latency() *metrics.LatencyRecorder { return e.latency }
-
 // Batches reports how many punctuations have been processed.
 func (e *Engine) Batches() int { return int(e.batches.Load()) }
-
 
 // universeSnapshot supplies the ND fan-out key universe to TPG builders: the
 // table's key set as of the last quiescent refresh. Keys interned after the
@@ -544,55 +539,39 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	res.Dropped = pb.dropped
 	res.PlanElapsed = pb.planned
 
-	type job struct {
-		id       int
-		graph    *tpg.Graph
-		decision sched.Decision
-	}
-	jobs := make([]job, 0, len(pb.jobs))
-	for _, pj := range pb.jobs {
-		d, props := e.decide(pj.id, pj.graph)
-		res.Decisions[pj.id] = d
-		res.Props = mergeProps(res.Props, props)
-		jobs = append(jobs, job{id: pj.id, graph: pj.graph, decision: d})
+	graphs := make([]*tpg.Graph, len(pb.jobs))
+	for i, pj := range pb.jobs {
+		res.Decisions[pj.id] = e.decide(pj.id, pj.graph)
+		res.Props = mergeProps(res.Props, pj.graph.Props)
+		graphs[i] = pj.graph
 	}
 
 	// Align the state table's KeyID-range shards to the executor's shard
 	// map before any worker starts: this is the punctuation's quiescent
 	// point, so the re-partition (a chain-header move, steady-state no-op
 	// once the key space stabilises) cannot race the lock-free hot path.
-	if len(jobs) > 0 {
-		graphs := make([]*tpg.Graph, len(jobs))
-		for i, j := range jobs {
-			graphs[i] = j.graph
-		}
+	if len(graphs) > 0 {
 		exec.AlignTable(e.table, e.cfg.Shards, e.cfg.Threads, graphs...)
 	}
 
 	// Execute all groups concurrently, splitting threads between them
 	// (nested scheduling, Section 8.2.3).
-	threads := e.cfg.Threads
-	if len(jobs) > 1 {
-		threads = e.cfg.Threads / len(jobs)
-		if threads < 1 {
-			threads = 1
-		}
-	}
-	results := make([]exec.Result, len(jobs))
+	threads := max(e.cfg.Threads/max(len(graphs), 1), 1)
+	results := make([]exec.Result, len(graphs))
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for i, pj := range pb.jobs {
 		wg.Add(1)
-		go func(i int, j job) {
+		go func(i int, g *tpg.Graph, d sched.Decision) {
 			defer wg.Done()
-			results[i] = exec.Run(j.graph, exec.Config{
-				Decision:  j.decision,
+			results[i] = exec.Run(g, exec.Config{
+				Decision:  d,
 				Threads:   threads,
 				Shards:    e.cfg.Shards,
 				Table:     e.table,
 				Breakdown: e.Breakdown,
 				Telemetry: e.cfg.Telemetry,
 			})
-		}(i, j)
+		}(i, pj.graph, res.Decisions[pj.id])
 	}
 	wg.Wait()
 
@@ -610,18 +589,18 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	now := time.Now()
 	for _, ce := range pb.cache {
 		_ = ce.op.PostProcess(ce.ev, ce.eb, ce.t.Aborted())
-		e.latency.Record(now.Sub(ce.ev.Arrival))
+		e.inst.eventLatency.Record(int64(now.Sub(ce.ev.Arrival)))
 	}
 
 	// Profile workload characteristics for the next batch's decisions.
 	if total := res.Committed + res.Aborted; total > 0 {
 		e.lastAbortRatio = float64(res.Aborted) / float64(total)
 	}
-	if res.OpsExecuted > 0 {
-		if useful := e.Breakdown.Get(metrics.Useful); useful > 0 {
-			e.lastComplexity = useful / time.Duration(res.OpsExecuted)
-		}
+	useful := e.Breakdown.Get(metrics.Useful)
+	if spent := useful - e.lastUseful; spent > 0 && res.OpsExecuted > 0 {
+		e.lastComplexity = spent / time.Duration(res.OpsExecuted)
 	}
+	e.lastUseful = useful
 
 	// Clean-up of temporal objects (Section 8.3.3). Graphs are recycled
 	// into the builders that produced them — execution and post-processing
@@ -712,30 +691,14 @@ func (e *Engine) Punctuate() *BatchResult {
 
 // decide picks the scheduling decision for one group: pinned per-group
 // strategy, then pinned engine strategy, then the heuristic decision model.
-func (e *Engine) decide(id int, graph *tpg.Graph) (sched.Decision, tpg.Props) {
-	props := graph.Props
+func (e *Engine) decide(id int, graph *tpg.Graph) sched.Decision {
 	if d, ok := e.cfg.GroupStrategies[id]; ok {
-		return d, props
+		return d
 	}
 	if e.cfg.Strategy != nil {
-		return *e.cfg.Strategy, props
+		return *e.cfg.Strategy
 	}
-	in := sched.ModelInputs{
-		Props:      props,
-		Complexity: e.lastComplexity,
-		AbortRatio: e.lastAbortRatio,
-	}
-	// Cyclicity is only relevant if the model would otherwise choose
-	// coarse units; probe it with a throwaway unit build.
-	if !in.Cyclic {
-		td, pd := float64(props.NumTD), float64(props.NumPD)
-		ops := float64(props.NumOps)
-		if ops > 0 && td/ops >= sched.HighTDPerOp && pd/ops <= sched.LowPDPerOp {
-			_, cyclic := sched.BuildUnits(graph, sched.CSchedule)
-			in.Cyclic = cyclic
-		}
-	}
-	return sched.Decide(in), props
+	return sched.DecideGraph(graph, e.lastComplexity, e.lastAbortRatio)
 }
 
 func mergeProps(a, b tpg.Props) tpg.Props {

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"morphstream/internal/sched"
+	"morphstream/internal/telemetry"
 	"morphstream/internal/txn"
+	"morphstream/internal/workload"
 )
 
 // depositOp builds a deposit operator: data is [2]any{key, amount}.
@@ -32,6 +35,12 @@ func depositOp() Operator {
 			return nil
 		},
 	}
+}
+
+// eventLatencyCount reads how many per-event latencies the engine recorded
+// on reg — the same histogram /metrics serves.
+func eventLatencyCount(reg *telemetry.Registry) int64 {
+	return reg.Histogram("morph_engine_event_latency_ns", "").Snapshot().Count
 }
 
 func TestEngineBasicBatch(t *testing.T) {
@@ -109,7 +118,8 @@ func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
 }
 
 func TestEngineAbortFlagsPostProcess(t *testing.T) {
-	e := New(Config{Threads: 2})
+	reg := telemetry.NewRegistry()
+	e := New(Config{Threads: 2}, WithTelemetry(reg))
 	e.Table().Preload("acct", int64(0))
 
 	var abortedEvents, okEvents atomic.Int64
@@ -153,8 +163,8 @@ func TestEngineAbortFlagsPostProcess(t *testing.T) {
 	if v.(int64) != 5 {
 		t.Fatalf("acct = %v; want 5", v)
 	}
-	if e.Latency().Count() != 10 {
-		t.Fatalf("latency samples = %d; want 10", e.Latency().Count())
+	if n := eventLatencyCount(reg); n != 10 {
+		t.Fatalf("latency samples = %d; want 10", n)
 	}
 }
 
@@ -266,6 +276,75 @@ func TestEngineMultipleBatchesProfileAdapts(t *testing.T) {
 	}
 	if e.Batches() != 2 {
 		t.Fatalf("batches = %d", e.Batches())
+	}
+}
+
+// TestComplexityIsProfiledPerBatch: C is (Useful accumulated during this
+// batch) / (this batch's operations). Dividing the cumulative Useful bucket
+// by one batch's operations made the reading grow with uptime — 50 equal
+// punctuations of a constant 20us UDF read ~25x the second batch's C.
+func TestComplexityIsProfiledPerBatch(t *testing.T) {
+	e := New(Config{Threads: 2, Cleanup: true})
+	e.Table().Preload("k", int64(0))
+	op := OperatorFuncs{
+		Pre: depositOp().(OperatorFuncs).Pre,
+		Access: func(eb *txn.EventBlotter, b *txn.Builder) error {
+			k := eb.Params["key"].(txn.Key)
+			b.Write(k, []txn.Key{k}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) {
+				workload.Spin(20 * time.Microsecond)
+				return src[0].(int64) + 1, nil
+			})
+			return nil
+		},
+	}
+	// A reading can only be inflated (a descheduled worker's wall time lands
+	// in Useful), so compare batch 2 against the calmest of the last three.
+	var second, last time.Duration
+	for batch := 1; batch <= 50; batch++ {
+		for i := 0; i < 16; i++ {
+			_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
+		}
+		e.Punctuate()
+		switch {
+		case batch == 2:
+			second = e.lastComplexity
+		case batch == 48:
+			last = e.lastComplexity
+		case batch > 48:
+			last = min(last, e.lastComplexity)
+		}
+	}
+	if last < 20*time.Microsecond {
+		t.Fatalf("C after batch 50 = %v; below the UDF's 20us spin", last)
+	}
+	if last > 2*second {
+		t.Fatalf("C drifted: %v after batch 2, %v after batch 50", second, last)
+	}
+	t.Logf("C after batch 2 = %v, after batch 50 = %v", second, last)
+}
+
+// TestAbortHeavyCheapStreamKeepsLazyAbort: a cheap UDF aborting half its
+// transactions sits in the model's l-abort arm (C <= LowComplexity, a >=
+// HighAbortRatio), and must still sit there at batch 200 — not only while
+// the process is young.
+func TestAbortHeavyCheapStreamKeepsLazyAbort(t *testing.T) {
+	e := New(Config{Threads: 2, Cleanup: true})
+	e.Table().Preload("k", int64(0))
+	op := depositOp()
+	// 256 events a batch amortise the first batch's cold start and any one
+	// descheduled operation, either of which inflates the C reading.
+	for batch := 1; batch <= 200; batch++ {
+		for i := 0; i < 256; i++ {
+			amount := int64(1)
+			if i%2 == 0 {
+				amount = -1 // aborts
+			}
+			_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), amount}})
+		}
+		// Batch N's decision is made from batch N-1's profile.
+		if d := e.Punctuate().Decisions[0]; (batch == 2 || batch == 200) && d.Abort != sched.LAbort {
+			t.Fatalf("batch %d: decision %v (C=%v a=%.2f); want l-abort", batch, d, e.lastComplexity, e.lastAbortRatio)
+		}
 	}
 }
 

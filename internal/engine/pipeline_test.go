@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"morphstream/internal/exec"
 	"morphstream/internal/sched"
 	"morphstream/internal/store"
+	"morphstream/internal/telemetry"
 	"morphstream/internal/txn"
 	"morphstream/internal/workload"
 )
@@ -69,7 +71,8 @@ func TestLifecycleStateErrors(t *testing.T) {
 // TestPipelineBasicFlow drives events through Start/Ingest/Drain/Close and
 // checks the punctuation-count policy, result delivery, and final state.
 func TestPipelineBasicFlow(t *testing.T) {
-	e := New(Config{Threads: 2, Cleanup: true}, WithPunctuationCount(10), WithIngestBuffer(16))
+	reg := telemetry.NewRegistry()
+	e := New(Config{Threads: 2, Cleanup: true}, WithPunctuationCount(10), WithIngestBuffer(16), WithTelemetry(reg))
 	e.Table().Preload("acct", int64(0))
 	if err := e.Start(context.Background()); err != nil {
 		t.Fatal(err)
@@ -118,12 +121,59 @@ func TestPipelineBasicFlow(t *testing.T) {
 	if e.Batches() != len(results) {
 		t.Fatalf("Batches() = %d; want %d", e.Batches(), len(results))
 	}
-	if e.Latency().Count() != events {
-		t.Fatalf("latency samples = %d; want %d", e.Latency().Count(), events)
+	if n := eventLatencyCount(reg); n != events {
+		t.Fatalf("latency samples = %d; want %d", n, events)
 	}
 	st := e.PipelineStats()
 	if st.PlanBusy <= 0 || st.ExecBusy <= 0 {
 		t.Fatalf("overlap meter did not run: %+v", st)
+	}
+}
+
+// TestServingPathMemoryIsBounded: a started engine's retained heap must not
+// grow with the number of events processed. Two equal halves of a free-UDF
+// stream go through an instrumented, cleaning engine; once the first half has
+// warmed every pool, the second may add only noise. (A per-event latency
+// slice fails this linearly: 8 B/event, ~2.4 MB per half here.)
+func TestServingPathMemoryIsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests 600k events")
+	}
+	const half, keys = 300_000, 64
+	e := New(Config{Threads: 2, Cleanup: true, Sink: func(*BatchResult) {}},
+		WithTelemetry(telemetry.NewRegistry()))
+	data := make([]any, keys)
+	for i := range data {
+		k := txn.Key(fmt.Sprintf("k%d", i))
+		e.Table().Preload(k, int64(0))
+		data[i] = [2]any{k, int64(1)}
+	}
+	if err := e.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	op := depositOp()
+	retained := func() uint64 {
+		for i := 0; i < half; i++ {
+			if err := e.Ingest(op, &Event{Data: data[i%keys]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	first, second := retained(), retained()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 512 << 10
+	if second > first+slack {
+		t.Fatalf("retained heap grew %d B over %d events (first half %d B, second %d B); want < %d B",
+			second-first, half, first, second, slack)
 	}
 }
 

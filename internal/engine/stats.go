@@ -20,8 +20,8 @@ type PipelineStats struct {
 
 	// Batches is the number of punctuations processed (== Engine.Batches).
 	Batches int64
-	// Events counts input events across all batches; Dropped the subset
-	// discarded by PreProcess failures.
+	// Events counts input events planned across all batches; Dropped those
+	// discarded by PreProcess failures instead.
 	Events  int64
 	Dropped int64
 	// Committed and Aborted count state transactions.
@@ -64,65 +64,71 @@ type PipelineStats struct {
 	IngestStalls   int64
 }
 
-// pipeTotals is the engine-internal accumulator behind PipelineStats:
-// written once per batch by the executor stage, read concurrently by
-// PipelineStats callers. Plain atomics — per-batch update frequency needs no
-// striping.
+// pipeTotals is the single store for the engine's per-batch numbers: written
+// once per batch by the executor stage, read concurrently by PipelineStats
+// callers and — through the scrape-time views setupTelemetry declares — by
+// the registry. Plain atomics: per-batch update frequency needs no striping.
 type pipeTotals struct {
-	events, dropped       atomic.Int64
-	committed, aborted    atomic.Int64
-	abortRounds, redos    atomic.Int64
-	opsExecuted           atomic.Int64
-	steals, parks         atomic.Int64
-	fusedOps              atomic.Int64
-	planNS, execNS        atomic.Int64
-	commitNS              atomic.Int64
-	durable               atomic.Int64
-	walLastSeq            atomic.Int64
-	walChainLen           atomic.Int64
+	events, dropped    atomic.Int64
+	committed, aborted atomic.Int64
+	abortRounds, redos atomic.Int64
+	opsExecuted        atomic.Int64
+	steals, parks      atomic.Int64
+	fusedOps           atomic.Int64
+	planNS, execNS     atomic.Int64
+	commitNS           atomic.Int64
+	durable            atomic.Int64
+	walLastSeq         atomic.Int64
+	walChainLen        atomic.Int64
 }
 
-// engineInstruments are the registry series the engine itself owns. All nil
-// when the engine has no registry — every recording below is then a nil
-// check. The executor's (steals, parks, shard occupancy) and the WAL's
-// (appends, fsync, snapshots) series are owned by those packages.
+// engineInstruments are the registry series the engine records itself: the
+// histograms, whose distributions the totals cannot supply. All nil when the
+// engine has no registry — every recording is then a nil check. The executor's shard
+// occupancy and the WAL's (appends, fsync, snapshots) series are owned by
+// those packages.
 type engineInstruments struct {
-	eventsPlanned *telemetry.Counter
-	eventsDropped *telemetry.Counter
-	batchesSealed *telemetry.Counter
-	txnCommitted  *telemetry.Counter
-	txnAborted    *telemetry.Counter
-	abortRounds   *telemetry.Counter
-	redos         *telemetry.Counter
-	fusedOps      *telemetry.Counter
-	planNS        *telemetry.Histogram
-	execNS        *telemetry.Histogram
-	commitNS      *telemetry.Histogram
-	batchEvents   *telemetry.Histogram
+	planNS       *telemetry.Histogram
+	execNS       *telemetry.Histogram
+	commitNS     *telemetry.Histogram
+	batchEvents  *telemetry.Histogram
+	eventLatency *telemetry.Histogram
 }
 
-// setupTelemetry registers the engine's series on cfg.Telemetry. The
-// per-batch counters live in e.inst; scrape-time views (ring depth, overlap,
-// WAL watermarks) read the pipeline and totals through callbacks. Safe on a
-// nil registry: every constructor returns a nil no-op instrument.
+// setupTelemetry registers the engine's series on cfg.Telemetry: the
+// histograms in e.inst, and scrape-time views over the totals, the ring, the
+// overlap meter and the WAL watermarks. Safe on a nil registry: every
+// constructor returns a nil no-op instrument.
 func (e *Engine) setupTelemetry() {
 	reg := e.cfg.Telemetry
 	e.inst = engineInstruments{
-		eventsPlanned: reg.Counter("morph_engine_events_planned_total", "Input events planned into TPG batches."),
-		eventsDropped: reg.Counter("morph_engine_events_dropped_total", "Ingested events discarded by PreProcess failures."),
-		batchesSealed: reg.Counter("morph_engine_batches_sealed_total", "Punctuation batches sealed and executed."),
-		txnCommitted:  reg.Counter("morph_engine_txn_committed_total", "State transactions committed."),
-		txnAborted:    reg.Counter("morph_engine_txn_aborted_total", "State transactions aborted."),
-		abortRounds:   reg.Counter("morph_engine_abort_rounds_total", "Abort/rollback machinery invocations."),
-		redos:         reg.Counter("morph_engine_redos_total", "Operation re-executions caused by rollback."),
-		fusedOps:      reg.Counter("morph_engine_fused_ops_total", "Operations executed inside fused TPG vertices."),
-		planNS:        reg.Histogram("morph_engine_plan_ns", "Per-batch planning-stage time (ns)."),
-		execNS:        reg.Histogram("morph_engine_exec_ns", "Per-batch execution-phase time (ns)."),
-		commitNS:      reg.Histogram("morph_engine_commit_ns", "Per-batch WAL commit-hook time (ns)."),
-		batchEvents:   reg.Histogram("morph_engine_batch_events", "Input events per sealed batch."),
+		planNS:       reg.Histogram("morph_engine_plan_ns", "Per-batch planning-stage time (ns)."),
+		execNS:       reg.Histogram("morph_engine_exec_ns", "Per-batch execution-phase time (ns)."),
+		commitNS:     reg.Histogram("morph_engine_commit_ns", "Per-batch WAL commit-hook time (ns)."),
+		batchEvents:  reg.Histogram("morph_engine_batch_events", "Input events per sealed batch."),
+		eventLatency: reg.Histogram("morph_engine_event_latency_ns", "Per-event end-to-end latency, arrival to post-process (ns)."),
 	}
 	if reg == nil {
 		return
+	}
+	t := &e.totals
+	for _, v := range []struct {
+		name, help string
+		total      *atomic.Int64
+	}{
+		{"morph_engine_events_planned_total", "Input events planned into TPG batches.", &t.events},
+		{"morph_engine_events_dropped_total", "Ingested events discarded by PreProcess failures.", &t.dropped},
+		{"morph_engine_batches_sealed_total", "Punctuation batches sealed and executed.", &e.batches},
+		{"morph_engine_txn_committed_total", "State transactions committed.", &t.committed},
+		{"morph_engine_txn_aborted_total", "State transactions aborted.", &t.aborted},
+		{"morph_engine_abort_rounds_total", "Abort/rollback machinery invocations.", &t.abortRounds},
+		{"morph_engine_redos_total", "Operation re-executions caused by rollback.", &t.redos},
+		{"morph_engine_fused_ops_total", "Operations executed inside fused TPG vertices.", &t.fusedOps},
+		{"morph_exec_steals_total", "Units popped from a non-home shard ring.", &t.steals},
+		{"morph_exec_parks_total", "Spin-budget expiries that put a worker to sleep.", &t.parks},
+		{"morph_exec_ops_total", "Successful first-run operation executions.", &t.opsExecuted},
+	} {
+		reg.CounterFunc(v.name, v.help, v.total.Load)
 	}
 	reg.GaugeFunc("morph_ingest_ring_depth", "Approximate submission-ring occupancy.", func() int64 {
 		if p := e.pipe.Load(); p != nil {
@@ -160,8 +166,9 @@ func (e *Engine) setupTelemetry() {
 }
 
 // recordBatch folds one delivered batch into the cumulative totals and the
-// registry. Runs on the executor stage (one goroutine), once per
-// punctuation — never on the per-operation hot path.
+// registry's histograms; each value is written once. Runs on the executor
+// stage (one goroutine), once per punctuation — never on the per-operation
+// hot path.
 func (e *Engine) recordBatch(res *BatchResult, commitTime time.Duration) {
 	t := &e.totals
 	t.events.Add(int64(res.Events))
@@ -182,14 +189,6 @@ func (e *Engine) recordBatch(res *BatchResult, commitTime time.Duration) {
 	}
 
 	in := &e.inst
-	in.eventsPlanned.Add(int64(res.Events - res.Dropped))
-	in.eventsDropped.Add(int64(res.Dropped))
-	in.batchesSealed.Inc()
-	in.txnCommitted.Add(int64(res.Committed))
-	in.txnAborted.Add(int64(res.Aborted))
-	in.abortRounds.Add(int64(res.AbortRounds))
-	in.redos.Add(int64(res.Redos))
-	in.fusedOps.Add(int64(res.Props.FusedOps))
 	in.planNS.Record(int64(res.PlanElapsed))
 	in.execNS.Record(int64(res.Elapsed))
 	if commitTime > 0 {

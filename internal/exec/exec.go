@@ -52,9 +52,10 @@ type Config struct {
 	// Breakdown, when non-nil, accumulates the time breakdown of
 	// Section 8.3.1 (useful / sync / explore / abort).
 	Breakdown *metrics.Breakdown
-	// Telemetry, when non-nil, receives the executor's own series — steals,
-	// parks, per-shard unit occupancy — once per batch, at quiescent points
-	// only (Run start/end); the per-operation hot loop never touches it.
+	// Telemetry, when non-nil, receives the per-shard unit occupancy
+	// histogram once per Run, before any worker starts; the per-operation
+	// hot loop never touches it. Steals, parks and operation counts travel
+	// in Result and are exported by the caller that totals them.
 	Telemetry *telemetry.Registry
 }
 
@@ -219,13 +220,6 @@ func Run(g *tpg.Graph, cfg Config) Result {
 		} else {
 			res.Committed++
 		}
-	}
-	if reg := cfg.Telemetry; reg != nil {
-		// Batch-granular: a handful of registry lookups (idempotent, mutex
-		// on a setup path) and stripe-0 adds, once per exec.Run.
-		reg.Counter("morph_exec_steals_total", "Units popped from a non-home shard ring.").Add(int64(res.Steals))
-		reg.Counter("morph_exec_parks_total", "Spin-budget expiries that put a worker to sleep.").Add(int64(res.Parks))
-		reg.Counter("morph_exec_ops_total", "Successful first-run operation executions.").Add(int64(res.OpsExecuted))
 	}
 	return res
 }

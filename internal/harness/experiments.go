@@ -12,6 +12,7 @@ import (
 	"morphstream/internal/baseline/tstream"
 	"morphstream/internal/metrics"
 	"morphstream/internal/sched"
+	"morphstream/internal/telemetry"
 	"morphstream/internal/workload"
 )
 
@@ -96,15 +97,14 @@ func Fig12(scale Scale, threads int) *Report {
 		},
 	}
 	morph := systems[0].(*MorphSystem)
-	recorders := map[string]*metrics.LatencyRecorder{}
-	for _, sys := range systems {
-		recorders[sys.Name()] = metrics.NewLatencyRecorder()
-	}
+	// Every event of a batch completes with the batch, and the batches are
+	// equal-sized, so one sample per batch is the per-event distribution.
+	latency := make([]telemetry.Histogram, len(systems))
 	for _, db := range batches {
 		row := []string{fmt.Sprint(db.Step), db.Phase}
-		for _, sys := range systems {
+		for i, sys := range systems {
 			_, elapsed := timedRun(sys, db.Batch, threads, nil)
-			recorders[sys.Name()].RecordN(elapsed, len(db.Specs))
+			latency[i].Record(int64(elapsed))
 			row = append(row, kps(len(db.Specs), elapsed))
 			if sys == systems[0] {
 				row = append(row, morph.LastDecision().String())
@@ -112,10 +112,10 @@ func Fig12(scale Scale, threads int) *Report {
 		}
 		r.Rows = append(r.Rows, row)
 	}
-	for _, sys := range systems {
-		rec := recorders[sys.Name()]
-		r.Notes = append(r.Notes, fmt.Sprintf("latency CDF %s: p50=%v p90=%v p99=%v",
-			sys.Name(), rec.Percentile(50), rec.Percentile(90), rec.Percentile(99)))
+	for i, sys := range systems {
+		lat := latency[i].Snapshot()
+		r.Notes = append(r.Notes, fmt.Sprintf("latency CDF %s: p50=%s p90=%s p99=%s", sys.Name(),
+			quantile(lat, 0.50, time.Microsecond), quantile(lat, 0.90, time.Microsecond), quantile(lat, 0.99, time.Microsecond)))
 	}
 	return r
 }
@@ -153,12 +153,11 @@ func Fig13(scale Scale, threads int) *Report {
 		Notes:  []string{"paper shape: Nested > Plain-1 > TStream > S-Store ≈ Plain-2"},
 	}
 	for _, sys := range systems {
-		rec := metrics.NewLatencyRecorder()
+		// One batch: every event's latency is the batch's wall time.
 		res, elapsed := timedRun(sys, b, threads, nil)
-		rec.RecordN(elapsed, len(b.Specs))
 		r.Rows = append(r.Rows, []string{
 			sys.Name(), kps(len(b.Specs), elapsed),
-			fmt.Sprint(rec.Percentile(95)), fmt.Sprint(res.Aborted),
+			fmt.Sprint(elapsed), fmt.Sprint(res.Aborted),
 		})
 	}
 	return r

@@ -14,6 +14,7 @@ import (
 	"morphstream/internal/exec"
 	"morphstream/internal/metrics"
 	"morphstream/internal/sched"
+	"morphstream/internal/telemetry"
 	"morphstream/internal/tpg"
 	"morphstream/internal/txn"
 	"morphstream/internal/workload"
@@ -30,9 +31,8 @@ type MorphSystem struct {
 	// Label overrides the reported name.
 	Label string
 
-	lastAbort      float64
-	lastComplexity time.Duration
-	lastDecision   sched.Decision
+	lastAbort    float64
+	lastDecision sched.Decision
 }
 
 // NewMorph returns the adaptive MorphStream system.
@@ -144,23 +144,8 @@ func (m *MorphSystem) decide(gid int, g *tpg.Graph) sched.Decision {
 	if m.Decision != nil {
 		return *m.Decision
 	}
-	comp := m.lastComplexity
-	if comp == 0 {
-		comp = 10 * time.Microsecond
-	}
-	in := sched.ModelInputs{Props: g.Props, Complexity: comp, AbortRatio: m.lastAbort}
-	td, pd := float64(g.Props.NumTD), float64(g.Props.NumPD)
-	ops := float64(g.Props.NumOps)
-	if ops > 0 && td/ops >= sched.HighTDPerOp && pd/ops <= sched.LowPDPerOp {
-		_, cyclic := sched.BuildUnits(g, sched.CSchedule)
-		in.Cyclic = cyclic
-	}
-	return sched.Decide(in)
+	return sched.DecideGraph(g, sched.DefaultComplexity, m.lastAbort)
 }
-
-// SetProfiledComplexity feeds the decision model's C input (measured by
-// callers that track the Useful bucket).
-func (m *MorphSystem) SetProfiledComplexity(c time.Duration) { m.lastComplexity = c }
 
 // Report is one figure/table rendered as rows of labelled cells.
 type Report struct {
@@ -220,6 +205,12 @@ func warmup(systems []baseline.System, threads int) {
 	for _, sys := range systems {
 		sys.Run(b, threads, nil)
 	}
+}
+
+// quantile renders the q-th quantile of a nanosecond histogram reading,
+// rounded to unit.
+func quantile(s telemetry.HistSnapshot, q float64, unit time.Duration) string {
+	return time.Duration(s.Quantile(q)).Round(unit).String()
 }
 
 // kps formats a throughput in k events/sec.

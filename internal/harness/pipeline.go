@@ -69,69 +69,56 @@ func RunSynchronousBaseline(b *workload.Batch, batchSize, threads int) (committe
 	return committed, time.Since(start)
 }
 
-// RunPipelined drives the stream through Start/Ingest/Drain/Close with a
-// count-punctuation policy and reports committed transactions, wall time,
-// and the full pipeline counters. Extra engine options (e.g.
-// engine.WithTelemetry for the instrumentation-overhead benchmark) append
-// after the punctuation policy.
-func RunPipelined(b *workload.Batch, batchSize, threads int, opts ...engine.Option) (committed int, elapsed time.Duration, stats engine.PipelineStats) {
-	e := engine.New(engine.Config{Threads: threads, Cleanup: true},
-		append([]engine.Option{engine.WithPunctuationCount(batchSize)}, opts...)...)
-	preloadEngine(e, b)
+// drivePipelined is the one pipelined engine driver every harness run goes
+// through: build the engine, preload it, Start, let feed ingest the stream,
+// Close (which flushes), and collect wall time and the pipeline counters.
+// Results go to cfg.Sink (a no-op unless the caller installed one). With
+// durability configured, every delivered batch must have been durable.
+func drivePipelined(cfg engine.Config, preload, feed func(*engine.Engine)) (time.Duration, engine.PipelineStats, error) {
+	if cfg.Sink == nil {
+		cfg.Sink = func(*engine.BatchResult) {}
+	}
+	e := engine.New(cfg)
+	preload(e)
 	if err := e.Start(context.Background()); err != nil {
-		panic(err)
+		return 0, engine.PipelineStats{}, err
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range e.Results() {
-			committed += r.Committed
-		}
-	}()
-	op := specEngineOp()
 	start := time.Now()
-	for _, s := range b.Specs {
-		_ = e.Ingest(op, &engine.Event{Data: s})
-	}
+	feed(e)
 	if err := e.Close(); err != nil {
-		panic(err)
+		return 0, engine.PipelineStats{}, err
 	}
-	<-done
-	return committed, time.Since(start), e.PipelineStats()
+	elapsed := time.Since(start)
+	stats := e.PipelineStats()
+	if cfg.Durability != nil && stats.DurableBatches != stats.Batches {
+		return 0, stats, fmt.Errorf("%d of %d batches durable", stats.DurableBatches, stats.Batches)
+	}
+	return elapsed, stats, nil
 }
 
-// RunPipelinedDurable is RunPipelined with the punctuation-delta WAL on: a
-// file-backed sink under dir, the given fsync policy, and the default
-// snapshot stride. It additionally reports how many delivered batches were
-// durable.
-func RunPipelinedDurable(b *workload.Batch, batchSize, threads int, dir string, sync wal.SyncPolicy) (committed int, elapsed time.Duration, stats engine.PipelineStats) {
-	e := engine.New(engine.Config{Threads: threads, Cleanup: true,
-		Durability: &engine.Durability{Dir: dir, Sync: sync}},
-		engine.WithPunctuationCount(batchSize))
-	preloadEngine(e, b)
-	if err := e.Start(context.Background()); err != nil {
-		panic(err)
+// RunPipelined drives the stream through Start/Ingest/Close with a
+// count-punctuation policy and reports committed transactions, wall time,
+// and the full pipeline counters. Engine options select the variant:
+// engine.WithDurability for the WAL runs, engine.WithFusion plus
+// engine.WithTelemetry for the Zipf percentiles, engine.WithResultSink to
+// observe per-batch results.
+func RunPipelined(b *workload.Batch, batchSize, threads int, opts ...engine.Option) (committed int, elapsed time.Duration, stats engine.PipelineStats) {
+	cfg := engine.Config{Threads: threads, Cleanup: true, PunctuateEvery: batchSize}
+	for _, o := range opts {
+		o(&cfg)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range e.Results() {
-			committed += r.Committed
-			if !r.Durable {
-				panic(fmt.Sprintf("batch %d not durable", r.Seq))
-			}
-		}
-	}()
 	op := specEngineOp()
-	start := time.Now()
-	for _, s := range b.Specs {
-		_ = e.Ingest(op, &engine.Event{Data: s})
-	}
-	if err := e.Close(); err != nil {
+	elapsed, stats, err := drivePipelined(cfg,
+		func(e *engine.Engine) { preloadEngine(e, b) },
+		func(e *engine.Engine) {
+			for _, s := range b.Specs {
+				_ = e.Ingest(op, &engine.Event{Data: s})
+			}
+		})
+	if err != nil {
 		panic(err)
 	}
-	<-done
-	return committed, time.Since(start), e.PipelineStats()
+	return int(stats.Committed), elapsed, stats
 }
 
 // WALOverhead compares the pipelined lifecycle with durability off and on
@@ -150,7 +137,8 @@ func WALOverhead(scale Scale, threads int, dir string) *Report {
 		pe.Round(time.Millisecond).String(), kps(len(b.Specs), pe), "-",
 	})
 
-	dc, de, _ := RunPipelinedDurable(b, batchSize, threads, dir, wal.SyncPunctuation)
+	dc, de, _ := RunPipelined(b, batchSize, threads,
+		engine.WithDurability(&engine.Durability{Dir: dir, Sync: wal.SyncPunctuation}))
 	overhead := "-"
 	if pe > 0 {
 		overhead = fmt.Sprintf("%+.1f%%", 100*(float64(de)/float64(pe)-1))
@@ -186,16 +174,12 @@ func PipelineOverlap(scale Scale, threads int) *Report {
 	})
 
 	pc, pe, st := RunPipelined(b, batchSize, threads)
-	ratio := "-"
-	if st.ExecBusy > 0 {
-		ratio = fmt.Sprintf("%.0f%%", 100*float64(st.Overlap)/float64(st.ExecBusy))
-	}
 	r.Rows = append(r.Rows, []string{
 		"pipelined", fmt.Sprint(len(b.Specs)), fmt.Sprint(pc),
 		pe.Round(time.Millisecond).String(), kps(len(b.Specs), pe),
 		st.PlanBusy.Round(time.Millisecond).String(),
 		st.ExecBusy.Round(time.Millisecond).String(),
-		st.Overlap.Round(time.Millisecond).String(), ratio,
+		st.Overlap.Round(time.Millisecond).String(), fmt.Sprintf("%.0f%%", 100*st.Ratio()),
 	})
 
 	r.Notes = append(r.Notes,

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"morphstream/internal/engine"
-	"morphstream/internal/metrics"
 	"morphstream/internal/rpcserve"
+	"morphstream/internal/telemetry"
 )
 
 // This file benchmarks the framed RPC front door (internal/rpcserve): N
@@ -28,9 +28,9 @@ type ServeFloodResult struct {
 	Committed, Aborted int
 	// Elapsed is the wall time from first submit to last receipt.
 	Elapsed time.Duration
-	// RTT holds one receipt round-trip sample per event: submit to
-	// receipt arrival, as seen by the client.
-	RTT *metrics.LatencyRecorder
+	// RTT holds one receipt round-trip sample (ns) per event: submit to
+	// receipt arrival, as seen by the client. Nil for in-process runs.
+	RTT *telemetry.Histogram
 }
 
 // serveFloodOps builds conns deterministic ledger streams over disjoint
@@ -78,8 +78,8 @@ func ServeFloodNetwork(conns, events, span int, balance int64, threads int) (*Se
 	go func() { serveErr <- srv.Serve(lis) }()
 
 	ops := serveFloodOps(conns, events, span, balance)
-	res := &ServeFloodResult{Events: conns * events, RTT: metrics.NewLatencyRecorder()}
-	var mu sync.Mutex // guards the result during the fan-in
+	res := &ServeFloodResult{Events: conns * events, RTT: new(telemetry.Histogram)}
+	committed, aborted := make([]int, conns), make([]int, conns)
 	var wg sync.WaitGroup
 	errs := make(chan error, conns)
 	start := time.Now()
@@ -87,13 +87,19 @@ func ServeFloodNetwork(conns, events, span int, balance int64, threads int) (*Se
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			if err := serveFloodClient(lis.Addr().String(), ops[c], res, &mu); err != nil {
+			var err error
+			committed[c], aborted[c], err = serveFloodClient(lis.Addr().String(), ops[c], c, res.RTT)
+			if err != nil {
 				errs <- fmt.Errorf("conn %d: %w", c, err)
 			}
 		}(c)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
+	for c := range committed {
+		res.Committed += committed[c]
+		res.Aborted += aborted[c]
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -110,18 +116,19 @@ func ServeFloodNetwork(conns, events, span int, balance int64, threads int) (*Se
 	return res, nil
 }
 
-// serveFloodClient streams one connection's ops and folds its receipts into
-// res. The submit window (how many receipts may be outstanding, enforced by
-// the sem channel) is sized to cover a punctuation batch so the server
-// pipeline stays fed without unbounded client-side queueing.
-func serveFloodClient(addr string, ops []any, res *ServeFloodResult, mu *sync.Mutex) error {
+// serveFloodClient streams connection conn's ops, records each receipt's
+// round trip on the connection's stripe of rtt, and returns the receipt
+// outcome counts. The submit window (how many receipts may be outstanding,
+// enforced by the sem channel) is sized to cover a punctuation batch so the
+// server pipeline stays fed without unbounded client-side queueing.
+func serveFloodClient(addr string, ops []any, conn int, rtt *telemetry.Histogram) (int, int, error) {
 	// With 4 connections this keeps one punctuation batch (4096 events)
 	// in flight in aggregate: enough to saturate the pipeline, small
 	// enough that RTT is not dominated by client-side queueing.
 	const window = 1024
 	cl, err := rpcserve.Dial(addr, rpcserve.ClientConfig{Operator: rpcserve.LedgerOperatorName})
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	defer cl.Abort()
 
@@ -131,10 +138,11 @@ func serveFloodClient(addr string, ops []any, res *ServeFloodResult, mu *sync.Mu
 	sent := make([]time.Time, len(ops)+1)
 	sem := make(chan struct{}, window)
 	done := make(chan struct{})
+	// Owned by the consumer goroutine until done closes.
+	var committed, aborted int
 	var consumeErr error
 	go func() {
 		defer close(done)
-		committed, aborted := 0, 0
 		for r := range cl.Receipts() {
 			now := time.Now()
 			switch r.Status {
@@ -149,76 +157,66 @@ func serveFloodClient(addr string, ops []any, res *ServeFloodResult, mu *sync.Mu
 			smu.Lock()
 			t := sent[r.TxnID]
 			smu.Unlock()
-			res.RTT.Record(now.Sub(t)) // the recorder is internally locked
-			select {                   // release one window slot
+			rtt.RecordW(conn, int64(now.Sub(t)))
+			select { // release one window slot
 			case <-sem:
 			default:
 			}
 		}
 		consumeErr = cl.Err()
-		mu.Lock()
-		res.Committed += committed
-		res.Aborted += aborted
-		mu.Unlock()
 	}()
 	for i, o := range ops {
 		select {
 		case sem <- struct{}{}:
 		case <-done:
-			return fmt.Errorf("receipt stream ended early: %w", consumeErr)
+			return committed, aborted, fmt.Errorf("receipt stream ended early: %w", consumeErr)
 		}
 		smu.Lock()
 		sent[i+1] = time.Now()
 		smu.Unlock()
 		if _, err := cl.Submit(o); err != nil {
-			return err
+			return 0, 0, err
 		}
 		if (i+1)%512 == 0 {
 			if err := cl.Flush(); err != nil {
-				return err
+				return 0, 0, err
 			}
 		}
 	}
 	if err := cl.Drain(); err != nil {
-		return err
+		return 0, 0, err
 	}
 	if err := cl.Close(); err != nil {
-		return err
+		return 0, 0, err
 	}
 	<-done
-	return consumeErr
+	return committed, aborted, consumeErr
 }
 
 // ServeFloodInProcess runs the identical event stream straight into an
 // engine (no network, no codec) as the comparison baseline.
 func ServeFloodInProcess(conns, events, span int, balance int64, threads int) (*ServeFloodResult, error) {
-	eng := engine.New(engine.Config{
-		Threads:        threads,
-		Cleanup:        true,
-		PunctuateEvery: 4096,
-	}, engine.WithResultSink(func(*engine.BatchResult) {}))
-	rpcserve.PreloadAccounts(eng.Table(), conns*span, balance)
 	op := rpcserve.LedgerOperator()
 	ops := serveFloodOps(conns, events, span, balance)
-	if err := eng.Start(context.Background()); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := range ops {
-		wg.Add(1)
-		go func(list []any) {
-			defer wg.Done()
-			for _, o := range list {
-				_ = eng.Ingest(op, &engine.Event{Data: o})
+	elapsed, _, err := drivePipelined(
+		engine.Config{Threads: threads, Cleanup: true, PunctuateEvery: 4096},
+		func(e *engine.Engine) { rpcserve.PreloadAccounts(e.Table(), conns*span, balance) },
+		func(e *engine.Engine) {
+			var wg sync.WaitGroup
+			for c := range ops {
+				wg.Add(1)
+				go func(list []any) {
+					defer wg.Done()
+					for _, o := range list {
+						_ = e.Ingest(op, &engine.Event{Data: o})
+					}
+				}(ops[c])
 			}
-		}(ops[c])
-	}
-	wg.Wait()
-	if err := eng.Close(); err != nil {
+			wg.Wait()
+		})
+	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
 	return &ServeFloodResult{Events: conns * events, Elapsed: elapsed}, nil
 }
 
@@ -243,14 +241,14 @@ func ServeFlood(scale Scale, conns, threads int) (*Report, error) {
 		Title:  "Framed RPC front door: loopback flood vs in-process ingest",
 		Header: []string{"mode", "conns", "events", "committed", "aborted", "elapsed", "thr(k/s)", "p50", "p95", "p99"},
 	}
-	ps := nw.RTT.Percentiles(50, 95, 99)
+	rtt := nw.RTT.Snapshot()
 	r.Rows = append(r.Rows, []string{
 		"rpc(loopback)", fmt.Sprint(conns), fmt.Sprint(nw.Events),
 		fmt.Sprint(nw.Committed), fmt.Sprint(nw.Aborted),
 		nw.Elapsed.Round(time.Millisecond).String(), kps(nw.Events, nw.Elapsed),
-		ps[0].Round(10 * time.Microsecond).String(),
-		ps[1].Round(10 * time.Microsecond).String(),
-		ps[2].Round(10 * time.Microsecond).String(),
+		quantile(rtt, 0.50, 10*time.Microsecond),
+		quantile(rtt, 0.95, 10*time.Microsecond),
+		quantile(rtt, 0.99, 10*time.Microsecond),
 	})
 	r.Rows = append(r.Rows, []string{
 		"in-process", fmt.Sprint(conns), fmt.Sprint(inp.Events), "-", "-",

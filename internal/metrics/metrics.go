@@ -1,14 +1,14 @@
-// Package metrics provides the measurement instruments behind the paper's
-// evaluation section: the six-way execution-time breakdown of Fig. 16a,
-// end-to-end latency distributions (CDFs of Fig. 12b/13b), throughput
-// accounting, and a heap/memory-footprint sampler (Fig. 16b/17b).
+// Package metrics holds the paper's Fig. 16a execution-time breakdown
+// (Category/Breakdown/Local/Stopwatch), which the executor, the baselines, the
+// harness and the benchmark probes all accumulate into, plus the plan/execute
+// OverlapMeter behind PipelineStats and the harness-only samplers of the
+// evaluation figures (Throughput, MemSampler for Fig. 16b/17b, CPUTicksProxy
+// for Fig. 21a). Runtime numbers — counters, latency histograms, anything an
+// admin endpoint serves — live in internal/telemetry, not here.
 package metrics
 
 import (
-	"fmt"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,31 +91,6 @@ func (b *Breakdown) Total() time.Duration {
 		t += b.Get(c)
 	}
 	return t
-}
-
-// Reset zeroes all buckets.
-func (b *Breakdown) Reset() {
-	if b == nil {
-		return
-	}
-	for c := range b.buckets {
-		b.buckets[c].Store(0)
-	}
-}
-
-// String renders the breakdown in display order.
-func (b *Breakdown) String() string {
-	if b == nil {
-		return "Breakdown(nil)"
-	}
-	s := "Breakdown{"
-	for i, c := range Categories() {
-		if i > 0 {
-			s += ", "
-		}
-		s += fmt.Sprintf("%s: %v", c, b.Get(c))
-	}
-	return s + "}"
 }
 
 // Local is a per-worker breakdown scratchpad: plain (non-atomic) counters a
@@ -279,114 +254,6 @@ func (m *OverlapMeter) Stats() OverlapStats {
 		s.Wall = now.Sub(m.epoch)
 	}
 	return s
-}
-
-// Reset zeroes the meter.
-func (m *OverlapMeter) Reset() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.started, m.planBusy, m.execBusy = false, false, false
-	m.bits.Store(0)
-	m.epoch, m.since = time.Time{}, time.Time{}
-	m.stats = OverlapStats{}
-	m.mu.Unlock()
-}
-
-// LatencyRecorder collects end-to-end event latencies and reports
-// percentiles and CDF points.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-// NewLatencyRecorder returns an empty recorder.
-func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{} }
-
-// Record appends one latency sample; safe for concurrent use.
-func (l *LatencyRecorder) Record(d time.Duration) {
-	l.mu.Lock()
-	l.samples = append(l.samples, d)
-	l.mu.Unlock()
-}
-
-// RecordN appends the same latency for n events (batch completion). The
-// backing array grows once, so a large batch completion holds the mutex for
-// one allocation instead of O(n) incremental appends.
-func (l *LatencyRecorder) RecordN(d time.Duration, n int) {
-	if n <= 0 {
-		return
-	}
-	l.mu.Lock()
-	l.samples = slices.Grow(l.samples, n)
-	for i := 0; i < n; i++ {
-		l.samples = append(l.samples, d)
-	}
-	l.mu.Unlock()
-}
-
-// Count returns the number of samples.
-func (l *LatencyRecorder) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
-
-// percentileIndex maps percentile p onto an index of a sorted sample slice
-// of length n > 0, clamping p outside [0, 100] (and NaN) into the valid
-// sample range instead of indexing out of bounds.
-func percentileIndex(p float64, n int) int {
-	if !(p > 0) { // p <= 0, or NaN
-		return 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	return int(p / 100 * float64(n-1))
-}
-
-// Percentile returns the p-th percentile latency; p is clamped to [0, 100].
-func (l *LatencyRecorder) Percentile(p float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(l.samples))
-	copy(s, l.samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[percentileIndex(p, len(s))]
-}
-
-// Percentiles returns the latencies at each requested percentile (each p
-// clamped to [0, 100]), sorting the samples once — the bulk-read counterpart
-// of Percentile for reports that need several quantiles of a large recording.
-func (l *LatencyRecorder) Percentiles(ps ...float64) []time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]time.Duration, len(ps))
-	if len(l.samples) == 0 {
-		return out
-	}
-	s := make([]time.Duration, len(l.samples))
-	copy(s, l.samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	for i, p := range ps {
-		out[i] = s[percentileIndex(p, len(s))]
-	}
-	return out
-}
-
-// CDF returns (latency, cumulative percent) pairs at the given percentiles,
-// the series plotted in Fig. 12b and 13b.
-func (l *LatencyRecorder) CDF(percentiles []float64) [][2]float64 {
-	out := make([][2]float64, 0, len(percentiles))
-	for _, p := range percentiles {
-		d := l.Percentile(p)
-		out = append(out, [2]float64{float64(d.Milliseconds()), p})
-	}
-	return out
 }
 
 // MemSampler periodically samples heap usage and table version counts; it

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,10 +17,6 @@ func TestBreakdownAccumulates(t *testing.T) {
 	if got := b.Total(); got != 6*time.Millisecond {
 		t.Fatalf("Total = %v", got)
 	}
-	b.Reset()
-	if b.Total() != 0 {
-		t.Fatal("Reset did not clear")
-	}
 }
 
 func TestBreakdownNilSafe(t *testing.T) {
@@ -29,10 +24,6 @@ func TestBreakdownNilSafe(t *testing.T) {
 	b.Add(Useful, time.Second) // must not panic
 	if b.Get(Useful) != 0 || b.Total() != 0 {
 		t.Fatal("nil breakdown returned non-zero")
-	}
-	b.Reset()
-	if b.String() != "Breakdown(nil)" {
-		t.Fatalf("String = %q", b.String())
 	}
 	Start().Stop(b, Useful)
 }
@@ -64,108 +55,6 @@ func TestCategoryStrings(t *testing.T) {
 	}
 	if Category(99).String() != "?" {
 		t.Error("unknown category stringer")
-	}
-}
-
-func TestLatencyPercentiles(t *testing.T) {
-	l := NewLatencyRecorder()
-	if l.Percentile(50) != 0 {
-		t.Fatal("empty recorder percentile != 0")
-	}
-	for i := 1; i <= 100; i++ {
-		l.Record(time.Duration(i) * time.Millisecond)
-	}
-	if got := l.Percentile(0); got != time.Millisecond {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := l.Percentile(100); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v", got)
-	}
-	p50 := l.Percentile(50)
-	if p50 < 49*time.Millisecond || p50 > 51*time.Millisecond {
-		t.Fatalf("p50 = %v", p50)
-	}
-	if l.Count() != 100 {
-		t.Fatalf("count = %d", l.Count())
-	}
-	cdf := l.CDF([]float64{50, 99})
-	if len(cdf) != 2 || cdf[0][1] != 50 || cdf[1][1] != 99 {
-		t.Fatalf("cdf = %v", cdf)
-	}
-	l.RecordN(time.Second, 5)
-	if l.Count() != 105 {
-		t.Fatalf("count after RecordN = %d", l.Count())
-	}
-}
-
-// TestPercentileClamped pins the out-of-range fix: percentiles outside
-// [0, 100] clamp to the extreme samples instead of indexing out of bounds,
-// on both the single-quantile and the sort-once bulk paths, and the empty
-// recorder stays zero for any p.
-func TestPercentileClamped(t *testing.T) {
-	empty := NewLatencyRecorder()
-	for _, p := range []float64{-1, 0, 100, 110} {
-		if got := empty.Percentile(p); got != 0 {
-			t.Errorf("empty recorder p%v = %v; want 0", p, got)
-		}
-	}
-	if got := empty.Percentiles(-1, 0, 100, 110); !slices.Equal(got, make([]time.Duration, 4)) {
-		t.Errorf("empty recorder Percentiles = %v; want zeros", got)
-	}
-
-	l := NewLatencyRecorder()
-	for i := 1; i <= 10; i++ {
-		l.Record(time.Duration(i) * time.Millisecond)
-	}
-	cases := []struct {
-		p    float64
-		want time.Duration
-	}{
-		{-1, time.Millisecond},
-		{0, time.Millisecond},
-		{100, 10 * time.Millisecond},
-		{110, 10 * time.Millisecond},
-	}
-	ps := make([]float64, 0, len(cases))
-	for _, c := range cases {
-		if got := l.Percentile(c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v; want %v", c.p, got, c.want)
-		}
-		ps = append(ps, c.p)
-	}
-	bulk := l.Percentiles(ps...)
-	for i, c := range cases {
-		if bulk[i] != c.want {
-			t.Errorf("Percentiles(...)[%d] (p=%v) = %v; want %v", i, c.p, bulk[i], c.want)
-		}
-	}
-}
-
-// TestRecordNGrowsOnce checks RecordN's bulk fill: correct count and values,
-// and non-positive n is a no-op.
-func TestRecordNGrowsOnce(t *testing.T) {
-	l := NewLatencyRecorder()
-	l.RecordN(time.Second, 0)
-	l.RecordN(time.Second, -3)
-	if l.Count() != 0 {
-		t.Fatalf("count after no-op RecordN = %d", l.Count())
-	}
-	l.Record(time.Millisecond)
-	l.RecordN(2*time.Millisecond, 10000)
-	if l.Count() != 10001 {
-		t.Fatalf("count = %d; want 10001", l.Count())
-	}
-	if got := l.Percentile(100); got != 2*time.Millisecond {
-		t.Fatalf("p100 = %v; want 2ms", got)
-	}
-	// The bulk append allocates at most once for the grow (plus the lock's
-	// bookkeeping-free fast path): amortised allocs/op must be far below one
-	// per recorded sample.
-	allocs := testing.AllocsPerRun(10, func() {
-		l.RecordN(time.Millisecond, 1000)
-	})
-	if allocs > 2 {
-		t.Fatalf("RecordN(1000) allocates %.0f times per call; want <= 2 (grow once)", allocs)
 	}
 }
 
@@ -233,10 +122,6 @@ func TestOverlapMeter(t *testing.T) {
 	after := m.Stats()
 	if after.PlanBusy != before.PlanBusy || after.ExecBusy != before.ExecBusy || after.Overlap != before.Overlap {
 		t.Fatalf("idle transitions changed busy time: %+v -> %+v", before, after)
-	}
-	m.Reset()
-	if s := m.Stats(); s.PlanBusy != 0 || s.Overlap != 0 {
-		t.Fatalf("after Reset: %+v", s)
 	}
 	// Nil receivers are no-ops, like the Breakdown.
 	var nilMeter *OverlapMeter

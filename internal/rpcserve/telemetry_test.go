@@ -150,6 +150,9 @@ func TestFloodWhileScraping(t *testing.T) {
 	if v, _ := scrapeValue(t, url, "morph_engine_events_planned_total", ""); v != total {
 		t.Errorf("events planned = %v, want %v", v, total)
 	}
+	if v, _ := scrapeValue(t, url, "morph_engine_event_latency_ns_count", ""); v != total {
+		t.Errorf("event latency samples = %v, want %v", v, total)
+	}
 	if v, ok := scrapeValue(t, url, "morph_exec_ops_total", ""); !ok || v == 0 {
 		t.Errorf("exec ops = %v (ok=%v), want > 0", v, ok)
 	}

@@ -425,6 +425,8 @@ const (
 	// LowComplexity / HighAbortRatio gate l-abort.
 	LowComplexity  = 25 * time.Microsecond
 	HighAbortRatio = 0.25
+	// DefaultComplexity is the C assumed before any batch has been profiled.
+	DefaultComplexity = 10 * time.Microsecond
 )
 
 // Decide is the heuristic decision model of paper Fig. 7: it maps the
@@ -445,8 +447,7 @@ func Decide(in ModelInputs) Decision {
 
 	// Scheduling granularity: coarse units pay off only without cyclic
 	// unit dependencies, with many TDs to amortise and few PDs to stall on.
-	td, pd := float64(in.Props.NumTD), float64(in.Props.NumPD)
-	if !in.Cyclic && td/ops >= HighTDPerOp && pd/ops <= LowPDPerOp {
+	if !in.Cyclic && coarseEligible(in.Props) {
 		d.Gran = CSchedule
 	} else {
 		d.Gran = FSchedule
@@ -460,6 +461,25 @@ func Decide(in ModelInputs) Decision {
 		d.Abort = EAbort
 	}
 	return d
+}
+
+// coarseEligible is the c-schedule gate on the TPG properties alone: many TDs
+// per operation to amortise, few PDs to stall on.
+func coarseEligible(p tpg.Props) bool {
+	ops := float64(max(p.NumOps, 1))
+	return float64(p.NumTD)/ops >= HighTDPerOp && float64(p.NumPD)/ops <= LowPDPerOp
+}
+
+// DecideGraph runs the decision model for one planned graph with the
+// profiled complexity and abort ratio. Cyclicity only matters when the model
+// would otherwise choose coarse units, so it is probed — with a throwaway
+// c-schedule unit build — only for graphs that pass that gate.
+func DecideGraph(g *tpg.Graph, complexity time.Duration, abortRatio float64) Decision {
+	in := ModelInputs{Props: g.Props, Complexity: complexity, AbortRatio: abortRatio}
+	if coarseEligible(in.Props) {
+		_, in.Cyclic = BuildUnits(g, CSchedule)
+	}
+	return Decide(in)
 }
 
 func max(a, b int) int {

@@ -218,6 +218,40 @@ func TestDecideGranularityDimension(t *testing.T) {
 	}
 }
 
+// TestDecideGraphProbesCyclicityOnlyWhenCoarseEligible covers the probe the
+// engine and the harness share: a cyclic graph that passes the c-schedule
+// gate is probed and falls back to f-schedule, and the gate's two boundaries
+// (td/ops just below HighTDPerOp, pd/ops just above LowPDPerOp) close it.
+func TestDecideGraphProbesCyclicityOnlyWhenCoarseEligible(t *testing.T) {
+	// The cyclic unit graph of TestCScheduleMergesCycles; its real props
+	// (3 ops, 2 PDs) fail the gate, so force eligible ones onto it.
+	g := buildGraph(t, [][2]string{{"A", ""}, {"B", "A"}, {"A", "B"}})
+	g.Props = tpg.Props{NumOps: 100, NumTD: 90, NumPD: 2}
+	if d := DecideGraph(g, DefaultComplexity, 0); d.Gran != FSchedule {
+		t.Fatalf("eligible + cyclic: gran = %v; want f-schedule", d.Gran)
+	}
+	acyclic := buildGraph(t, [][2]string{{"K", ""}, {"K", ""}, {"K", ""}, {"K", ""}})
+	acyclic.Props = g.Props
+	if d := DecideGraph(acyclic, DefaultComplexity, 0); d.Gran != CSchedule {
+		t.Fatalf("eligible + acyclic: gran = %v; want c-schedule", d.Gran)
+	}
+
+	for _, c := range []struct {
+		name  string
+		props tpg.Props
+		want  bool
+	}{
+		{"td at threshold", tpg.Props{NumOps: 1000, NumTD: 400, NumPD: 150}, true},
+		{"td just below", tpg.Props{NumOps: 1000, NumTD: 399, NumPD: 150}, false},
+		{"pd just above", tpg.Props{NumOps: 1000, NumTD: 400, NumPD: 151}, false},
+		{"empty graph", tpg.Props{}, false},
+	} {
+		if got := coarseEligible(c.props); got != c.want {
+			t.Errorf("%s: coarseEligible = %v; want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestDecideAbortDimension(t *testing.T) {
 	// Low complexity + high abort ratio -> l-abort.
 	in := ModelInputs{

@@ -55,25 +55,21 @@ func writeSeries(w io.Writer, in instrument) error {
 
 func writeHistSeries(w io.Writer, in instrument) error {
 	snap := in.h.Snapshot()
+	octaves := snap.octaves()
 	// Prometheus buckets are cumulative; empty power-of-two buckets are
-	// elided (except the first and +Inf) to keep scrapes compact.
+	// elided to keep scrapes compact — except the first and +Inf, which is
+	// mandatory even when the overflow bucket is empty.
 	var cum int64
-	for i, c := range snap.Buckets {
+	for i, c := range octaves {
 		cum += c
-		if c == 0 && i != 0 && i != numBuckets-1 {
+		if c == 0 && i != 0 && i != numOctaves-1 {
 			continue
 		}
 		le := "+Inf"
-		if i < numBuckets-1 {
-			le = fmt.Sprintf("%d", bucketBound(i))
+		if i < numOctaves-1 {
+			le = fmt.Sprintf("%d", int64(1)<<i)
 		}
 		if err := writeBucket(w, in.d, le, cum); err != nil {
-			return err
-		}
-	}
-	if snap.Buckets[numBuckets-1] == 0 {
-		// +Inf line is mandatory even when the overflow bucket is empty.
-		if err := writeBucket(w, in.d, "+Inf", cum); err != nil {
 			return err
 		}
 	}
@@ -118,7 +114,7 @@ type Sample struct {
 	Count int64 `json:"count,omitempty"`
 	// Sum is a histogram's sum of observed values.
 	Sum int64 `json:"sum,omitempty"`
-	// P50 is the bucket-upper-bound median estimate.
+	// P50 is the bucket-upper-bound median estimate (within 12.5%).
 	P50 int64 `json:"p50,omitempty"`
 	// P95 is the bucket-upper-bound 95th-percentile estimate.
 	P95 int64 `json:"p95,omitempty"`

@@ -8,9 +8,10 @@
 // Counter, Gauge and Histogram mutate through padded per-stripe atomics:
 // writers touch one cacheline-padded cell (hot multi-writer sites spread
 // across stripes by worker id via AddW/RecordW), and stripes are summed only
-// at scrape time. A Histogram uses fixed power-of-two buckets — recording is
-// one bit-length computation plus three stripe-local atomic adds, no
-// allocation, no lock, no floating point.
+// at scrape time. A Histogram uses fixed log-linear buckets (eight per power
+// of two, exposed as power-of-two le bounds) — recording is one bit-length
+// computation plus three stripe-local atomic adds, no allocation, no lock, no
+// floating point.
 //
 // CounterFunc and GaugeFunc are read-only instruments evaluated at scrape
 // time, for values something else already maintains (ring depth, overlap
@@ -26,6 +27,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -128,10 +130,19 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// numBuckets covers power-of-two upper bounds from 2^0 up to 2^(numBuckets-2);
-// the final bucket is the +Inf overflow. 40 finite buckets span 1ns..~18min
-// when recording nanoseconds, and 1..~5e11 for sizes.
-const numBuckets = 41
+// Bucket layout (HDR-style). Exposition speaks power-of-two octaves: octave o
+// covers (2^(o-1), 2^o], octave 0 covers [0,1], and the last octave is the
+// +Inf overflow — 40 finite octaves span 1ns..~9min when recording
+// nanoseconds. Inside an octave the histogram keeps subPerOctave linear
+// sub-buckets (exponent from bits.Len64, subBits mantissa bits), so a quantile
+// read off the buckets is within 1/subPerOctave of the exact order statistic;
+// values up to 2*subPerOctave get one exact bucket each.
+const (
+	subBits      = 3
+	subPerOctave = 1 << subBits
+	numOctaves   = 41
+	numBuckets   = (numOctaves-subBits-1)*subPerOctave + 1 // last = overflow
+)
 
 // histStripe is one writer stripe of a Histogram: bucket counts plus the
 // count/sum pair every scrape merges. Padded like the counter cells.
@@ -142,25 +153,50 @@ type histStripe struct {
 	_       [stripePad - 16]byte
 }
 
-// Histogram is a fixed power-of-two-bucket histogram: Record costs one
+// Histogram is a fixed log-linear-bucket histogram: Record costs one
 // bit-length computation and three stripe-local atomic adds. Values are
 // int64 (record time.Duration nanoseconds directly); negatives clamp to 0.
+// The zero value is ready to use without a registry.
 type Histogram struct {
 	d       desc
 	stripes [numStripes]histStripe
 }
 
-// bucketOf maps v to its bucket: index i holds values in (2^(i-1), 2^i],
-// index 0 holds 0 and 1, and the last bucket is the overflow.
+// bucketOf maps v to its sub-bucket. With u = v-1 (so upper bounds are
+// inclusive), u < 2*subPerOctave indexes itself; above that the index is the
+// octave's shift in the high bits and u's top subBits+1 bits in the low ones.
 func bucketOf(v int64) int {
 	if v <= 1 {
 		return 0
 	}
-	b := bits.Len64(uint64(v - 1)) // ceil(log2(v))
-	if b >= numBuckets {
-		return numBuckets - 1
+	u := uint64(v - 1)
+	if u < 2*subPerOctave {
+		return int(u)
 	}
-	return b
+	shift := bits.Len64(u) - (subBits + 1)
+	if b := shift<<subBits + int(u>>shift); b < numBuckets {
+		return b
+	}
+	return numBuckets - 1
+}
+
+// bucketBound is sub-bucket b's inclusive upper bound.
+func bucketBound(b int) int64 {
+	switch {
+	case b < 2*subPerOctave:
+		return int64(b) + 1
+	case b >= numBuckets-1:
+		return math.MaxInt64 // overflow: effectively +Inf
+	}
+	return int64(subPerOctave+1+b&(subPerOctave-1)) << (b>>subBits - 1)
+}
+
+// octaveOf maps sub-bucket b to the power-of-two exposition bucket holding it.
+func octaveOf(b int) int {
+	if b < subPerOctave {
+		return bits.Len(uint(b))
+	}
+	return b>>subBits + subBits
 }
 
 // Record adds one observation on stripe 0 (single-writer sites). No-op on a
@@ -183,8 +219,8 @@ func (h *Histogram) RecordW(w int, v int64) {
 
 // HistSnapshot is one merged reading of a Histogram.
 type HistSnapshot struct {
-	// Buckets holds per-bucket (non-cumulative) counts; bucket i covers
-	// (2^(i-1), 2^i], bucket 0 covers [0,1], the last bucket overflows.
+	// Buckets holds per-sub-bucket (non-cumulative) counts: eight linear
+	// sub-buckets per power of two, the last bucket overflows.
 	Buckets [numBuckets]int64
 	// Count is the total number of recorded observations.
 	Count int64
@@ -213,16 +249,17 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return out
 }
 
-// Quantile estimates the q-th quantile (0..1) from the merged buckets,
-// returning the upper bound of the bucket holding that rank (a power of
-// two). Exposition-time only — never on a hot path.
+// Quantile estimates the q-th quantile (q clamped to [0,1]; 0 when empty) as
+// the upper bound of the sub-bucket holding that rank: never below the exact
+// order statistic and at most 12.5% above it. Exposition-time only — never on
+// a hot path.
 func (s HistSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := int64(q * float64(s.Count))
-	if rank >= s.Count {
-		rank = s.Count - 1
+	var rank int64
+	if q > 0 { // false for NaN too
+		rank = min(int64(math.Min(q, 1)*float64(s.Count)), s.Count-1)
 	}
 	var seen int64
 	for i, c := range s.Buckets {
@@ -234,15 +271,12 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return bucketBound(numBuckets - 1)
 }
 
-// bucketBound is bucket i's inclusive upper bound.
-func bucketBound(i int) int64 {
-	if i <= 0 {
-		return 1
+// octaves folds the sub-buckets into the power-of-two buckets /metrics emits.
+func (s HistSnapshot) octaves() (out [numOctaves]int64) {
+	for b, c := range s.Buckets {
+		out[octaveOf(b)] += c
 	}
-	if i >= 63 {
-		return int64(1) << 62 // effectively +Inf; exposition renders it so
-	}
-	return int64(1) << i
+	return out
 }
 
 // CounterFunc is a scrape-time counter backed by a callback (a total some
@@ -365,8 +399,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}).g
 }
 
-// Histogram returns (registering if needed) the power-of-two-bucket
-// histogram called name.
+// Histogram returns (registering if needed) the histogram called name.
 func (r *Registry) Histogram(name, help string) *Histogram {
 	return r.HistogramL(name, help, "", "")
 }

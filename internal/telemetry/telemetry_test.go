@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -67,8 +70,13 @@ func TestBucketOf(t *testing.T) {
 		v    int64
 		want int
 	}{
-		{-5, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3},
-		{9, 4}, {1024, 10}, {1025, 11},
+		// Values up to 16 get one exact bucket each (0 and 1 share bucket 0).
+		{-5, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 4}, {8, 7},
+		{9, 8}, {16, 15},
+		// Octave (16,32]: width-2 sub-buckets.
+		{17, 16}, {18, 16}, {19, 17}, {32, 23}, {33, 24},
+		// Octave (1024,2048]: sub-bucket j covers (1024+128j, 1024+128(j+1)].
+		{1024, 63}, {1025, 64}, {1152, 64}, {1153, 65}, {2048, 71}, {2049, 72},
 	}
 	for _, c := range cases {
 		v := c.v
@@ -79,9 +87,33 @@ func TestBucketOf(t *testing.T) {
 			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
-	// Huge values land in the overflow bucket.
-	if got := bucketOf(int64(1) << 62); got != numBuckets-1 {
-		t.Errorf("bucketOf(2^62) = %d, want overflow %d", got, numBuckets-1)
+	// Every sub-bucket boundary 2^k*(1+j/8): the bound itself closes bucket
+	// j-1 (or the previous octave), bound+1 opens bucket j, the octave index
+	// is the parent's power-of-two bucket, and bucketBound inverts bucketOf.
+	for k := 4; k < numOctaves-2; k++ {
+		for j := 0; j < subPerOctave; j++ {
+			lo := int64(1)<<k + int64(j)<<(k-subBits)
+			b := bucketOf(lo + 1)
+			if prev := bucketOf(lo); prev != b-1 {
+				t.Errorf("k=%d j=%d: bucketOf(%d)=%d, bucketOf(%d)=%d; want adjacent", k, j, lo, prev, lo+1, b)
+			}
+			if got := octaveOf(b); got != k+1 {
+				t.Errorf("octaveOf(bucketOf(%d)) = %d, want %d", lo+1, got, k+1)
+			}
+			hi := lo + int64(1)<<(k-subBits)
+			if got := bucketBound(b); got != hi || bucketOf(hi) != b {
+				t.Errorf("k=%d j=%d: bound=%d bucketOf(%d)=%d; want %d/%d", k, j, got, hi, bucketOf(hi), hi, b)
+			}
+		}
+	}
+	// Beyond the last finite octave (2^39) everything overflows.
+	if got := bucketOf(int64(1) << 39); got != numBuckets-2 {
+		t.Errorf("bucketOf(2^39) = %d, want last finite %d", got, numBuckets-2)
+	}
+	for _, v := range []int64{1<<39 + 1, 1 << 62, math.MaxInt64} {
+		if got := bucketOf(v); got != numBuckets-1 {
+			t.Errorf("bucketOf(%d) = %d, want overflow %d", v, got, numBuckets-1)
+		}
 	}
 }
 
@@ -104,11 +136,57 @@ func TestHistogramExactTotals(t *testing.T) {
 	if bucketTotal != s.Count {
 		t.Fatalf("bucket total %d != count %d", bucketTotal, s.Count)
 	}
-	if q := s.Quantile(0.5); q < 256 || q > 1024 {
-		t.Fatalf("p50 of 1..1000 = %d, want a power-of-two bound near 512", q)
+	if q := s.Quantile(0.5); q != 512 { // sorted[500] = 501, sub-bucket (480,512]
+		t.Fatalf("p50 of 1..1000 = %d, want 512", q)
 	}
-	if q := s.Quantile(0.99); q < 512 || q > 1024 {
-		t.Fatalf("p99 of 1..1000 = %d, want 1024-ish", q)
+	if q := s.Quantile(0.99); q != 1024 { // sorted[990] = 991, sub-bucket (960,1024]
+		t.Fatalf("p99 of 1..1000 = %d, want 1024", q)
+	}
+}
+
+// TestQuantileAccuracy is the resolution contract harness percentiles rely
+// on: over 1e5 log-uniform samples spanning 1ns..10s, every quantile read off
+// the buckets is at least the exact order statistic and at most 12.5% above.
+func TestQuantileAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const n = 100000
+	var h Histogram // zero value, no registry
+	samples := make([]int64, n)
+	for i := range samples {
+		samples[i] = int64(math.Exp(rng.Float64() * math.Log(10e9)))
+		h.RecordW(i, samples[i])
+	}
+	slices.Sort(samples)
+	s := h.Snapshot()
+	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
+		exact := samples[int(q*n)]
+		got := s.Quantile(q)
+		if got < exact || float64(got) > 1.125*float64(exact) {
+			t.Errorf("Quantile(%v) = %d, exact %d: outside [exact, 1.125*exact]", q, got, exact)
+		}
+	}
+}
+
+// TestQuantileEdges: an empty histogram reads 0 and q clamps to [0,1]
+// (negative, NaN and >1 included) instead of indexing out of range.
+func TestQuantileEdges(t *testing.T) {
+	var h Histogram
+	if got := h.Snapshot().Quantile(0.99); got != 0 {
+		t.Fatalf("empty Quantile = %d, want 0", got)
+	}
+	for _, v := range []int64{10, 20, 30} {
+		h.Record(v)
+	}
+	s := h.Snapshot()
+	for _, q := range []float64{-1, 0, math.NaN()} {
+		if got := s.Quantile(q); got != 10 {
+			t.Errorf("Quantile(%v) = %d, want the minimum 10", q, got)
+		}
+	}
+	for _, q := range []float64{1, 250, math.Inf(1)} {
+		if got := s.Quantile(q); got != 30 {
+			t.Errorf("Quantile(%v) = %d, want the maximum 30", q, got)
+		}
 	}
 }
 
@@ -241,6 +319,10 @@ func TestWritePromFormat(t *testing.T) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
 	}
+	// The mandatory +Inf line appears once, empty overflow bucket or not.
+	if n := strings.Count(out, `morph_lat_ns_bucket{le="+Inf"}`); n != 1 {
+		t.Errorf("want 1 +Inf bucket line, got %d", n)
+	}
 	// Exactly one HELP header per family even with multiple series.
 	if n := strings.Count(out, "# HELP morph_frames_total"); n != 1 {
 		t.Errorf("want 1 family header for morph_frames_total, got %d", n)
@@ -248,6 +330,40 @@ func TestWritePromFormat(t *testing.T) {
 	// receipt sorts before submit within the family.
 	if strings.Index(out, `type="receipt"`) > strings.Index(out, `type="submit"`) {
 		t.Error("labelled series not sorted by label value")
+	}
+}
+
+// TestWritePromHistogramGolden pins the histogram exposition to the output
+// the power-of-two-only histogram produced for the same input: sub-buckets
+// are an internal resolution, the le set scrapers see did not move.
+func TestWritePromHistogramGolden(t *testing.T) {
+	r := NewRegistry()
+	h := r.HistogramL("morph_lat_ns", "Latency.", "op", "x")
+	for _, v := range []int64{-4, 0, 1, 2, 3, 5, 8, 9, 100, 1000, 1023, 1024, 1025, 1 << 20, 1 << 39, 1<<39 + 1, 1 << 50} {
+		h.Record(v)
+	}
+	const want = `# HELP morph_lat_ns Latency.
+# TYPE morph_lat_ns histogram
+morph_lat_ns_bucket{op="x",le="1"} 3
+morph_lat_ns_bucket{op="x",le="2"} 4
+morph_lat_ns_bucket{op="x",le="4"} 5
+morph_lat_ns_bucket{op="x",le="8"} 7
+morph_lat_ns_bucket{op="x",le="16"} 8
+morph_lat_ns_bucket{op="x",le="128"} 9
+morph_lat_ns_bucket{op="x",le="1024"} 12
+morph_lat_ns_bucket{op="x",le="2048"} 13
+morph_lat_ns_bucket{op="x",le="1048576"} 14
+morph_lat_ns_bucket{op="x",le="549755813888"} 15
+morph_lat_ns_bucket{op="x",le="+Inf"} 17
+morph_lat_ns_sum{op="x"} 1126999419523177
+morph_lat_ns_count{op="x"} 17
+`
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != want {
+		t.Errorf("exposition moved:\ngot:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
 
