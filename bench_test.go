@@ -12,6 +12,7 @@ package morphstream_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -268,34 +269,81 @@ func BenchmarkStoreContended(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreTruncate measures batch-boundary temporal-object clean-up:
-// the engine calls Truncate after every punctuation (Section 8.3.3), so its
-// cost — and, with the arena-backed table, the per-shard arena recycle — is
-// paid once per batch. Timestamps increase monotonically across iterations,
-// as the engine's progress controller guarantees, so the populate phase is
-// the executor's in-order append pattern.
+// BenchmarkStoreTruncate measures batch-boundary temporal-object clean-up
+// (Section 8.3.3), paid once per batch on the executor's serial tail.
+// Timestamps increase monotonically across iterations, as the engine's
+// progress controller guarantees, so the populate phase is the executor's
+// in-order append pattern through a pinned View.
+//
+//   - full-8192: every key of a small table written four times, then the
+//     whole-table Truncate(^0) — the sweep plus the per-shard arena recycle.
+//   - full-262144 / dirty-4096-of-262144: msbench's sl-uniform shape, 4,096
+//     of 262,144 keys written once per batch. full pays for the table
+//     (Truncate(^0) walks every chain slot to find the 4,096 that grew),
+//     dirty pays for the batch (TruncateFor, the engine's clean-up).
 func BenchmarkStoreTruncate(b *testing.B) {
-	const nKeys = 1 << 13
-	ids := make([]store.KeyID, nKeys)
-	for i := range ids {
-		ids[i] = store.Intern(workload.KeyName(i))
-	}
 	var v store.Value = int64(7)
-	t := store.NewTable()
-	ts := uint64(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for round := 0; round < 4; round++ {
-			ts++
-			for _, id := range ids {
-				t.WriteID(id, ts, v)
-			}
+	internKeys := func(n int) []store.KeyID {
+		ids := make([]store.KeyID, n)
+		for i := range ids {
+			ids[i] = store.Intern(workload.KeyName(i))
 		}
-		b.StartTimer()
-		t.Truncate(^uint64(0))
+		return ids
 	}
+	b.Run("full-8192", func(b *testing.B) {
+		ids := internKeys(1 << 13)
+		t := store.NewTable()
+		view := t.View()
+		ts := uint64(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for round := 0; round < 4; round++ {
+				ts++
+				for _, id := range ids {
+					view.WriteID(id, ts, v)
+				}
+			}
+			b.StartTimer()
+			t.Truncate(^uint64(0))
+		}
+	})
+	const nKeys, nDirty = 1 << 18, 1 << 12
+	sparse := func(b *testing.B, truncate func(t *store.Table, dirty []store.KeyID)) {
+		ids := internKeys(nKeys)
+		t := store.NewTable()
+		for _, id := range ids {
+			t.PreloadID(id, v)
+		}
+		t.Truncate(^uint64(0)) // first boundary: compacts the preload arenas
+		view := t.View()
+		rng := rand.New(rand.NewSource(1))
+		dirty := make([]store.KeyID, nDirty)
+		ts := uint64(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			// An odd stride walks distinct keys: every chain grows 1 -> 2
+			// in its headroom, so no shard comes due for compaction and
+			// the two variants differ in the sweep alone.
+			start, stride := rng.Intn(nKeys), 2*rng.Intn(nKeys/2)+1
+			for j := range dirty {
+				ts++
+				dirty[j] = ids[(start+j*stride)&(nKeys-1)]
+				view.WriteID(dirty[j], ts, v)
+			}
+			b.StartTimer()
+			truncate(t, dirty)
+		}
+	}
+	b.Run(fmt.Sprintf("full-%d", nKeys), func(b *testing.B) {
+		sparse(b, func(t *store.Table, _ []store.KeyID) { t.Truncate(^uint64(0)) })
+	})
+	b.Run(fmt.Sprintf("dirty-%d-of-%d", nDirty, nKeys), func(b *testing.B) {
+		sparse(b, func(t *store.Table, dirty []store.KeyID) { t.TruncateFor(dirty) })
+	})
 }
 
 // BenchmarkTPGFinalize measures TPG construction alone — per-key list

@@ -109,7 +109,12 @@ func (e *Engine) openDurability() error {
 	if err != nil {
 		return fmt.Errorf("engine: durability: %w", err)
 	}
-	e.snapDirty = make(map[store.KeyID]struct{})
+	// snapDirty feeds periodic checkpoints only; with them disabled nothing
+	// would ever drain it, so it is not kept at all.
+	snapshots := e.snapshotEvery() > 0
+	if snapshots {
+		e.snapDirty = make(map[store.KeyID]struct{})
+	}
 
 	// Apply the snapshot chain: the base replaces the table, each diff
 	// layers its churn on top.
@@ -143,6 +148,9 @@ func (e *Engine) openDurability() error {
 			return fmt.Errorf("engine: durability replay: %w", rerr)
 		}
 		e.table.RestoreDelta(r.Shards)
+		if !snapshots {
+			continue
+		}
 		for _, es := range r.Shards {
 			for _, en := range es {
 				e.snapDirty[store.Intern(en.Key)] = struct{}{}
@@ -198,11 +206,15 @@ func (e *Engine) commitWAL(res *BatchResult, batchMaxTS uint64, dirty []store.Ke
 		return
 	}
 	e.walWatermark = maxTS
+	res.Durable = true
+	every := e.snapshotEvery()
+	if every == 0 {
+		return // no checkpoint will ever consume snapDirty: do not grow it
+	}
 	for _, id := range dirty {
 		e.snapDirty[id] = struct{}{}
 	}
-	res.Durable = true
-	if every := e.snapshotEvery(); every > 0 && res.Seq%int64(every) == 0 {
+	if res.Seq%int64(every) == 0 {
 		var err error
 		if e.wal.WantBase() {
 			err = e.wal.Snapshot(res.Seq, maxTS, e.table.LatestSince(0))

@@ -225,9 +225,10 @@ type plannedBatch struct {
 	planned time.Duration
 	maxTS   uint64
 	// dirty is the batch's touched-key set, exported from the builders'
-	// per-key lists at seal time (durability only): the WAL commit sweep
-	// visits only these chains. ND-resolved keys join it at the
-	// punctuation quiescent point, once execution has pinned them down.
+	// per-key lists at seal time when anything consumes it (tracksDirty):
+	// the WAL commit sweep and the batch-boundary clean-up visit only these
+	// chains. ND-resolved keys join it at the punctuation quiescent point,
+	// once execution has pinned them down.
 	dirty []store.KeyID
 }
 
@@ -336,6 +337,8 @@ type Engine struct {
 	// snapshot, and snapWatermark the timestamp watermark that snapshot
 	// covered: together they let the snapshot hook cut an incremental diff
 	// (LatestFor over the accumulated set) instead of a full-table sweep.
+	// Nil, and never written, when periodic snapshots are off: nothing would
+	// drain it.
 	snapDirty      map[store.KeyID]struct{}
 	snapWatermark  uint64
 	recoveredDiffs int
@@ -497,6 +500,11 @@ func (e *Engine) planEvent(pb *pendingBatch, op Operator, ev *Event) error {
 	return nil
 }
 
+// tracksDirty reports whether sealed batches carry their touched-key set:
+// the clean-up (TruncateFor) and the WAL commit sweep (LatestFor) are its two
+// consumers.
+func (e *Engine) tracksDirty() bool { return e.cfg.Cleanup || e.cfg.Durability != nil }
+
 // seal ends a batch's planning: each group's TPG is finalized into a
 // plannedJob, and the batch becomes immutable hand-off state for the
 // execution stage.
@@ -512,7 +520,7 @@ func (e *Engine) seal(pb *pendingBatch) *plannedBatch {
 		if g.txns == 0 {
 			continue
 		}
-		if e.cfg.Durability != nil {
+		if e.tracksDirty() {
 			// Export the dirty set before Finalize: the ND fan-out is
 			// about to insert a virtual entry into every known key list.
 			out.dirty = g.builder.AppendDirtyKeys(out.dirty)
@@ -602,21 +610,13 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	}
 	e.lastUseful = useful
 
-	// Clean-up of temporal objects (Section 8.3.3). Graphs are recycled
-	// into the builders that produced them — execution and post-processing
-	// are over, so nothing references the batch's ops or edge arrays any
-	// more — and the reset builders return to the pool for a later batch's
-	// planning (steady-state planning stays allocation-free).
 	res.Seq = e.batches.Add(1)
-	// Punctuation commit point: with durability on, the batch's net state
-	// deltas are logged (and fsynced, per policy) while the table still
-	// holds them and before the result can be observed — an observed
-	// result therefore implies a durable batch.
-	var commitTime time.Duration
-	if e.wal != nil && e.walErr == nil {
-		// Complete the dirty set with the keys ND operations resolved (or
-		// created) during execution — rolled-back ND writes cleared their
-		// written flag, so only surviving writes join.
+	// Complete the batch's dirty set once, for both boundary hooks below
+	// (the WAL commit sweep and the clean-up): the keys ND operations
+	// resolved (or created) during execution join the planner's export —
+	// rolled-back ND writes cleared their written flag, so only surviving
+	// writes do.
+	if e.tracksDirty() {
 		for _, pj := range pb.jobs {
 			for _, op := range pj.graph.NDOps {
 				if id, ok := op.WrittenID(); ok {
@@ -624,6 +624,13 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 				}
 			}
 		}
+	}
+	// Punctuation commit point: with durability on, the batch's net state
+	// deltas are logged (and fsynced, per policy) while the table still
+	// holds them and before the result can be observed — an observed
+	// result therefore implies a durable batch.
+	var commitTime, cleanupTime time.Duration
+	if e.wal != nil && e.walErr == nil {
 		commitStart := time.Now()
 		e.commitWAL(res, pb.maxTS, pb.dirty)
 		commitTime = time.Since(commitStart)
@@ -634,16 +641,24 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 			e.totals.walChainLen.Store(int64(e.wal.ChainLen()))
 		}
 	}
+	// Clean-up of temporal objects (Section 8.3.3). Graphs are recycled
+	// into the builders that produced them — execution and post-processing
+	// are over, so nothing references the batch's ops or edge arrays any
+	// more — and the reset builders return to the pool for a later batch's
+	// planning (steady-state planning stays allocation-free).
 	for _, pj := range pb.jobs {
 		pj.builder.Recycle(pj.graph)
 		pj.builder.Reset()
 		e.builders.put(pj.id, pj.builder, res.Seq)
 	}
 	if e.cfg.Cleanup {
-		// Truncate both discards temporal objects and recycles each table
-		// shard's version arena — the state-table twin of the planner
-		// recycling above, at the same batch boundary.
-		e.table.Truncate(^uint64(0))
+		// Discard the batch's temporal objects and recycle churned table
+		// shards' version arenas — the state-table twin of the planner
+		// recycling above, at the same batch boundary. Only the dirty
+		// chains can hold history, so only they are visited.
+		cleanupStart := time.Now()
+		e.table.TruncateFor(pb.dirty)
+		cleanupTime = time.Since(cleanupStart)
 	}
 	// Re-snapshot the ND fan-out universe while still quiescent, so the
 	// (possibly concurrent) planning of later batches never reads the
@@ -651,7 +666,7 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	e.refreshUniverse()
 
 	res.Elapsed = time.Since(start)
-	e.recordBatch(res, commitTime)
+	e.recordBatch(res, commitTime, cleanupTime)
 	return res
 }
 

@@ -128,6 +128,23 @@ func TestPipelineBasicFlow(t *testing.T) {
 	if st.PlanBusy <= 0 || st.ExecBusy <= 0 {
 		t.Fatalf("overlap meter did not run: %+v", st)
 	}
+	// The clean-up is a timed row of its own, once per batch, inside the
+	// execution phase; the dictionary gauge reads the live key count.
+	if st.CleanupElapsed <= 0 || st.CleanupElapsed > st.ExecElapsed {
+		t.Fatalf("CleanupElapsed = %v with ExecElapsed = %v; want 0 < clean-up <= exec", st.CleanupElapsed, st.ExecElapsed)
+	}
+	if n := reg.Histogram("morph_engine_cleanup_ns", "").Snapshot().Count; n != int64(len(results)) {
+		t.Fatalf("morph_engine_cleanup_ns samples = %d; want one per batch (%d)", n, len(results))
+	}
+	dictKeys := int64(-1)
+	for _, smp := range reg.Snapshot() {
+		if smp.Name == "morph_store_dict_keys" {
+			dictKeys = smp.Value
+		}
+	}
+	if want := int64(e.Table().DictLen()); dictKeys != want {
+		t.Fatalf("morph_store_dict_keys = %d; want %d", dictKeys, want)
+	}
 }
 
 // TestServingPathMemoryIsBounded: a started engine's retained heap must not

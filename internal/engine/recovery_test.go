@@ -65,6 +65,21 @@ func startDurablePhase(t *testing.T, b *workload.Batch, d *sched.Decision, batch
 	return p
 }
 
+// mergeRunRecords folds the per-transaction outcomes of several engine
+// lifetimes over one stream into a single record.
+func mergeRunRecords(recs ...*runRecord) *runRecord {
+	merged := newRunRecord()
+	for _, r := range recs {
+		for id, ab := range r.aborted {
+			merged.aborted[id] = ab
+		}
+		for id, vals := range r.results {
+			merged.results[id] = vals
+		}
+	}
+	return merged
+}
+
 func (p *durablePhase) ingest(t *testing.T, specs []workload.TxnSpec) {
 	t.Helper()
 	op := specOp(p.rec)
@@ -173,15 +188,7 @@ func TestCrashRecoveryMatchesOracle(t *testing.T) {
 				}
 
 				// Merged outcomes must equal the oracle's uninterrupted run.
-				merged := newRunRecord()
-				for _, r := range []*runRecord{p1.rec, p2.rec} {
-					for id, ab := range r.aborted {
-						merged.aborted[id] = ab
-					}
-					for id, vals := range r.results {
-						merged.results[id] = vals
-					}
-				}
+				merged := mergeRunRecords(p1.rec, p2.rec)
 				diffRuns(t, "recovered-vs-oracle", oSnap, oRec, oC, oA,
 					p2.e.Table().Snapshot(), merged, p1.c+p2.c, p1.a+p2.a)
 			})
@@ -287,15 +294,7 @@ func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 					t.Fatal("phase-2 delivered a non-durable result")
 				}
 
-				merged := newRunRecord()
-				for _, r := range []*runRecord{p1.rec, p2.rec} {
-					for id, ab := range r.aborted {
-						merged.aborted[id] = ab
-					}
-					for id, vals := range r.results {
-						merged.results[id] = vals
-					}
-				}
+				merged := mergeRunRecords(p1.rec, p2.rec)
 				diffRuns(t, "chain-recovered-vs-oracle", oSnap, oRec, oC, oA,
 					p2.e.Table().Snapshot(), merged, p1.c+p2.c, p1.a+p2.a)
 			})
@@ -522,4 +521,74 @@ func TestClosedNeverStarted(t *testing.T) {
 	if err := e.Ingest(depositOp(), &Event{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Ingest on closed never-started engine = %v; want ErrClosed", err)
 	}
+}
+
+// TestSnapDirtyOnlyKeptForCheckpoints: snapDirty exists to feed the next
+// incremental checkpoint, so an engine that will never cut one
+// (SnapshotEvery < 0) must not accumulate it — it used to grow to the whole
+// key universe, one map insert per dirty key per batch. The keys are not
+// lost by that: a later run that turns checkpoints back on re-derives them
+// from the replayed records, and its first diff must carry everything that
+// changed since the baseline.
+func TestSnapDirtyOnlyKeptForCheckpoints(t *testing.T) {
+	const batchSize, offBatches, onBatches = 4, 100, 2
+	b := workload.SL(workload.Config{
+		Txns: (offBatches + onBatches) * batchSize, StateSize: 64, Theta: 0.6,
+		AbortRatio: 0.1, Seed: 61, Length: 2, MultiRatio: 0.5,
+	})
+	oSnap, oRec, oC, oA := runOracle(b)
+	dir := t.TempDir()
+	split := offBatches * batchSize
+
+	p1 := startDurablePhase(t, b, nil, batchSize, &Durability{Dir: dir, SnapshotEvery: -1}, context.Background())
+	for i := 0; i < split; i += batchSize {
+		p1.ingest(t, b.Specs[i:i+batchSize])
+		if err := p1.e.Drain(); err != nil {
+			t.Fatalf("phase-1 Drain: %v", err)
+		}
+		// Quiescent after Drain: the executor stage is between batches.
+		if n := len(p1.e.snapDirty); n != 0 {
+			t.Fatalf("after batch %d with snapshots off: snapDirty holds %d keys; want 0", i/batchSize+1, n)
+		}
+	}
+	if err := p1.e.Close(); err != nil {
+		t.Fatalf("phase-1 Close: %v", err)
+	}
+	if snaps := countSnapshotFiles(t, dir); snaps != 1 {
+		t.Fatalf("snapshot files = %d; want 1 (the sequence-0 baseline only)", snaps)
+	}
+
+	// Checkpoints back on: one diff after the second new batch, cut against
+	// the sequence-0 baseline, so it must name every key phase 1 changed.
+	p2 := startDurablePhase(t, b, nil, batchSize,
+		&Durability{Dir: dir, SnapshotEvery: onBatches, SnapshotDiffBudget: 1e9}, context.Background())
+	if got := p2.e.RecoveredSeq(); got != offBatches {
+		t.Fatalf("RecoveredSeq = %d; want %d", got, offBatches)
+	}
+	if len(p2.e.snapDirty) == 0 {
+		t.Fatal("replay did not seed snapDirty although checkpoints are on")
+	}
+	p2.ingest(t, b.Specs[split:])
+	if err := p2.e.Close(); err != nil {
+		t.Fatalf("phase-2 Close: %v", err)
+	}
+	if snaps := countSnapshotFiles(t, dir); snaps != 2 {
+		t.Fatalf("snapshot files = %d; want 2 (baseline + one diff)", snaps)
+	}
+
+	// A third life recovers from baseline + diff alone and must land on the
+	// oracle's state for the whole stream.
+	p3 := startDurablePhase(t, b, nil, batchSize, &Durability{Dir: dir, SnapshotEvery: -1}, context.Background())
+	if got := p3.e.RecoveredDiffs(); got != 1 {
+		t.Fatalf("RecoveredDiffs = %d; want 1", got)
+	}
+	if got := p3.e.RecoveredSeq(); got != offBatches+onBatches {
+		t.Fatalf("RecoveredSeq = %d; want %d", got, offBatches+onBatches)
+	}
+	snap := p3.e.Table().Snapshot()
+	if err := p3.e.Close(); err != nil {
+		t.Fatalf("phase-3 Close: %v", err)
+	}
+	merged := mergeRunRecords(p1.rec, p2.rec)
+	diffRuns(t, "diff-after-reenable-vs-oracle", oSnap, oRec, oC, oA, snap, merged, p1.c+p2.c, p1.a+p2.a)
 }

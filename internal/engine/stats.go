@@ -48,6 +48,10 @@ type PipelineStats struct {
 	// CommitElapsed is the cumulative WAL commit-hook time (dirty-set sweep
 	// + record encode + append + fsync); zero with durability off.
 	CommitElapsed time.Duration
+	// CleanupElapsed is the cumulative batch-boundary clean-up time (the
+	// state table's TruncateFor); zero with Cleanup off. Like CommitElapsed
+	// it is a part of ExecElapsed, not an addition to it.
+	CleanupElapsed time.Duration
 	// DurableBatches counts delivered batches whose results carried
 	// Durable=true; WALLastSeq and WALDiffChain mirror the log's sequence
 	// watermark and incremental-snapshot chain length.
@@ -77,6 +81,7 @@ type pipeTotals struct {
 	fusedOps           atomic.Int64
 	planNS, execNS     atomic.Int64
 	commitNS           atomic.Int64
+	cleanupNS          atomic.Int64
 	durable            atomic.Int64
 	walLastSeq         atomic.Int64
 	walChainLen        atomic.Int64
@@ -91,6 +96,7 @@ type engineInstruments struct {
 	planNS       *telemetry.Histogram
 	execNS       *telemetry.Histogram
 	commitNS     *telemetry.Histogram
+	cleanupNS    *telemetry.Histogram
 	batchEvents  *telemetry.Histogram
 	eventLatency *telemetry.Histogram
 }
@@ -105,6 +111,7 @@ func (e *Engine) setupTelemetry() {
 		planNS:       reg.Histogram("morph_engine_plan_ns", "Per-batch planning-stage time (ns)."),
 		execNS:       reg.Histogram("morph_engine_exec_ns", "Per-batch execution-phase time (ns)."),
 		commitNS:     reg.Histogram("morph_engine_commit_ns", "Per-batch WAL commit-hook time (ns)."),
+		cleanupNS:    reg.Histogram("morph_engine_cleanup_ns", "Per-batch state-table clean-up time (ns)."),
 		batchEvents:  reg.Histogram("morph_engine_batch_events", "Input events per sealed batch."),
 		eventLatency: reg.Histogram("morph_engine_event_latency_ns", "Per-event end-to-end latency, arrival to post-process (ns)."),
 	}
@@ -157,6 +164,9 @@ func (e *Engine) setupTelemetry() {
 	reg.CounterFunc("morph_engine_overlap_ns_total", "Cumulative time both pipeline stages were busy.", func() int64 {
 		return int64(e.overlap.Stats().Overlap)
 	})
+	reg.GaugeFunc("morph_store_dict_keys", "Keys interned in the state table's dictionary.", func() int64 {
+		return int64(e.table.DictLen())
+	})
 	reg.GaugeFunc("morph_wal_last_seq", "Highest batch sequence durably appended.", func() int64 {
 		return e.totals.walLastSeq.Load()
 	})
@@ -169,7 +179,7 @@ func (e *Engine) setupTelemetry() {
 // registry's histograms; each value is written once. Runs on the executor
 // stage (one goroutine), once per punctuation — never on the per-operation
 // hot path.
-func (e *Engine) recordBatch(res *BatchResult, commitTime time.Duration) {
+func (e *Engine) recordBatch(res *BatchResult, commitTime, cleanupTime time.Duration) {
 	t := &e.totals
 	t.events.Add(int64(res.Events))
 	t.dropped.Add(int64(res.Dropped))
@@ -184,6 +194,7 @@ func (e *Engine) recordBatch(res *BatchResult, commitTime time.Duration) {
 	t.planNS.Add(int64(res.PlanElapsed))
 	t.execNS.Add(int64(res.Elapsed))
 	t.commitNS.Add(int64(commitTime))
+	t.cleanupNS.Add(int64(cleanupTime))
 	if res.Durable {
 		t.durable.Add(1)
 	}
@@ -193,6 +204,9 @@ func (e *Engine) recordBatch(res *BatchResult, commitTime time.Duration) {
 	in.execNS.Record(int64(res.Elapsed))
 	if commitTime > 0 {
 		in.commitNS.Record(int64(commitTime))
+	}
+	if cleanupTime > 0 {
+		in.cleanupNS.Record(int64(cleanupTime))
 	}
 	in.batchEvents.Record(int64(res.Events))
 }
@@ -218,6 +232,7 @@ func (e *Engine) PipelineStats() PipelineStats {
 		PlanElapsed:    time.Duration(t.planNS.Load()),
 		ExecElapsed:    time.Duration(t.execNS.Load()),
 		CommitElapsed:  time.Duration(t.commitNS.Load()),
+		CleanupElapsed: time.Duration(t.cleanupNS.Load()),
 		DurableBatches: t.durable.Load(),
 		WALLastSeq:     t.walLastSeq.Load(),
 		WALDiffChain:   int(t.walChainLen.Load()),

@@ -5,13 +5,17 @@
 // Window reads return all versions inside an event-time range, which is how
 // MorphStream serves windowed state access (Section 6.5.1). Aborts roll the
 // chain back by removing the aborted transaction's version (Section 6.3.2),
-// and Truncate discards history once a batch is fully processed.
+// and Truncate discards history once a batch is fully processed — in
+// O(touched) through TruncateFor, which visits only the chains a batch's
+// dirty-key set names.
 //
 // # Key interning
 //
-// String keys are interned once into dense KeyIDs (see Dict): planning and
-// execution resolve keys at transaction build time and carry KeyIDs through
-// the TPG, so the hot path (*ID methods) never hashes a string. The
+// String keys are interned once into dense KeyIDs (see Dict: a flat
+// open-addressing index with lock-free reads, append-only, one mutex for
+// inserts): planning and execution resolve keys at transaction build time
+// and carry KeyIDs through the TPG, so the hot path (*ID methods) never
+// hashes a string. The
 // string-keyed methods remain as compatibility wrappers that resolve through
 // the process-wide dictionary; examples, tests and baselines use them, the
 // engine's hot path does not.
@@ -50,13 +54,13 @@
 // element and release-publishes the length (no allocation), while
 // out-of-order inserts, same-timestamp replaces and run growth copy into a
 // fresh header before the slot republishes — so a reader always searches a
-// consistent snapshot. Shrinking mutations (RemoveID, Truncate's collapse)
-// edit the prefix in place and therefore demand quiescence, which their
-// only callers have by construction: rollback runs under the executor's
-// abort fence, truncation under the whole-table stripe sweep at a batch
-// boundary.
+// consistent snapshot. Shrinking mutations (RemoveID, the collapse of
+// Truncate and TruncateFor) edit the prefix in place and therefore demand
+// quiescence, which their only callers have by construction: rollback runs
+// under the executor's abort fence, truncation under the whole-table stripe
+// sweep at a batch boundary.
 //
-// Whole-table operations (Truncate, Snapshot, Clone, KeyIDs, Len,
+// Whole-table operations (Truncate, TruncateFor, Snapshot, Clone, KeyIDs, Len,
 // TotalVersions, Align) need full quiescence: the engine runs them only at
 // batch boundaries, where the executor's PR 2 epoch fence guarantees no
 // worker is inside an operation. Direct public callers get a safety net,
@@ -145,8 +149,9 @@ type tableShard struct {
 	varena bump[Version]
 	harena bump[chain]
 	// lastInstalls records varena+harena chunk installs at the last
-	// compaction (only touched under the whole-table sweep).
-	lastInstalls int64
+	// compaction, liveInstalls how many of them that compaction made — the
+	// shard's live size in chunks (only touched under the whole-table sweep).
+	lastInstalls, liveInstalls int64
 	// maxIdx tracks the highest slot index ever holding a chain (-1 when
 	// none); Align uses it to size a new layout's span over late keys.
 	maxIdx atomic.Int64
@@ -337,6 +342,11 @@ type Table struct {
 	// table's key set cannot have grown (keys only appear through a birth,
 	// and removal never requires a snapshot refresh).
 	births atomic.Int64
+	// untracked records that some chain may hold more than one version
+	// without any batch's dirty set naming it (see TruncateFor): set by the
+	// writers outside the executor's pinned View, cleared by a full
+	// Truncate(^0). Never written on the executor's hot path.
+	untracked atomic.Bool
 }
 
 // NewTable returns an empty table (one all-covering shard until Align).
@@ -493,7 +503,16 @@ func (ly *layout) readRangeID(id KeyID, lo, hi uint64) []Version {
 // (copying the run: published snapshots stay immutable). Writing twice at
 // the same (id, ts) replaces the value.
 func (t *Table) WriteID(id KeyID, ts uint64, v Value) {
+	t.noteUntracked()
 	t.layout.Load().writeID(id, ts, v)
+}
+
+// noteUntracked marks a write no batch dirty set will name. Load-then-store
+// keeps the flag's cache line shared among concurrent direct writers.
+func (t *Table) noteUntracked() {
+	if !t.untracked.Load() {
+		t.untracked.Store(true)
+	}
 }
 
 func (ly *layout) writeID(id KeyID, ts uint64, v Value) {
@@ -713,9 +732,10 @@ func (t *Table) VersionCount(k Key) int {
 // Truncate collapses every chain to its latest version not newer than ts —
 // the surviving version keeps its timestamp — while preserving any versions
 // newer than ts, so a mid-history truncate cannot destroy uncommitted
-// future state. The engine calls it with ts = ^uint64(0) after a batch
-// commits to discard temporal objects (Section 8.3.3); disabling clean-up
-// reproduces the unbounded memory growth of Fig. 16b.
+// future state. Truncate(^uint64(0)) is the full batch-boundary clean-up
+// that discards temporal objects (Section 8.3.3); the engine takes its
+// O(touched) form, TruncateFor, and disabling clean-up reproduces the
+// unbounded memory growth of Fig. 16b.
 //
 // The fast path shrinks each chain in place (quiescence makes that legal
 // here) and drops every discarded Value reference immediately. Once a
@@ -727,19 +747,104 @@ func (t *Table) VersionCount(k Key) int {
 func (t *Table) Truncate(ts uint64) {
 	t.lockAll()
 	defer t.unlockAll()
+	t.truncateAll(ts)
+}
+
+// truncateAll is Truncate under the held stripe sweep.
+func (t *Table) truncateAll(ts uint64) {
 	ly := t.layout.Load()
 	for si := range ly.shards {
 		truncateShard(&ly.shards[si], ts)
 	}
+	if ts == ^uint64(0) {
+		t.untracked.Store(false)
+	}
 }
 
-// compactAfterInstalls is the chunk-churn threshold (varena + harena swap-ins
-// since the last compaction) above which Truncate compacts a shard.
+// TruncateFor is Truncate(^uint64(0)) in O(len(dirty)) instead of O(keys):
+// it collapses only the chains named in dirty. That is the same clean-up
+// because of an inductive invariant the table maintains — a chain outside
+// the batch's dirty set holds at most one version. It holds after any full
+// Truncate(^0) (and trivially for a fresh or freshly preloaded table);
+// between two batch boundaries only the executor's writes lengthen chains,
+// every one of them at a key the sealed batch exported in its dirty set
+// (planner per-key lists plus the ND keys resolved during execution); and
+// collapsing exactly those chains restores it. Writers the dirty set cannot
+// know about — the string-keyed Write, a direct Table.WriteID, Restore and
+// RestoreDelta — mark the table untracked, and the next TruncateFor then
+// falls back to the full sweep, which re-establishes the invariant.
+//
+// dirty may hold duplicates, ids that were only read, ids whose writes were
+// rolled back and ids the table never saw: collapsing a chain of at most one
+// version is a no-op. A shard that is due for compaction (compactionDue) is
+// still compacted whole, exactly as Truncate would. Same quiescence contract
+// as Truncate.
+func (t *Table) TruncateFor(dirty []KeyID) {
+	t.lockAll()
+	defer t.unlockAll()
+	if t.untracked.Load() {
+		t.truncateAll(^uint64(0))
+		return
+	}
+	ly := t.layout.Load()
+	for si := range ly.shards {
+		if sh := &ly.shards[si]; sh.compactionDue() {
+			truncateShard(sh, ^uint64(0))
+		}
+	}
+	// Each dirty chain costs three dependent cache misses — slot, header,
+	// version run — and the collapse ends in an atomic store, a full fence
+	// on amd64 that would serialise one chain's misses behind the previous
+	// chain's. So work in blocks: first only load (the misses of a block
+	// overlap), then only store (into lines that have arrived).
+	var block [64]struct {
+		c    *chain
+		last Version
+	}
+	for len(dirty) > 0 {
+		ids := dirty[:min(len(dirty), len(block))]
+		dirty = dirty[len(ids):]
+		n := 0
+		for _, id := range ids {
+			if c := ly.headerAt(id); c != nil {
+				if vs := c.snap(); len(vs) > 1 {
+					block[n].c, block[n].last = c, vs[len(vs)-1]
+					n++
+				}
+			}
+		}
+		for i := range block[:n] {
+			b := &block[i]
+			// A duplicate id appears twice in one block; the second visit
+			// finds the chain already collapsed and rewrites the same state.
+			vs := b.c.snap()
+			vs[0] = b.last
+			clear(vs[1:]) // release discarded Value references
+			b.c.n.Store(1)
+		}
+	}
+}
+
+// compactAfterInstalls is the least chunk churn (varena + harena swap-ins
+// since the last compaction) that makes a shard worth compacting.
 const compactAfterInstalls = 2
 
-func truncateShard(sh *tableShard, ts uint64) {
+// compactionDue reports whether the shard's arenas have churned enough
+// chunks since the last compaction to be worth compacting: half of what that
+// compaction itself had to install — the shard's live size in chunks — and
+// never less than compactAfterInstalls. Compacting copies every chain of the
+// shard, so a fixed threshold would charge a large shard its whole size
+// every few batches; the proportional one pays the O(shard) copy once per
+// O(shard) chunks of churn, and still bounds the garbage by half the live
+// size.
+func (sh *tableShard) compactionDue() bool {
 	installs := sh.varena.installs.Load() + sh.harena.installs.Load()
-	compact := installs-sh.lastInstalls >= compactAfterInstalls
+	return installs-sh.lastInstalls >= max(compactAfterInstalls, sh.liveInstalls/2)
+}
+
+func truncateShard(sh *tableShard, ts uint64) {
+	compact := sh.compactionDue()
+	before := sh.varena.installs.Load() + sh.harena.installs.Load()
 	if compact {
 		// Fresh chunks first: survivors move into them and every old chunk
 		// becomes garbage the moment the last slot is republished.
@@ -785,7 +890,9 @@ func truncateShard(sh *tableShard, ts uint64) {
 		}
 	}
 	if compact {
-		sh.lastInstalls = sh.varena.installs.Load() + sh.harena.installs.Load()
+		installs := sh.varena.installs.Load() + sh.harena.installs.Load()
+		sh.liveInstalls = installs - before
+		sh.lastInstalls = installs
 	}
 }
 
@@ -999,6 +1106,7 @@ func (t *Table) Restore(shards [][]Entry) {
 	// become garbage wholesale. Restored keys count as births (the key set
 	// is rebuilt), keeping the engine's universe staleness signal honest.
 	t.layout.Store(newLayout(1, 1, &t.births))
+	t.noteUntracked()
 	var wg sync.WaitGroup
 	for _, es := range shards {
 		if len(es) == 0 {
@@ -1028,6 +1136,7 @@ func (t *Table) Restore(shards [][]Entry) {
 func (t *Table) RestoreDelta(shards [][]Entry) {
 	t.lockAll()
 	defer t.unlockAll()
+	t.noteUntracked()
 	var wg sync.WaitGroup
 	for _, es := range shards {
 		if len(es) == 0 {
@@ -1053,6 +1162,7 @@ func (t *Table) Clone() *Table {
 	defer t.unlockAll()
 	ly := t.layout.Load()
 	c := &Table{dict: t.dict}
+	c.untracked.Store(t.untracked.Load())
 	nl := newLayout(ly.num, KeyID(ly.span), &c.births)
 	ly.forEach(func(id KeyID, vs []Version) {
 		sh := nl.of(id)

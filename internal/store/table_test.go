@@ -406,3 +406,194 @@ func TestAlignNeverShrinksAndCoversPresent(t *testing.T) {
 		t.Fatalf("value lost across Align: %v,%v", v, ok)
 	}
 }
+
+// --- TruncateFor: the O(touched) batch-boundary clean-up ---
+
+// sameTables fails unless a and b are indistinguishable to every whole-table
+// reader: same latest values, version totals and surviving timestamps.
+func sameTables(t *testing.T, label string, got, want *Table) {
+	t.Helper()
+	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: Snapshot differs:\n got %v\nwant %v", label, g, w)
+	}
+	if g, w := got.TotalVersions(), want.TotalVersions(); g != w {
+		t.Fatalf("%s: TotalVersions = %d; want %d", label, g, w)
+	}
+	g := flattenEntries(t, label+" got", got.LatestSince(0))
+	if w := flattenEntries(t, label+" want", want.LatestSince(0)); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: LatestSince(0) differs:\n got %v\nwant %v", label, g, w)
+	}
+}
+
+// TestTruncateForToleratesSloppyDirtySets: the engine's dirty set is a
+// superset with noise — duplicates, keys that were only read, keys whose
+// write was rolled back, ids the table never held (an ND read that missed,
+// NoKeyID, an id beyond every shard). None of it may change the outcome
+// relative to the full sweep.
+func TestTruncateForToleratesSloppyDirtySets(t *testing.T) {
+	const n = 64
+	ids := make([]KeyID, n)
+	for i := range ids {
+		ids[i] = Intern(fmt.Sprintf("sloppy/%d", i))
+	}
+	never := Intern("sloppy/never-written")
+	build := func() *Table {
+		tb := NewTable()
+		for i, id := range ids {
+			tb.PreloadID(id, int64(i))
+		}
+		tb.Align(4, ids[n-1]+1)
+		return tb
+	}
+	got, want := build(), build()
+	ts := uint64(0)
+	for round := 1; round <= 3; round++ {
+		var dirty []KeyID
+		for _, tb := range []*Table{got, want} {
+			v := tb.View() // the executor's write path: tracked by the dirty set
+			for i, id := range ids {
+				switch i % 4 {
+				case 0: // written twice
+					v.WriteID(id, ts+1, int64(round*1000+i))
+					v.WriteID(id, ts+2, int64(round*2000+i))
+				case 1: // written, then rolled back
+					v.WriteID(id, ts+1, int64(-1))
+					v.RemoveID(id, ts+1)
+				case 2: // read only
+					v.ReadID(id, ts+1)
+				}
+			}
+		}
+		ts += 2
+		for i, id := range ids {
+			if i%4 != 3 {
+				dirty = append(dirty, id, id) // every touched key, twice
+			}
+		}
+		dirty = append(dirty, never, NoKeyID, NoKeyID-1, ids[n-1]+1<<20)
+		got.TruncateFor(dirty)
+		want.Truncate(^uint64(0))
+		sameTables(t, fmt.Sprintf("round %d", round), got, want)
+		if tv := got.TotalVersions(); tv != n {
+			t.Fatalf("round %d: %d versions over %d keys", round, tv, n)
+		}
+	}
+}
+
+// TestTruncateForFallsBackWhenUntracked: a write the dirty set cannot know
+// about (the string API here) must not leak history past the next clean-up —
+// TruncateFor takes the full sweep once, then returns to visiting only what
+// it is told about.
+func TestTruncateForFallsBackWhenUntracked(t *testing.T) {
+	tb := NewTable()
+	tb.Preload("untracked/a", int64(0))
+	tb.Preload("untracked/b", int64(0))
+	for ts := uint64(1); ts <= 3; ts++ {
+		tb.Write("untracked/a", ts, int64(ts))
+	}
+	tb.TruncateFor(nil)
+	if n := tb.VersionCount("untracked/a"); n != 1 {
+		t.Fatalf("after an untracked write, TruncateFor(nil) left %d versions; want 1 (full sweep)", n)
+	}
+	// Tracked again: a View write outside the dirty set is the caller's bug,
+	// and the proof that only the dirty chains are visited.
+	b, _ := LookupID("untracked/b")
+	tb.View().WriteID(b, 10, int64(10))
+	tb.TruncateFor(nil)
+	if n := tb.VersionCountID(b); n != 2 {
+		t.Fatalf("TruncateFor(nil) on a tracked table touched a chain outside dirty: %d versions; want 2", n)
+	}
+	tb.TruncateFor([]KeyID{b})
+	if n := tb.VersionCountID(b); n != 1 {
+		t.Fatalf("TruncateFor({b}) left %d versions; want 1", n)
+	}
+	// Recovery layers deltas over existing chains: untracked again.
+	tb.RestoreDelta([][]Entry{{{Key: "untracked/a", TS: 20, Value: int64(20)}}})
+	tb.TruncateFor(nil)
+	if n := tb.VersionCount("untracked/a"); n != 1 {
+		t.Fatalf("after RestoreDelta, TruncateFor(nil) left %d versions; want 1", n)
+	}
+}
+
+// TestTruncateForCompactsDueShardWhole: the arena recycle is per shard and
+// all-or-nothing. A shard whose arenas churned past compactAfterInstalls is
+// compacted whole — chains outside the dirty set move to the fresh chunks
+// too, or the old chunks could never be freed — while a quiet shard's
+// untouched chains are not even looked at.
+func TestTruncateForCompactsDueShardWhole(t *testing.T) {
+	const n = 1024
+	ids := make([]KeyID, n)
+	for i := range ids {
+		ids[i] = Intern(fmt.Sprintf("compact/%d", i))
+	}
+	tb := NewTable()
+	for i, id := range ids {
+		tb.PreloadID(id, int64(i))
+	}
+	// The process dictionary hands out this test's ids somewhere above 0;
+	// a span of twice their midpoint puts the shard boundary in their middle.
+	tb.Align(2, 2*ids[n/2])
+	ly := tb.layout.Load()
+	var busy, quiet []KeyID // keys of shard 0 and shard 1
+	for _, id := range ids {
+		if ly.indexOf(id) == 0 {
+			busy = append(busy, id)
+		} else {
+			quiet = append(quiet, id)
+		}
+	}
+	if len(busy) < 200 || len(quiet) < 2 {
+		t.Fatalf("shard split %d/%d: the process dictionary put too few test keys in a shard", len(busy), len(quiet))
+	}
+	busyBystander, churned := busy[0], busy[1:]
+	quietBystander, quietWritten := quiet[0], quiet[1]
+
+	// Long in-order chains on shard 0 regrow their runs again and again:
+	// far more than compactAfterInstalls chunks of version garbage.
+	v := tb.View()
+	const depth = 64
+	for ts := uint64(1); ts <= depth; ts++ {
+		for _, id := range churned {
+			v.WriteID(id, ts, int64(ts))
+		}
+	}
+	v.WriteID(quietWritten, 1, int64(1)) // in place: preload left headroom
+	sh0, sh1 := &ly.shards[0], &ly.shards[1]
+	if !sh0.compactionDue() || sh1.compactionDue() {
+		t.Fatalf("set-up: compaction due = %v/%v; want true/false", sh0.compactionDue(), sh1.compactionDue())
+	}
+	busyHdr, quietHdr := ly.headerAt(busyBystander), ly.headerAt(quietBystander)
+
+	tb.TruncateFor(append(append([]KeyID(nil), churned...), quietWritten))
+
+	if sh0.compactionDue() {
+		t.Fatal("shard 0 still due after TruncateFor: it was not compacted")
+	}
+	if ly.headerAt(busyBystander) == busyHdr {
+		t.Fatal("shard 0 was due, but a chain outside dirty kept its old header: the shard was not compacted whole")
+	}
+	if ly.headerAt(quietBystander) != quietHdr {
+		t.Fatal("shard 1 was not due, but a chain outside dirty was re-installed")
+	}
+	if tv := tb.TotalVersions(); tv != n {
+		t.Fatalf("%d versions over %d keys after TruncateFor", tv, n)
+	}
+	for _, id := range churned {
+		if val, ok := tb.LatestID(id); !ok || val.(int64) != depth {
+			t.Fatalf("churned key %d = %v,%v; want %d", id, val, ok, depth)
+		}
+	}
+	if val, _ := tb.LatestID(quietWritten); val.(int64) != 1 {
+		t.Fatalf("quiet shard's written key = %v; want 1", val)
+	}
+	// The compacted runs were sized to the observed demand: the next batch
+	// of the same shape appends in place and the shard does not come due.
+	for ts := uint64(depth + 1); ts <= 2*depth; ts++ {
+		for _, id := range churned {
+			v.WriteID(id, ts, int64(ts))
+		}
+	}
+	if sh0.compactionDue() {
+		t.Fatal("steady-state batch after compaction churned the arena again")
+	}
+}

@@ -74,6 +74,11 @@ const ListShards = 64
 type listShard struct {
 	mu sync.Mutex
 	m  map[store.KeyID]*keyList
+	// touched lists the keys whose list received its first entry of the
+	// batch, in arrival order: AppendDirtyKeys reads the batch's key set off
+	// it instead of walking m, which still holds the previous batch's
+	// emptied lists.
+	touched []store.KeyID
 
 	// edges and writes are Finalize scratch, owned by deriveShard and
 	// retained across Reset so steady-state construction stays
@@ -184,6 +189,7 @@ func (b *Builder) Reset() {
 		// is collectable once its consumers drop it.
 		s.edges = clearCap(s.edges)
 		s.writes = clearCap(s.writes)
+		s.touched = s.touched[:0]
 		s.mu.Unlock()
 	}
 	b.mu.Lock()
@@ -203,6 +209,9 @@ func (b *Builder) appendEntry(id store.KeyID, e entry) {
 		}
 		l = &keyList{}
 		s.m[id] = l
+	}
+	if len(l.entries) == 0 {
+		s.touched = append(s.touched, id)
 	}
 	l.entries = append(l.entries, e)
 	if e.kind == real && b.fusion && e.op.Fusible() {
@@ -336,8 +345,9 @@ type Props struct {
 // AppendDirtyKeys appends the id of every key the batch under construction
 // touches — the keys with at least one per-key-list entry, i.e. every
 // operation target and every parametric source — and returns the extended
-// slice. The durability layer uses it as the batch's dirty set: the WAL
-// commit sweep visits only these chains instead of the whole table. The set
+// slice. The engine uses it as the batch's dirty set: the WAL commit sweep
+// and the batch-boundary clean-up visit only these chains instead of the
+// whole table. Each key appears once, in first-touch order. The set
 // is a superset of the keys actually written (read-only targets and sources
 // are included; the sweep's timestamp filter drops them), and it misses
 // only keys resolved at execution time by ND operations, which the engine
@@ -350,13 +360,7 @@ func (b *Builder) AppendDirtyKeys(dst []store.KeyID) []store.KeyID {
 	for i := range b.shards {
 		s := &b.shards[i]
 		s.mu.Lock()
-		for id, l := range s.m {
-			// A reused builder keeps empty lists of earlier batches; only
-			// lists touched this batch are dirty.
-			if len(l.entries) > 0 {
-				dst = append(dst, id)
-			}
-		}
+		dst = append(dst, s.touched...)
 		s.mu.Unlock()
 	}
 	return dst

@@ -483,3 +483,45 @@ func TestRecycleNilGraphIsNoop(t *testing.T) {
 		t.Fatalf("ops = %d; want 1", len(g.Ops))
 	}
 }
+
+// TestAppendDirtyKeysIsTheBatchKeySet: the dirty set is every target and
+// source of the batch under construction, each once — also on a reused
+// builder, which still holds the previous batch's emptied lists, and
+// regardless of how many operations hit a key.
+func TestAppendDirtyKeysIsTheBatchKeySet(t *testing.T) {
+	want := func(keys ...Key) []store.KeyID {
+		ids := make([]store.KeyID, len(keys))
+		for i, k := range keys {
+			ids[i] = store.Intern(k)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids
+	}
+	check := func(label string, b *Builder, keys ...Key) {
+		t.Helper()
+		got := b.AppendDirtyKeys(nil)
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if fmt.Sprint(got) != fmt.Sprint(want(keys...)) {
+			t.Fatalf("%s: dirty = %v; want %v", label, got, want(keys...))
+		}
+	}
+	b := NewBuilder(nil)
+	t1 := txn.NewTransaction(1, 1)
+	mkWrite(t1, "dk/A", "dk/A")
+	mkWrite(t1, "dk/B", "dk/A", "dk/C") // C only as a source
+	t2 := txn.NewTransaction(2, 2)
+	mkWrite(t2, "dk/A", "dk/A") // A again: still one entry
+	b.AddTxns([]*txn.Transaction{t1, t2}, 1)
+	check("first batch", b, "dk/A", "dk/B", "dk/C")
+	if got := b.AppendDirtyKeys([]store.KeyID{7}); len(got) != 4 || got[0] != 7 {
+		t.Fatalf("AppendDirtyKeys must append to dst: %v", got)
+	}
+
+	b.Recycle(b.Finalize(1))
+	b.Reset()
+	check("after Reset", b)
+	t3 := txn.NewTransaction(3, 3)
+	mkWrite(t3, "dk/B", "dk/D")
+	b.AddTxn(t3)
+	check("reused builder", b, "dk/B", "dk/D")
+}
