@@ -503,7 +503,10 @@ func BenchmarkExecContendedExplore(b *testing.B) {
 
 // BenchmarkExecContendedAbort stresses the abort path under contention: a
 // hot-key workload where ~15% of transactions carry forced failures, so
-// rollback rounds repeatedly fence the explore loop.
+// rollback rounds repeatedly fence the explore loop. The gs-hot-abort variant
+// is one batch of msbench's workload of that name, so the Go gate holds what
+// the end-to-end benchmark measures there: abort rounds that cost what they
+// touch (observed-version closure, local scheduler rebuild).
 func BenchmarkExecContendedAbort(b *testing.B) {
 	cfg := workload.DefaultGS()
 	cfg.Txns = 1024
@@ -511,14 +514,43 @@ func BenchmarkExecContendedAbort(b *testing.B) {
 	cfg.ComplexityUS = 0
 	cfg.AbortRatio = 0.15
 	batch := workload.GS(cfg)
+	eAbort := sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: sched.EAbort}
 	for _, d := range []sched.Decision{
-		{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: sched.EAbort},
+		eAbort,
 		{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: sched.LAbort},
 	} {
 		for _, v := range shardVariants() {
 			b.Run(d.String()+"/"+v.name, func(b *testing.B) { benchContendedRun(b, batch, d, v.shards) })
 		}
 	}
+	hot := gsHotAbortBatch()
+	b.Run("gs-hot-abort/"+eAbort.String(), func(b *testing.B) { benchContendedRun(b, hot, eAbort, 0) })
+}
+
+// gsHotAbortBatch generates one punctuation of msbench's gs-hot-abort shape:
+// 1,024 events of two writes each over 16,384 keys at Zipf 1.0, three source
+// states per write, 20 % forced failures, 5 us UDFs.
+func gsHotAbortBatch() *workload.Batch {
+	cfg := workload.DefaultGS()
+	cfg.Txns = 1024
+	cfg.StateSize = 16384
+	cfg.Theta = 1.0
+	cfg.Length = 2
+	cfg.MultiRatio = 1
+	cfg.AbortRatio = 0.20
+	cfg.ComplexityUS = 5
+	batch := workload.GS(cfg)
+	// workload.GS draws at most two sources per write. The third is borrowed
+	// from the next transaction's first draw, which came off the same Zipf
+	// sampler.
+	for i := range batch.Specs {
+		next := batch.Specs[(i+1)%len(batch.Specs)]
+		for j := range batch.Specs[i].Ops {
+			op := &batch.Specs[i].Ops[j]
+			op.Srcs = append(op.Srcs, next.Ops[j].Srcs[0])
+		}
+	}
+	return batch
 }
 
 // BenchmarkPipelinedThroughput compares the engine's two front doors on the

@@ -588,6 +588,7 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 		res.Aborted += r.Aborted
 		res.AbortRounds += r.AbortRounds
 		res.Redos += r.Redos
+		res.ResetTxns += r.ResetTxns
 		res.OpsExecuted += r.OpsExecuted
 		res.Steals += r.Steals
 		res.Parks += r.Parks

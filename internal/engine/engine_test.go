@@ -375,3 +375,54 @@ func TestEngineEmptyPunctuation(t *testing.T) {
 		t.Fatalf("empty punctuation result: %+v", res)
 	}
 }
+
+// TestResetTxnsCounted pins the abort-attribution counter: a transaction
+// whose first write lands and whose second fails takes down exactly the one
+// later transaction that read the landed version. That is one abort round,
+// one transaction reset, one operation redone — in BatchResult,
+// PipelineStats and the registry alike.
+func TestResetTxnsCounted(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	lazy := sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: sched.LAbort}
+	e := New(Config{Threads: 1, Strategy: &lazy}, WithTelemetry(reg))
+	e.Table().Preload("a", int64(1))
+	e.Table().Preload("b", int64(1))
+	e.Table().Preload("out", int64(0))
+
+	op := OperatorFuncs{
+		Pre:    func(*Event) (*txn.EventBlotter, error) { return txn.NewEventBlotter(), nil },
+		Access: func(_ *txn.EventBlotter, b *txn.Builder) error { return nil },
+	}
+	writeThenFail := op
+	writeThenFail.Access = func(_ *txn.EventBlotter, b *txn.Builder) error {
+		b.Write("a", []txn.Key{"a"}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) {
+			return src[0].(int64) + 10, nil
+		})
+		b.Write("b", nil, func(*txn.Ctx, []txn.Value) (txn.Value, error) { return nil, txn.ErrAbort })
+		return nil
+	}
+	readA := op
+	readA.Access = func(_ *txn.EventBlotter, b *txn.Builder) error {
+		b.Write("out", []txn.Key{"a"}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) { return src[0], nil })
+		return nil
+	}
+	_ = e.Submit(writeThenFail, &Event{})
+	_ = e.Submit(readA, &Event{})
+	res := e.Punctuate()
+
+	if res.Aborted != 1 || res.AbortRounds != 1 || res.ResetTxns != 1 || res.Redos != 1 {
+		t.Fatalf("aborted/rounds/resets/redos = %d/%d/%d/%d; want 1/1/1/1", res.Aborted, res.AbortRounds, res.ResetTxns, res.Redos)
+	}
+	if got := e.PipelineStats().ResetTxns; got != 1 {
+		t.Errorf("PipelineStats.ResetTxns = %d; want 1", got)
+	}
+	for _, s := range reg.Snapshot() {
+		if s.Name == "morph_engine_abort_reset_txns_total" {
+			if s.Value != 1 {
+				t.Errorf("morph_engine_abort_reset_txns_total = %d; want 1", s.Value)
+			}
+			return
+		}
+	}
+	t.Error("morph_engine_abort_reset_txns_total is not registered")
+}

@@ -27,10 +27,14 @@ type PipelineStats struct {
 	// Committed and Aborted count state transactions.
 	Committed int64
 	Aborted   int64
-	// AbortRounds, Redos and OpsExecuted aggregate the executor's abort
-	// machinery and operation counts (exec.Result, summed over batches).
+	// AbortRounds, Redos, ResetTxns and OpsExecuted aggregate the executor's
+	// abort machinery and operation counts (exec.Result, summed over
+	// batches). ResetTxns splits a rising redo ratio into its two causes:
+	// per AbortRounds it is the width of a rollback closure, per Aborted the
+	// collateral of one abort.
 	AbortRounds int64
 	Redos       int64
+	ResetTxns   int64
 	OpsExecuted int64
 	// Steals and Parks aggregate the executor's work-stealing and
 	// spin-then-park activity (exec.Result.Steals/Parks, summed).
@@ -76,6 +80,7 @@ type pipeTotals struct {
 	events, dropped    atomic.Int64
 	committed, aborted atomic.Int64
 	abortRounds, redos atomic.Int64
+	resetTxns          atomic.Int64
 	opsExecuted        atomic.Int64
 	steals, parks      atomic.Int64
 	fusedOps           atomic.Int64
@@ -130,10 +135,11 @@ func (e *Engine) setupTelemetry() {
 		{"morph_engine_txn_aborted_total", "State transactions aborted.", &t.aborted},
 		{"morph_engine_abort_rounds_total", "Abort/rollback machinery invocations.", &t.abortRounds},
 		{"morph_engine_redos_total", "Operation re-executions caused by rollback.", &t.redos},
+		{"morph_engine_abort_reset_txns_total", "Transactions sent back for redo by abort rounds (closure width, summed).", &t.resetTxns},
 		{"morph_engine_fused_ops_total", "Operations executed inside fused TPG vertices.", &t.fusedOps},
 		{"morph_exec_steals_total", "Units popped from a non-home shard ring.", &t.steals},
 		{"morph_exec_parks_total", "Spin-budget expiries that put a worker to sleep.", &t.parks},
-		{"morph_exec_ops_total", "Successful first-run operation executions.", &t.opsExecuted},
+		{"morph_exec_ops_total", "Successful operation executions, redos included.", &t.opsExecuted},
 	} {
 		reg.CounterFunc(v.name, v.help, v.total.Load)
 	}
@@ -187,6 +193,7 @@ func (e *Engine) recordBatch(res *BatchResult, commitTime, cleanupTime time.Dura
 	t.aborted.Add(int64(res.Aborted))
 	t.abortRounds.Add(int64(res.AbortRounds))
 	t.redos.Add(int64(res.Redos))
+	t.resetTxns.Add(int64(res.ResetTxns))
 	t.opsExecuted.Add(int64(res.OpsExecuted))
 	t.steals.Add(int64(res.Steals))
 	t.parks.Add(int64(res.Parks))
@@ -225,6 +232,7 @@ func (e *Engine) PipelineStats() PipelineStats {
 		Aborted:        t.aborted.Load(),
 		AbortRounds:    t.abortRounds.Load(),
 		Redos:          t.redos.Load(),
+		ResetTxns:      t.resetTxns.Load(),
 		OpsExecuted:    t.opsExecuted.Load(),
 		Steals:         t.steals.Load(),
 		Parks:          t.parks.Load(),

@@ -14,6 +14,17 @@ import (
 // worker has passed the fence), mutates runtime state exclusively, and
 // drops the fence.
 //
+// What the fence buys the coordinator: every store a worker made inside an
+// epoch section — operation states, written records, failure entries, the
+// unit it holds (scratch.held), pending counts, ring cursors — happens before
+// the coordinator's load of that worker's even counter, and everything the
+// coordinator writes happens before any worker's load of the dropped fence.
+// So the abort round reads operation states and held slots as plain data, and
+// a worker re-entering the epoch sees the round's result whole. A worker
+// finishes whatever section it is in before the fence takes effect, which is
+// why no operation is ever RDY, and no popped unit ever unpublished, while
+// the coordinator looks.
+//
 // Counter protocol: even = outside the epoch (quiescent), odd = inside. A
 // worker that observes the fence after incrementing retreats (increments
 // back to even) and parks until the fence drops, so once the coordinator

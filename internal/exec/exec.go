@@ -1,7 +1,8 @@
 // Package exec implements MorphStream's Execution stage (paper Section 6):
 // threads traverse the scheduled units of the S-TPG, execute operations
 // against the multi-versioning state table, and handle aborts by rolling
-// back state and redoing affected downstream operations.
+// back state and redoing the operations that observed a removed version
+// (abort.go states the rule).
 //
 // The package realises the full 3x2x2 strategy matrix of Section 5:
 // {s-explore(BFS), s-explore(DFS), ns-explore} x {f-, c-schedule} x
@@ -13,11 +14,12 @@
 // lock around operation execution. Workers enter and leave a per-worker
 // epoch (one padded-atomic increment each way) around every operation; the
 // abort path raises a fence and waits for every worker to quiesce before
-// rolling back state, rewriting edges, and rebuilding the scheduler
-// runtime. Result blotting is sharded the same way: UDF results buffer in
-// per-worker sinks (txn.ResultSink) and merge into the transactions'
-// blotters only at quiescent points, as do the per-worker time-breakdown
-// counters, so the ns-scale hot loop touches no shared cacheline.
+// rolling back state, rewriting edges, and rebuilding the part of the
+// scheduler runtime the round touched. Result blotting is sharded the same
+// way: UDF results buffer in per-worker sinks (txn.ResultSink) and merge into
+// the transactions' blotters only at quiescent points, as do the per-worker
+// time-breakdown counters, so the ns-scale hot loop touches no shared
+// cacheline.
 //
 // Data layout — KeyID-range shards (shard.go): the execution layer is
 // partitioned into contiguous KeyID ranges, each owning a bounded MPMC
@@ -68,7 +70,11 @@ type Result struct {
 	AbortRounds int
 	// Redos counts operation re-executions caused by rollback.
 	Redos int
-	// OpsExecuted counts successful operation executions (first runs).
+	// ResetTxns counts transactions sent back for redo, summed over the
+	// abort rounds: Redos/ResetTxns is the width of a reset, ResetTxns per
+	// round the width of a closure.
+	ResetTxns int
+	// OpsExecuted counts successful operation executions, redos included.
 	OpsExecuted int
 	// Steals counts units a worker popped from a non-home shard ring.
 	Steals int
@@ -141,12 +147,24 @@ type executor struct {
 	redos       atomic.Int64
 	execs       atomic.Int64
 	abortRounds int
+	resets      int
+
+	// roundHook, when non-nil, runs under the fence at the end of every
+	// local rebuild; tests use it to compare the incremental state against
+	// a from-scratch recomputation.
+	roundHook func()
 }
 
 // Run executes the graph under the given configuration and returns the
 // batch result. It blocks until every operation is settled (EXE or ABT)
 // and all aborts are fully processed.
 func Run(g *tpg.Graph, cfg Config) Result {
+	return newExecutor(g, cfg).run()
+}
+
+// newExecutor builds the runtime state of one batch execution: scheduling
+// units, shard map and per-worker scratch. No worker exists yet.
+func newExecutor(g *tpg.Graph, cfg Config) *executor {
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
 	}
@@ -177,15 +195,12 @@ func Run(g *tpg.Graph, cfg Config) Result {
 		ex.strata = sched.StratifySharded(units, ex.homeOf, len(ex.shards))
 		sw.Stop(cfg.Breakdown, metrics.Explore)
 	}
+	return ex
+}
 
-	switch cfg.Decision.Explore {
-	case sched.SExploreBFS:
-		ex.runBFS()
-	case sched.SExploreDFS:
-		ex.runDFS()
-	case sched.NSExplore:
-		ex.runNS()
-	}
+// run explores the graph to completion and summarises the batch.
+func (ex *executor) run() Result {
+	ex.resume()
 
 	// Lazy abort handling: fixpoint rounds after full exploration. Eager
 	// handling may also leave residual failures (failures marked while an
@@ -200,7 +215,7 @@ func Run(g *tpg.Graph, cfg Config) Result {
 		}
 		sw := metrics.Start()
 		ex.flushResults()
-		ex.handleAborts(failed)
+		ex.handleAborts(failed, false)
 		sw.Stop(ex.cfg.Breakdown, metrics.Abort)
 		ex.resume()
 	}
@@ -210,11 +225,12 @@ func Run(g *tpg.Graph, cfg Config) Result {
 	res := Result{
 		AbortRounds: ex.abortRounds,
 		Redos:       int(ex.redos.Load()),
+		ResetTxns:   ex.resets,
 		OpsExecuted: int(ex.execs.Load()),
 		Steals:      int(ex.steals.Load()),
 		Parks:       int(ex.parks.Load()),
 	}
-	for _, t := range g.Txns {
+	for _, t := range ex.g.Txns {
 		if t.Aborted() {
 			res.Aborted++
 		} else {
@@ -224,8 +240,8 @@ func Run(g *tpg.Graph, cfg Config) Result {
 	return res
 }
 
-// resume re-runs the exploration loop after a lazy abort round reset some
-// operations.
+// resume runs the exploration loop: once for the batch, and again after
+// each lazy abort round reset some operations.
 func (ex *executor) resume() {
 	switch ex.cfg.Decision.Explore {
 	case sched.SExploreBFS:
@@ -292,7 +308,11 @@ type scratch struct {
 	winSrc [][]store.Version
 	sink   txn.ResultSink
 	bd     metrics.Local
-	_      [cacheLineSize]byte
+	// held is the unit an ns-explore worker popped and has not yet
+	// completed. The worker writes it only inside the epoch, the abort
+	// coordinator reads and clears it only under the fence (rebuildLocal).
+	held *sched.Unit
+	_    [cacheLineSize]byte
 }
 
 // flushResults merges every worker's buffered results into the

@@ -33,7 +33,7 @@ func (ex *executor) runBFS() {
 				ex.abortMu.Lock()
 				sw := metrics.Start()
 				ex.flushResults()
-				ex.handleAborts(failed)
+				ex.handleAborts(failed, false)
 				sw.Stop(ex.cfg.Breakdown, metrics.Abort)
 				ex.abortMu.Unlock()
 				// Restart from the outermost stratum with unsettled work.
@@ -189,7 +189,7 @@ func (ex *executor) eagerAbort() {
 		ex.quiesce(func() {
 			sw := metrics.Start()
 			ex.flushResults()
-			ex.handleAborts(ex.takeFailed())
+			ex.handleAborts(ex.takeFailed(), ex.cfg.Decision.Explore == sched.NSExplore)
 			sw.Stop(ex.cfg.Breakdown, metrics.Abort)
 		})
 	}
@@ -306,11 +306,12 @@ func (ex *executor) runNS() {
 const nsSpinLimit = 128
 
 // nsNext claims the next ready unit: home ring first, then a steal sweep
-// over the other shards. Claims (pop plus epoch read) happen inside one
+// over the other shards. Claims (pop, hold, epoch read) happen inside one
 // epoch section, so a concurrent abort rebuild either ran entirely before
 // the claim — and the epoch tag is current — or is fenced out until the
-// claim returns; this covers steals from any victim shard too. ok=false
-// means the batch is complete.
+// claim returns, and then finds the unit in the worker's held slot; this
+// covers steals from any victim shard too. ok=false means the batch is
+// complete.
 func (ex *executor) nsNext(wid, home int) (u *sched.Unit, myEpoch int64, ok bool) {
 	sc := &ex.scratches[wid]
 	var sw metrics.Stopwatch
@@ -325,14 +326,12 @@ func (ex *executor) nsNext(wid, home int) (u *sched.Unit, myEpoch int64, ok bool
 	spins := 0
 	for {
 		ex.enterExec(wid)
-		if u := ex.shards[home].ring.tryPop(); u != nil {
-			e := ex.epoch.Load()
-			ex.exitExec(wid)
-			return u, e, true
-		}
-		for d := 1; d < len(ex.shards); d++ {
+		for d := 0; d < len(ex.shards); d++ {
 			if u := ex.shards[(home+d)%len(ex.shards)].ring.tryPop(); u != nil {
-				ex.steals.Add(1)
+				if d > 0 {
+					ex.steals.Add(1)
+				}
+				sc.held = u
 				e := ex.epoch.Load()
 				ex.exitExec(wid)
 				return u, e, true
@@ -353,6 +352,7 @@ func (ex *executor) nsNext(wid, home int) (u *sched.Unit, myEpoch int64, ok bool
 }
 
 func (ex *executor) nsWorker(wid, home int) {
+	sc := &ex.scratches[wid]
 	for {
 		u, myEpoch, ok := ex.nsNext(wid, home)
 		if !ok {
@@ -369,6 +369,8 @@ func (ex *executor) nsWorker(wid, home int) {
 			}
 		}
 		if abandoned {
+			// The round that bumped the epoch took the unit over from the
+			// held slot (rebuildLocal), or a full rebuild re-seeded it.
 			continue
 		}
 		// Propagate completion inside the epoch so an abort rebuild cannot
@@ -376,6 +378,7 @@ func (ex *executor) nsWorker(wid, home int) {
 		// own home shard's ring (the only cross-shard write on this path).
 		finished := false
 		ex.enterExec(wid)
+		sc.held = nil
 		if ex.epoch.Load() == myEpoch {
 			if ex.completeUnit(u) {
 				for _, c := range u.Children() {

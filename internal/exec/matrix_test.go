@@ -177,13 +177,27 @@ func TestStrategyMatrixSeededWorkloads(t *testing.T) {
 		{kind: "GSND", seed: 12, theta: 0.6, abortPct: 0.1, txns: 120, states: 10},
 		{kind: "GSND", seed: 13, theta: 0.9, abortPct: 0.2, txns: 120, states: 8},
 		{kind: "GSND", seed: 14, theta: 1.2, abortPct: 0.1, txns: 100, states: 6},
+		// Rollback-rule probes: at this skew and abort ratio fused runs
+		// settle with every constituent aborted, and aborted TD successors
+		// sit between a run's last version and its readers — the shapes an
+		// observed-version closure must pass through. Each HK case below fails
+		// deterministically, with fusion on, when ABT children reached from a
+		// fused vertex are not passed through (at other sizes most of these
+		// seeds do not catch it, hence the per-seed txns/states).
+		{kind: "HK", seed: 51, theta: 0.8, abortPct: 0.3, txns: 40, states: 4},
+		{kind: "HK", seed: 54, theta: 0.8, abortPct: 0.3, txns: 200, states: 16},
+		{kind: "HK", seed: 70, theta: 0.8, abortPct: 0.3, txns: 120, states: 16},
+		{kind: "HK", seed: 80, theta: 0.8, abortPct: 0.3, txns: 240, states: 8},
+		{kind: "SL", seed: 51, theta: 0.8, abortPct: 0.3, txns: 160, states: 8},
+		{kind: "GS", seed: 54, theta: 0.8, abortPct: 0.3, txns: 160, states: 8},
+		{kind: "GSND", seed: 70, theta: 0.8, abortPct: 0.3, txns: 160, states: 8},
 	}
 	if testing.Short() {
 		cases = cases[:4]
 	}
 	for _, mc := range cases {
 		mc := mc
-		t.Run(fmt.Sprintf("%s/seed=%d/a=%v", mc.kind, mc.seed, mc.abortPct), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/seed=%d/a=%v/n=%d", mc.kind, mc.seed, mc.abortPct, mc.txns), func(t *testing.T) {
 			checkMatrixCase(t, mc)
 		})
 	}
@@ -228,6 +242,13 @@ func FuzzStrategyMatrix(f *testing.F) {
 	f.Add(int64(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(2))
 	f.Add(int64(23), uint8(90), uint8(15), uint8(30), uint8(10), uint8(2))
 	f.Add(int64(51), uint8(129), uint8(25), uint8(50), uint8(5), uint8(3))
+	// The rollback-rule probes of TestStrategyMatrixSeededWorkloads.
+	for _, seed := range []int64{51, 54, 70, 80} {
+		f.Add(seed, uint8(80), uint8(30), uint8(0), uint8(0), uint8(2))
+	}
+	f.Add(int64(51), uint8(80), uint8(30), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(54), uint8(80), uint8(30), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(70), uint8(80), uint8(30), uint8(0), uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, theta, abortPct, hot, churn, kind uint8) {
 		mc := matrixCase{
 			kind:     []string{"SL", "GS", "HK", "GSND"}[kind%4],

@@ -15,11 +15,15 @@ import (
 // The queue is a bounded MPMC ring in the same padded-atomic style as the
 // executor's epoch counters: a push claims a slot with one fetch-add on
 // the tail cursor, a pop claims the head index with a CAS, and neither
-// takes a lock. Capacity discipline makes the ring safe: every unit is
-// enqueued at most once per execution epoch (guarded by Unit.Claimed), so
-// a buffer of len(units) slots never wraps, and reset() — which reopens
-// the ring after an abort round — runs only under the abort fence (or with
-// all workers joined), never concurrently with a push or pop.
+// takes a lock. Capacity discipline makes the ring safe: between two resets
+// every unit is enqueued at most once — a worker pushes a child only after
+// winning Unit.Claimed, which stays set until an abort round clears it — so a
+// buffer of len(units) slots never wraps. Every abort round restores that
+// bound before it pushes anything: the full rebuild resets the ring and
+// re-seeds it from the unit table, the incremental round (rebuildLocal)
+// drains what the ring still holds, resets it, and pushes the drained and the
+// newly ready units back once each. Both run only under the abort fence (or
+// with all workers joined), never concurrently with a push or pop.
 type workQueue struct {
 	head   paddedInt64 // next slot to pop
 	tail   paddedInt64 // next slot to push
@@ -74,7 +78,9 @@ func (q *workQueue) isClosed() bool {
 
 // reset clears all queued items and reopens the queue (abort rebuild). The
 // caller must guarantee quiescence; slots are nilled so a pop after reset
-// can never observe a unit published before it.
+// can never observe a unit published before it. The cost is the number of
+// pushes since the previous reset, so an incremental round pays for the work
+// done since the last round, not for the unit table.
 func (q *workQueue) reset() {
 	t := q.tail.v.Load()
 	for i := int64(0); i < t && i < int64(len(q.buf)); i++ {

@@ -108,9 +108,10 @@ type parkLot struct {
 // execShard is the per-shard execution state.
 type execShard struct {
 	// ring is the shard's bounded MPMC ready ring (the PR 2 workQueue).
-	// Capacity is the number of units homed here: a unit enqueues at most
-	// once per execution epoch (Unit.Claimed) and only onto its home ring,
-	// so the ring never wraps.
+	// Capacity is the number of units homed here: a unit enqueues only onto
+	// its home ring and at most once between two ring resets (Unit.Claimed;
+	// every abort round drains or discards the ring and resets it before
+	// pushing), so the ring never wraps.
 	ring *workQueue
 	// units are the scheduling units homed on this shard, in BuildUnits
 	// order; DFS workers scan whole-shard runs of them.

@@ -151,16 +151,24 @@ func (u *Unit) Done() bool {
 // dense per-batch Index (assigned by tpg.Builder.Finalize) and by unit
 // position — no pointer-keyed maps on this path.
 func BuildUnits(g *tpg.Graph, gran Granularity) (units []*Unit, cyclic bool) {
+	// Units are carved from one slab per build, and an f-schedule unit's
+	// one-element Ops aliases the graph's own Ops slice (capped, so nothing
+	// can append into the neighbour): two allocations however many
+	// operations the batch holds.
 	switch gran {
 	case FSchedule:
-		units = make([]*Unit, 0, len(g.Ops))
-		for _, op := range g.Ops {
-			units = append(units, &Unit{Ops: []*txn.Operation{op}})
+		slab := make([]Unit, len(g.Ops))
+		units = make([]*Unit, len(g.Ops))
+		for i := range g.Ops {
+			slab[i].Ops = g.Ops[i : i+1 : i+1]
+			units[i] = &slab[i]
 		}
 	case CSchedule:
-		units = make([]*Unit, 0, len(g.Chains))
-		for _, chain := range g.Chains {
-			units = append(units, &Unit{Ops: chain})
+		slab := make([]Unit, len(g.Chains))
+		units = make([]*Unit, len(g.Chains))
+		for i, chain := range g.Chains {
+			slab[i].Ops = chain
+			units[i] = &slab[i]
 		}
 	}
 	// unitIdx maps op.Index -> position of the op's unit in units.
