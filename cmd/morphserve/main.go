@@ -38,7 +38,7 @@ func main() {
 		threads   = flag.Int("threads", 4, "executor threads")
 		shards    = flag.Int("shards", 0, "execution shards (0 = derive from threads)")
 		punctuate = flag.Int("punctuate", 4096, "punctuation batch size (events)")
-		interval  = flag.Duration("interval", 50*time.Millisecond, "max batch latency (0 = count-only punctuation)")
+		interval  = flag.Duration("interval", 50*time.Millisecond, "bound on how long a batch stays open; batches seal earlier whenever the executor is idle (0 = count-only punctuation: every batch waits for -punctuate events)")
 		fusion    = flag.Bool("fusion", false, "enable plan-time hot-key operation fusion")
 		walDir    = flag.String("wal", "", "WAL directory (empty = durability off)")
 		accounts  = flag.Int("accounts", 100000, "demo ledger accounts to preload")

@@ -29,7 +29,10 @@ type Durability struct {
 	SyncEvery int
 	// SnapshotEvery checkpoints every this many punctuations; 0 uses
 	// DefaultSnapshotEvery, negative disables periodic snapshots (the
-	// baseline snapshot at sequence 0 is still written). Most checkpoints
+	// baseline snapshot at sequence 0 is still written). The stride counts
+	// logged volume: a batch the idle trigger sealed early (interval
+	// engines) advances it only by its share of a full PunctuateEvery-event
+	// batch, so light load never checkpoints more often. Most checkpoints
 	// are incremental diffs — a dirty-set sweep of the keys changed since
 	// the previous checkpoint — so their cost is proportional to churn;
 	// the WAL rewrites the full-table base only when the accumulated diff
@@ -164,6 +167,10 @@ func (e *Engine) openDurability() error {
 		e.recoveredDiffs = rec.Diffs
 		e.walWatermark = rec.MaxTS
 		e.snapWatermark = rec.SnapshotMaxTS
+		if every := e.snapshotEvery(); every > 0 {
+			// Resume the stride where the recovered sequence left it.
+			e.snapCredit = int(rec.LastSeq%int64(every)) * e.cfg.PunctuateEvery
+		}
 		// Seed the timestamp allocator past all recovered history so new
 		// transactions never collide with replayed versions.
 		if cur := e.pc.next.Load(); rec.MaxTS > cur {
@@ -187,11 +194,16 @@ func (e *Engine) openDurability() error {
 // stop logging (their results carry Durable=false) and Close reports the
 // first error.
 //
-// Every SnapshotEvery punctuations the hook also checkpoints: normally an
-// incremental diff cut from the dirty keys accumulated since the previous
-// checkpoint, a full-table base only when the WAL reports the diff chain
-// has outgrown its budget.
-func (e *Engine) commitWAL(res *BatchResult, batchMaxTS uint64, dirty []store.KeyID) {
+// Every SnapshotEvery punctuations' worth of logged volume the hook also
+// checkpoints: normally an incremental diff cut from the dirty keys
+// accumulated since the previous checkpoint, a full-table base only when the
+// WAL reports the diff chain has outgrown its budget. A count, interval or
+// flush seal is one punctuation's worth whatever it holds — exactly the
+// per-punctuation stride count-only engines have always had; an idle seal
+// (idleSealed) is worth only its events out of PunctuateEvery, or an interval
+// engine cutting thousands of small batches a second would checkpoint every
+// few milliseconds.
+func (e *Engine) commitWAL(res *BatchResult, batchMaxTS uint64, dirty []store.KeyID, idleSealed bool) {
 	maxTS := e.walWatermark
 	if batchMaxTS > maxTS {
 		maxTS = batchMaxTS
@@ -214,7 +226,13 @@ func (e *Engine) commitWAL(res *BatchResult, batchMaxTS uint64, dirty []store.Ke
 	for _, id := range dirty {
 		e.snapDirty[id] = struct{}{}
 	}
-	if res.Seq%int64(every) == 0 {
+	if idleSealed {
+		e.snapCredit += res.Events
+	} else {
+		e.snapCredit += e.cfg.PunctuateEvery
+	}
+	if e.snapCredit >= every*e.cfg.PunctuateEvery {
+		e.snapCredit = 0
 		var err error
 		if e.wal.WantBase() {
 			err = e.wal.Snapshot(res.Seq, maxTS, e.table.LatestSince(0))

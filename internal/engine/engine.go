@@ -86,8 +86,11 @@ type Config struct {
 	// ignores it: Punctuate is the explicit punctuation.
 	PunctuateEvery int
 	// PunctuateInterval, when > 0, additionally seals a non-empty pipelined
-	// batch at most this long after its first event, bounding latency on
-	// slow streams.
+	// batch at most this long after its first event's Arrival — and turns
+	// natural batching on: the batch also seals as soon as the submission
+	// ring is drained and the executor stage is idle, so the interval is a
+	// bound on silence, not a wait. Zero keeps count-only punctuation, whose
+	// cuts are a function of the input alone.
 	PunctuateInterval time.Duration
 	// IngestBuffer is the submission-ring capacity (rounded up to a power
 	// of two); <= 0 uses DefaultIngestBuffer. Ingest blocks when the ring
@@ -186,7 +189,7 @@ type pendingBatch struct {
 	groups  map[int]*group
 	dropped int
 	planned time.Duration
-	firstAt time.Time // arrival of the first event; drives interval policy
+	firstAt time.Time // the first event's Arrival (ingest time); starts the interval bound
 	// maxTS is the highest timestamp the batch consumed (including events
 	// dropped after their timestamp was allocated) — the WAL watermark the
 	// batch advances to.
@@ -215,9 +218,24 @@ type plannedJob struct {
 	builder *tpg.Builder
 }
 
+// sealTrigger names what sealed a batch. The zero value also covers the
+// synchronous facade's Punctuate: an explicit, caller-driven punctuation.
+type sealTrigger uint8
+
+const (
+	sealFlush    sealTrigger = iota // Drain/Close barrier, or Punctuate
+	sealCount                       // PunctuateEvery events accumulated (the cap)
+	sealInterval                    // PunctuateInterval since the first event (the bound)
+	sealIdle                        // ring drained and executor idle (interval engines)
+)
+
+// sealTriggerNames are the telemetry label values, indexed by sealTrigger.
+var sealTriggerNames = [...]string{"flush", "count", "interval", "idle"}
+
 // plannedBatch is a sealed batch in flight between the planning and
 // execution stages.
 type plannedBatch struct {
+	trigger sealTrigger
 	jobs    []plannedJob
 	cache   []cachedEvent
 	events  int
@@ -342,6 +360,9 @@ type Engine struct {
 	snapDirty      map[store.KeyID]struct{}
 	snapWatermark  uint64
 	recoveredDiffs int
+	// snapCredit is the checkpoint stride's progress in events of logged
+	// volume since the last checkpoint (commitWAL).
+	snapCredit int
 
 	// Streaming lifecycle state (pipeline.go).
 	lifeMu  sync.Mutex
@@ -374,7 +395,8 @@ func WithPunctuationCount(n int) Option {
 }
 
 // WithPunctuationInterval additionally seals a non-empty pipelined batch at
-// most d after its first event.
+// most d after its first event was ingested, and earlier whenever the ring
+// is drained and the executor idle (Config.PunctuateInterval).
 func WithPunctuationInterval(d time.Duration) Option {
 	return func(c *Config) { c.PunctuateInterval = d }
 }
@@ -471,6 +493,10 @@ func (e *Engine) planEvent(pb *pendingBatch, op Operator, ev *Event) error {
 	if ev.Arrival.IsZero() {
 		ev.Arrival = start
 	}
+	if len(pb.cache) == 0 && pb.dropped == 0 {
+		// Whether it plans or drops, the event opens the batch.
+		pb.firstAt = ev.Arrival
+	}
 	eb, err := op.PreProcess(ev)
 	if err != nil {
 		return fmt.Errorf("engine: preprocess: %w", err)
@@ -492,9 +518,6 @@ func (e *Engine) planEvent(pb *pendingBatch, op Operator, ev *Event) error {
 	g.txns++
 	sw.Stop(e.Breakdown, metrics.Construct)
 
-	if len(pb.cache) == 0 {
-		pb.firstAt = start
-	}
 	pb.cache = append(pb.cache, cachedEvent{ev: ev, eb: eb, t: t, op: op})
 	pb.planned += time.Since(start)
 	return nil
@@ -595,10 +618,8 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	}
 
 	// Post-processing of cached events (mode switch back, Algorithm 1).
-	now := time.Now()
 	for _, ce := range pb.cache {
 		_ = ce.op.PostProcess(ce.ev, ce.eb, ce.t.Aborted())
-		e.inst.eventLatency.Record(int64(now.Sub(ce.ev.Arrival)))
 	}
 
 	// Profile workload characteristics for the next batch's decisions.
@@ -633,13 +654,22 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	var commitTime, cleanupTime time.Duration
 	if e.wal != nil && e.walErr == nil {
 		commitStart := time.Now()
-		e.commitWAL(res, pb.maxTS, pb.dirty)
+		e.commitWAL(res, pb.maxTS, pb.dirty, pb.trigger == sealIdle)
 		commitTime = time.Since(commitStart)
 		// Mirror the single-writer log's watermarks into atomics so
 		// PipelineStats and the admin server can read them mid-traffic.
 		if e.wal != nil {
 			e.totals.walLastSeq.Store(e.wal.LastSeq())
 			e.totals.walChainLen.Store(int64(e.wal.ChainLen()))
+		}
+	}
+	// Per-event latency is read at the commit point, so the histogram holds
+	// what a client waits for — batch-fill, execution, the WAL fsync — up to
+	// the hand-off to delivery.
+	if h := e.inst.eventLatency; h != nil {
+		now := time.Now()
+		for _, ce := range pb.cache {
+			h.Record(int64(now.Sub(ce.ev.Arrival)))
 		}
 	}
 	// Clean-up of temporal objects (Section 8.3.3). Graphs are recycled
@@ -667,7 +697,7 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	e.refreshUniverse()
 
 	res.Elapsed = time.Since(start)
-	e.recordBatch(res, commitTime, cleanupTime)
+	e.recordBatch(res, pb.trigger, commitTime, cleanupTime)
 	return res
 }
 

@@ -28,6 +28,14 @@ var (
 // post-process, the punctuation quiescent point).
 //
 //	Ingest* -> [submission ring] -> planner -> [execCh] -> executor -> Results/Sink
+//	                                   ^------- [execIdle] -------'
+//
+// Natural batching: an engine configured with a punctuation interval also
+// seals the moment its pending batch is non-empty, the ring is drained and
+// the executor stage is idle — batch N+1 then accumulates exactly as long as
+// batch N runs, and a lightly loaded stream never waits out the interval.
+// Count-only engines never take that path: their cuts stay a function of the
+// input alone.
 //
 // Teardown paths:
 //   - Close(): flush everything (a stop marker through the ring preserves
@@ -41,6 +49,18 @@ type pipeline struct {
 
 	ring   *ingestRing
 	execCh chan pipeMsg
+
+	// natural enables the idle trigger (PunctuateInterval > 0).
+	natural bool
+	// inflight counts sealed batches from the planner's hand-off until the
+	// executor stage is done with them (delivered, or discarded on the
+	// cancel paths); zero means the executor stage is idle.
+	inflight atomic.Int32
+	// execIdle carries the executor's "inflight dropped to zero" edge to a
+	// parked planner. Capacity 1: the token outlives a planner that is not
+	// yet parked, and the planner re-checks inflight after taking it, so the
+	// edge is never lost and a stale token only costs one re-check.
+	execIdle chan struct{}
 
 	// ingestClosed rejects new Ingest calls once Close began.
 	ingestClosed atomic.Bool
@@ -96,6 +116,8 @@ func (e *Engine) Start(ctx context.Context) error {
 		ctx:      ctx,
 		ring:     newIngestRing(e.cfg.IngestBuffer),
 		execCh:   make(chan pipeMsg, 1),
+		natural:  e.cfg.PunctuateInterval > 0,
+		execIdle: make(chan struct{}, 1),
 		execDone: make(chan struct{}),
 	}
 	pending := e.pending
@@ -255,50 +277,43 @@ func (p *pipeline) closeErr() error {
 // ---- planner stage ----
 
 // plannerLoop drains the submission ring, plans events into the pending
-// batch, and seals a batch whenever the punctuation policy fires (count or
-// interval) or a flush barrier arrives. Sealed batches block on execCh
-// until the executor stage frees up — the pipeline's plan-ahead depth of
-// one batch.
+// batch, and seals a batch whenever the punctuation policy fires — the count
+// cap, the interval bound, or (interval engines only) the executor stage
+// going idle with the ring drained — or a flush barrier arrives. Sealed
+// batches block on execCh until the executor stage frees up — the pipeline's
+// plan-ahead depth of one batch.
 func (p *pipeline) plannerLoop(pending *pendingBatch) {
 	e := p.e
 	defer close(p.execCh)
 	defer p.ring.close() // idempotent; releases producers on the cancel path
 
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
-		}
-	}
+	// One interval timer serves every batch. It is armed only while the
+	// planner parks on a non-empty batch of an interval engine, so batches
+	// sealed without parking (count, idle) never touch it.
+	timer := time.NewTimer(time.Hour) // stopped before it can fire; Reset arms it
+	timer.Stop()
+	defer timer.Stop()
+	armed := false
 	// batchLoad counts everything the pending batch has to report —
 	// planned events AND preprocess drops — so a stream of malformed
 	// events still punctuates and surfaces BatchResult.Dropped on policy,
 	// not only at an explicit Drain/Close.
 	batchLoad := func() int { return len(pending.cache) + pending.dropped }
-	armTimer := func() {
-		if e.cfg.PunctuateInterval > 0 && timer == nil && batchLoad() > 0 {
-			d := e.cfg.PunctuateInterval - time.Since(pending.firstAt)
-			if d < 0 {
-				d = 0
-			}
-			timer = time.NewTimer(d)
-			timerC = timer.C
-		}
-	}
-	defer stopTimer()
 
 	// sealAndSend hands the pending batch to the executor stage. Returns
 	// false when the pipeline was cancelled mid-hand-off.
-	sealAndSend := func(flush chan struct{}) bool {
-		stopTimer()
+	sealAndSend := func(flush chan struct{}, why sealTrigger) bool {
+		if armed {
+			timer.Stop()
+			armed = false
+		}
 		var msg pipeMsg
 		if batchLoad() > 0 {
 			e.overlap.SetPlan(true)
 			msg.batch = e.seal(pending)
+			msg.batch.trigger = why
 			pending = newPendingBatch()
+			p.inflight.Add(1)
 		}
 		msg.flush = flush
 		if msg.batch == nil && msg.flush == nil {
@@ -309,6 +324,9 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 		case p.execCh <- msg:
 			return true
 		case <-p.ctx.Done():
+			if msg.batch != nil {
+				p.batchLeft() // sealed, but it never enters the executor stage
+			}
 			if msg.flush != nil {
 				// Unblock the Drain caller; closeErr reports the cause.
 				select {
@@ -324,7 +342,7 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 	// handle plans one ring item; the bool result means "keep running".
 	handle := func(it ingestItem) bool {
 		if it.flush != nil || it.stop {
-			if !sealAndSend(it.flush) {
+			if !sealAndSend(it.flush, sealFlush) {
 				return false
 			}
 			if it.stop {
@@ -337,7 +355,7 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 				// an Ingest that returned nil is never dropped.
 				late := func(s ingestItem) {
 					if s.flush != nil {
-						sealAndSend(s.flush)
+						sealAndSend(s.flush, sealFlush)
 						return
 					}
 					p.planItem(pending, s)
@@ -345,16 +363,15 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 				p.ring.drainPending(late)
 				p.ring.close()
 				p.ring.drainPending(late)
-				sealAndSend(nil)
+				sealAndSend(nil, sealFlush)
 				p.clean.Store(true)
 				return false
 			}
 			return true
 		}
 		p.planItem(pending, it)
-		armTimer()
 		if batchLoad() >= e.cfg.PunctuateEvery {
-			return sealAndSend(nil)
+			return sealAndSend(nil, sealCount)
 		}
 		return true
 	}
@@ -372,12 +389,31 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 			}
 		}
 		e.overlap.SetPlan(false)
-		armTimer()
+		// Count-only engines skip this block, and nothing ever fires their
+		// timer or idle cases below: only the count (or a flush) seals.
+		if p.natural && batchLoad() > 0 {
+			if p.inflight.Load() == 0 {
+				// Ring drained, executor idle: holding the batch back buys
+				// nothing. Seal it, then look at the ring again.
+				if !sealAndSend(nil, sealIdle) {
+					return
+				}
+				continue
+			}
+			if !armed {
+				// The bound runs from the first event's arrival, not from
+				// when the planner got to it.
+				timer.Reset(max(e.cfg.PunctuateInterval-time.Since(pending.firstAt), 0))
+				armed = true
+			}
+		}
 		select {
 		case <-p.ring.notEmpty:
-		case <-timerC:
-			timer, timerC = nil, nil
-			if !sealAndSend(nil) {
+		case <-p.execIdle:
+			// The executor went idle: re-drain the ring, re-check above.
+		case <-timer.C:
+			armed = false
+			if !sealAndSend(nil, sealInterval) {
 				return
 			}
 		case <-p.ctx.Done():
@@ -394,9 +430,6 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 // interval policy also bounds how long pure-failure streams stay silent.
 func (p *pipeline) planItem(pending *pendingBatch, it ingestItem) {
 	if err := p.e.planEvent(pending, it.op, it.ev); err != nil {
-		if len(pending.cache) == 0 && pending.dropped == 0 {
-			pending.firstAt = time.Now()
-		}
 		pending.dropped++
 	}
 }
@@ -415,6 +448,7 @@ func (p *pipeline) executorLoop() {
 				// Cancelled: abort cleanly mid-batch. The sealed batch
 				// never ran, so no table state needs undoing.
 				p.discarded.Store(true)
+				p.batchLeft()
 				if msg.flush != nil {
 					close(msg.flush)
 				}
@@ -424,9 +458,23 @@ func (p *pipeline) executorLoop() {
 			res := e.executeBatch(msg.batch)
 			e.overlap.SetExec(false)
 			p.deliver(res)
+			p.batchLeft()
 		}
 		if msg.flush != nil {
 			close(msg.flush)
+		}
+	}
+}
+
+// batchLeft retires one sealed batch from the executor stage — on every path
+// a sealed batch can take out of it: executed and delivered, discarded after
+// cancellation, or dropped by the planner's cancelled hand-off — and, on the
+// edge to idle, wakes a planner parked on a non-empty batch.
+func (p *pipeline) batchLeft() {
+	if p.inflight.Add(-1) == 0 && p.natural {
+		select {
+		case p.execIdle <- struct{}{}:
+		default: // a token is already waiting
 		}
 	}
 }

@@ -271,8 +271,10 @@ func TestBackpressureTinyRing(t *testing.T) {
 	}
 }
 
-// TestPunctuationInterval: with an interval policy, a partial batch seals
-// without any Drain call.
+// TestPunctuationInterval: with an interval policy, partial batches seal
+// without any Drain call. How the three events split into batches is up to
+// the idle trigger (the executor may or may not be idle when each arrives);
+// that all of them are delivered, in punctuation order, is not.
 func TestPunctuationInterval(t *testing.T) {
 	e := New(Config{Threads: 2},
 		WithPunctuationCount(1<<20), WithPunctuationInterval(10*time.Millisecond))
@@ -286,13 +288,21 @@ func TestPunctuationInterval(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case r := <-e.Results():
-		if r.Events != 3 || r.Committed != 3 {
-			t.Fatalf("interval batch: %+v", r)
+	events, committed := 0, 0
+	for seq := int64(1); events < 3; seq++ {
+		select {
+		case r := <-e.Results():
+			if r.Seq != seq || r.Events == 0 {
+				t.Fatalf("batch %d: %+v", seq, r)
+			}
+			events += r.Events
+			committed += r.Committed
+		case <-time.After(5 * time.Second):
+			t.Fatalf("punctuation never fired: %d of 3 events delivered", events)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("interval punctuation never fired")
+	}
+	if events != 3 || committed != 3 {
+		t.Fatalf("delivered %d events, %d committed; want 3 and 3", events, committed)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -337,17 +347,14 @@ func TestPreprocessErrorsReportedAsDrops(t *testing.T) {
 	}
 }
 
-// TestContextCancellationMidBatch cancels the pipeline while a batch is
-// executing: the in-flight batch completes (execution is never interrupted
-// mid-transaction), later batches are discarded without a trace, and every
-// lifecycle call unblocks with the cancellation error.
-func TestContextCancellationMidBatch(t *testing.T) {
-	e := New(Config{Threads: 1}, WithPunctuationCount(1), WithIngestBuffer(4))
-	e.Table().Preload("k", int64(0))
-	executing := make(chan struct{})
-	release := make(chan struct{})
+// newBlockOp returns an operator that increments key "k" but blocks inside
+// the UDF until release is closed; executing is closed when the first UDF
+// call starts, i.e. once a batch is mid-execution.
+func newBlockOp() (op Operator, executing, release chan struct{}) {
+	executing = make(chan struct{})
+	release = make(chan struct{})
 	var once sync.Once
-	blockOp := OperatorFuncs{
+	op = OperatorFuncs{
 		Access: func(_ *txn.EventBlotter, b *txn.Builder) error {
 			b.Write("k", []txn.Key{"k"}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) {
 				once.Do(func() { close(executing) })
@@ -357,6 +364,17 @@ func TestContextCancellationMidBatch(t *testing.T) {
 			return nil
 		},
 	}
+	return op, executing, release
+}
+
+// TestContextCancellationMidBatch cancels the pipeline while a batch is
+// executing: the in-flight batch completes (execution is never interrupted
+// mid-transaction), later batches are discarded without a trace, and every
+// lifecycle call unblocks with the cancellation error.
+func TestContextCancellationMidBatch(t *testing.T) {
+	e := New(Config{Threads: 1}, WithPunctuationCount(1), WithIngestBuffer(4))
+	e.Table().Preload("k", int64(0))
+	blockOp, executing, release := newBlockOp()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := e.Start(ctx); err != nil {
@@ -474,8 +492,15 @@ func runSync(t *testing.T, b *workload.Batch, d *sched.Decision, batchSize int) 
 // a count-punctuation policy equal to the synchronous batch size.
 func runPipelined(t *testing.T, b *workload.Batch, d *sched.Decision, batchSize int) (map[txn.Key]txn.Value, *runRecord, int, int) {
 	t.Helper()
+	return runPipelinedPaced(t, b, d, nil, WithPunctuationCount(batchSize))
+}
+
+// runPipelinedPaced is runPipelined under any punctuation policy, calling
+// pace (when non-nil) before each Ingest.
+func runPipelinedPaced(t *testing.T, b *workload.Batch, d *sched.Decision, pace func(i int), opts ...Option) (map[txn.Key]txn.Value, *runRecord, int, int) {
+	t.Helper()
 	rec := newRunRecord()
-	e := New(Config{Threads: 4, Strategy: d, Cleanup: true}, WithPunctuationCount(batchSize))
+	e := New(Config{Threads: 4, Strategy: d, Cleanup: true}, opts...)
 	preloadState(e, b)
 	if err := e.Start(context.Background()); err != nil {
 		t.Fatal(err)
@@ -490,7 +515,10 @@ func runPipelined(t *testing.T, b *workload.Batch, d *sched.Decision, batchSize 
 		}
 	}()
 	op := specOp(rec)
-	for _, s := range b.Specs {
+	for i, s := range b.Specs {
+		if pace != nil {
+			pace(i)
+		}
 		if err := e.Ingest(op, &Event{Data: s}); err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"morphstream/internal/sched"
@@ -42,22 +43,24 @@ type durablePhase struct {
 	seqs    []int64
 	c, a    int
 	durable bool
+	events  atomic.Int64 // delivered so far; the one field read mid-run
 }
 
-func startDurablePhase(t *testing.T, b *workload.Batch, d *sched.Decision, batchSize int, dur *Durability, ctx context.Context) *durablePhase {
+func startDurablePhase(t *testing.T, b *workload.Batch, d *sched.Decision, batchSize int, dur *Durability, ctx context.Context, opts ...Option) *durablePhase {
 	t.Helper()
 	p := &durablePhase{rec: newRunRecord(), durable: true}
 	p.e = New(Config{
 		Threads: 4, Strategy: d, Cleanup: true,
 		Durability: dur,
-	},
+	}, append(opts,
 		WithPunctuationCount(batchSize),
 		WithResultSink(func(r *BatchResult) {
 			p.seqs = append(p.seqs, r.Seq)
 			p.c += r.Committed
 			p.a += r.Aborted
 			p.durable = p.durable && r.Durable
-		}))
+			p.events.Add(int64(r.Events))
+		}))...)
 	preloadState(p.e, b)
 	if err := p.e.Start(ctx); err != nil {
 		t.Fatalf("Start: %v", err)

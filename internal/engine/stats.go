@@ -63,6 +63,13 @@ type PipelineStats struct {
 	WALLastSeq     int64
 	WALDiffChain   int
 
+	// LastTrigger names what sealed the most recent batch — "count" (the
+	// cap), "interval" (the bound), "idle" (ring drained and executor idle;
+	// interval engines only) or "flush" (Drain/Close/Punctuate) — and
+	// LastBatchEvents its size; empty and zero before the first batch.
+	LastTrigger     string
+	LastBatchEvents int
+
 	// IngestDepth and IngestCapacity are the submission ring's approximate
 	// occupancy and size (zero when the pipeline never ran); IngestStalls
 	// counts producer blocks on a full ring — the pipeline's backpressure
@@ -90,6 +97,10 @@ type pipeTotals struct {
 	durable            atomic.Int64
 	walLastSeq         atomic.Int64
 	walChainLen        atomic.Int64
+	// last packs the most recent batch's size and trigger into one word
+	// (events<<8 | trigger+1; zero = no batch yet), so a concurrent reader
+	// never pairs one batch's trigger with another's size.
+	last atomic.Int64
 }
 
 // engineInstruments are the registry series the engine records itself: the
@@ -104,6 +115,7 @@ type engineInstruments struct {
 	cleanupNS    *telemetry.Histogram
 	batchEvents  *telemetry.Histogram
 	eventLatency *telemetry.Histogram
+	sealed       [len(sealTriggerNames)]*telemetry.Counter
 }
 
 // setupTelemetry registers the engine's series on cfg.Telemetry: the
@@ -118,7 +130,10 @@ func (e *Engine) setupTelemetry() {
 		commitNS:     reg.Histogram("morph_engine_commit_ns", "Per-batch WAL commit-hook time (ns)."),
 		cleanupNS:    reg.Histogram("morph_engine_cleanup_ns", "Per-batch state-table clean-up time (ns)."),
 		batchEvents:  reg.Histogram("morph_engine_batch_events", "Input events per sealed batch."),
-		eventLatency: reg.Histogram("morph_engine_event_latency_ns", "Per-event end-to-end latency, arrival to post-process (ns)."),
+		eventLatency: reg.Histogram("morph_engine_event_latency_ns", "Per-event latency from arrival (Ingest) to the batch's commit point: batch-fill wait, execution, post-process and the WAL commit are inside, result delivery is not (ns)."),
+	}
+	for i, name := range sealTriggerNames {
+		e.inst.sealed[i] = reg.CounterL("morph_engine_batches_sealed_total", "Punctuation batches sealed and executed, by what sealed them.", "trigger", name)
 	}
 	if reg == nil {
 		return
@@ -130,7 +145,6 @@ func (e *Engine) setupTelemetry() {
 	}{
 		{"morph_engine_events_planned_total", "Input events planned into TPG batches.", &t.events},
 		{"morph_engine_events_dropped_total", "Ingested events discarded by PreProcess failures.", &t.dropped},
-		{"morph_engine_batches_sealed_total", "Punctuation batches sealed and executed.", &e.batches},
 		{"morph_engine_txn_committed_total", "State transactions committed.", &t.committed},
 		{"morph_engine_txn_aborted_total", "State transactions aborted.", &t.aborted},
 		{"morph_engine_abort_rounds_total", "Abort/rollback machinery invocations.", &t.abortRounds},
@@ -185,7 +199,7 @@ func (e *Engine) setupTelemetry() {
 // registry's histograms; each value is written once. Runs on the executor
 // stage (one goroutine), once per punctuation — never on the per-operation
 // hot path.
-func (e *Engine) recordBatch(res *BatchResult, commitTime, cleanupTime time.Duration) {
+func (e *Engine) recordBatch(res *BatchResult, trigger sealTrigger, commitTime, cleanupTime time.Duration) {
 	t := &e.totals
 	t.events.Add(int64(res.Events))
 	t.dropped.Add(int64(res.Dropped))
@@ -205,8 +219,10 @@ func (e *Engine) recordBatch(res *BatchResult, commitTime, cleanupTime time.Dura
 	if res.Durable {
 		t.durable.Add(1)
 	}
+	t.last.Store(int64(res.Events)<<8 | int64(trigger+1))
 
 	in := &e.inst
+	in.sealed[trigger].Inc()
 	in.planNS.Record(int64(res.PlanElapsed))
 	in.execNS.Record(int64(res.Elapsed))
 	if commitTime > 0 {
@@ -244,6 +260,10 @@ func (e *Engine) PipelineStats() PipelineStats {
 		DurableBatches: t.durable.Load(),
 		WALLastSeq:     t.walLastSeq.Load(),
 		WALDiffChain:   int(t.walChainLen.Load()),
+	}
+	if last := t.last.Load(); last != 0 {
+		s.LastTrigger = sealTriggerNames[last&0xff-1]
+		s.LastBatchEvents = int(last >> 8)
 	}
 	if p := e.pipe.Load(); p != nil {
 		s.IngestDepth = p.ring.len()

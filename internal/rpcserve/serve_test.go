@@ -247,6 +247,40 @@ func TestDurableReceipts(t *testing.T) {
 	}
 }
 
+// TestReceiptDoesNotWaitForInterval: on a lightly loaded server the
+// punctuation interval is a bound, not a wait. With an interval of one hour
+// and an unreachable count, each lone submit must still come back as a
+// receipt — sealed by the engine's idle trigger, fanned out as that batch's
+// one Receipt frame — without the client asking for a drain.
+func TestReceiptDoesNotWaitForInterval(t *testing.T) {
+	_, addr := newTestServer(t, 8, 100, func(cfg *Config) {
+		cfg.Engine.PunctuateEvery = 1 << 20
+		cfg.Engine.PunctuateInterval = time.Hour
+	})
+	c, err := Dial(addr, ClientConfig{Operator: LedgerOperatorName})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 50; i++ {
+		id, err := c.Submit(Deposit{To: AccountKey(i % 8), Amount: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-c.Receipts():
+			if r.TxnID != id || r.Status != StatusCommitted {
+				t.Fatalf("submit %d: receipt %+v; want txn %d committed", i, r, id)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("submit %d: no receipt; the batch is waiting for the one-hour interval", i)
+		}
+	}
+}
+
 // TestClientDisconnectMidFlood aborts one connection mid-stream: the
 // surviving connections must complete unaffected and the dead session must
 // not leak.

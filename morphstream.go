@@ -39,7 +39,8 @@
 // stay inside the punctuation quiescent point at the stage boundary.
 // Punctuation is policy — WithPunctuationCount seals a batch every n
 // events, WithPunctuationInterval bounds how long a slow stream can hold a
-// batch open — and results arrive asynchronously on Results() (or through
+// batch open and lets the engine seal earlier, as soon as the executor has
+// nothing to do — and results arrive asynchronously on Results() (or through
 // WithResultSink). Cancelling the Start context aborts cleanly mid-batch:
 // events not yet executed are discarded without a trace, since planning
 // writes no state.
@@ -231,7 +232,13 @@ func WithFusion(on bool) Option { return engine.WithFusion(on) }
 func WithPunctuationCount(n int) Option { return engine.WithPunctuationCount(n) }
 
 // WithPunctuationInterval additionally seals a non-empty pipelined batch at
-// most d after its first event, bounding batch latency on slow streams.
+// most d after its first event was ingested. d is a bound, not a wait: an
+// engine given an interval also seals the moment the batch is non-empty, the
+// submission ring is drained and the executor is idle (natural batching), so
+// a lightly loaded stream sees its results after one batch's service time,
+// while under saturation batches still fill to the punctuation count. Without
+// an interval the count alone cuts batches, at exactly n events whatever the
+// load; choose that when batch boundaries must be a function of the input.
 func WithPunctuationInterval(d time.Duration) Option {
 	return engine.WithPunctuationInterval(d)
 }
