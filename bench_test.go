@@ -558,11 +558,9 @@ func gsHotAbortBatch() *workload.Batch {
 	return batch
 }
 
-// BenchmarkPipelinedThroughput compares the engine's two front doors on the
-// same GS-shaped stream: the batch-synchronous Submit/Punctuate facade
-// (planning and execution strictly alternate) against the pipelined
-// Start/Ingest/Close lifecycle (planning of batch N+1 overlaps execution of
-// batch N). The pipelined variant additionally reports what fraction of
+// BenchmarkPipelinedThroughput runs a GS-shaped stream through the
+// Start/Ingest/Close lifecycle, where planning of batch N+1 overlaps
+// execution of batch N. The pipelined variant also reports what fraction of
 // execution time had planning running concurrently (overlap/exec); on
 // multi-core hardware that overlap is wall-clock time saved per batch. The
 // CI bench gate tracks both variants.
@@ -574,16 +572,6 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 	batch := workload.GS(cfg)
 	const batchSize, threads = 1024, 4
 
-	b.Run("sync", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			committed, _ := harness.RunSynchronousBaseline(batch, batchSize, threads)
-			if committed == 0 {
-				b.Fatal("no transactions committed")
-			}
-		}
-		b.ReportMetric(float64(cfg.Txns*b.N)/b.Elapsed().Seconds(), "events/s")
-	})
 	b.Run("pipelined", func(b *testing.B) {
 		var overlapFrac float64
 		b.ReportAllocs()

@@ -23,18 +23,12 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (fig11..fig21b, fig23, fig25) or 'all'")
-		scale     = flag.Float64("scale", 0.25, "workload scale factor (1.0 = paper-sized Table 6 defaults)")
-		threads   = flag.Int("threads", harness.Threads(), "executor threads")
-		list      = flag.Bool("list", false, "list available experiments")
-		quick     = flag.Bool("quick", false, "CI smoke: one tiny fig11 slice, non-zero exit on failure")
-		pipelined = flag.Bool("pipelined", false, "compare the pipelined Start/Ingest/Drain lifecycle against the synchronous facade and report plan/execute overlap")
-		zipf      = flag.Bool("zipf", false, "sweep Zipf skew on the hot-key workload with plan-time operation fusion off and on; reports planned TPG size, throughput and per-event latency percentiles")
-		walMode   = flag.Bool("wal", false, "run the pipelined lifecycle with the punctuation-delta WAL off and on (per-punctuation group fsync) and report the durability overhead")
-		statesize = flag.Int("statesize", 0, "with -wal: sweep the keyspace up to this many keys at a fixed 1k-key touch set per punctuation, reporting the commit hook's dirty-set sweep time against the full-table baseline, separately from record encode and fsync")
-		serve     = flag.Bool("serve", false, "flood the framed RPC front door over loopback TCP (multi-connection, per-event receipt RTTs) and compare against in-process ingest of the same stream")
-		conns     = flag.Int("conns", 4, "client connections for -serve")
-		admin     = flag.String("admin", "", "telemetry HTTP address for runtime metrics and pprof during runs, e.g. :9090 (empty = off)")
+		exp     = flag.String("exp", "", "experiment id (fig11..fig21b, fig23, fig25) or 'all'")
+		scale   = flag.Float64("scale", 0.25, "workload scale factor (1.0 = paper-sized Table 6 defaults)")
+		threads = flag.Int("threads", harness.Threads(), "executor threads")
+		list    = flag.Bool("list", false, "list available experiments")
+		quick   = flag.Bool("quick", false, "CI smoke: one tiny fig11 slice, non-zero exit on failure")
+		admin   = flag.String("admin", "", "telemetry HTTP address for runtime metrics and pprof during runs, e.g. :9090 (empty = off)")
 	)
 	flag.Parse()
 
@@ -51,69 +45,6 @@ func main() {
 		}
 		defer adm.Close()
 		fmt.Printf("(admin endpoint on %s: /metrics /healthz /debug/pprof)\n", bound)
-	}
-
-	if *serve {
-		start := time.Now()
-		report, err := harness.ServeFlood(harness.Scale(*scale), *conns, *threads)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve flood:", err)
-			os.Exit(1)
-		}
-		if len(report.Rows) < 2 {
-			fmt.Fprintln(os.Stderr, "serve flood produced no rows")
-			os.Exit(1)
-		}
-		fmt.Println(report.String())
-		fmt.Printf("(serve flood completed in %v)\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	if *walMode {
-		start := time.Now()
-		dir, err := os.MkdirTemp("", "morphbench-wal-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wal dir:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		var report *harness.Report
-		if *statesize > 0 {
-			report = harness.WALSparse(*statesize, 1024, *threads, dir)
-		} else {
-			report = harness.WALOverhead(harness.Scale(*scale), *threads, dir)
-		}
-		if report == nil || len(report.Rows) < 2 {
-			fmt.Fprintln(os.Stderr, "wal comparison produced no rows")
-			os.Exit(1)
-		}
-		fmt.Println(report.String())
-		fmt.Printf("(wal comparison completed in %v)\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	if *zipf {
-		start := time.Now()
-		report := harness.ZipfHotKey(harness.Scale(*scale), *threads)
-		if report == nil || len(report.Rows) < 6 {
-			fmt.Fprintln(os.Stderr, "zipf sweep produced no rows")
-			os.Exit(1)
-		}
-		fmt.Println(report.String())
-		fmt.Printf("(zipf sweep completed in %v)\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	if *pipelined {
-		start := time.Now()
-		report := harness.PipelineOverlap(harness.Scale(*scale), *threads)
-		if report == nil || len(report.Rows) < 2 {
-			fmt.Fprintln(os.Stderr, "pipelined comparison produced no rows")
-			os.Exit(1)
-		}
-		fmt.Println(report.String())
-		fmt.Printf("(pipelined comparison completed in %v)\n", time.Since(start).Round(time.Millisecond))
-		return
 	}
 
 	if *quick {

@@ -3,17 +3,18 @@
 // tweet stream, printing expected vs detected event popularity per window
 // (the data behind Fig. 23).
 //
-// The detector drives the engine through the synchronous Submit/Punctuate
-// facade rather than the pipelined Start/Ingest lifecycle: each window's
-// burst keywords and cluster assignments feed the *next* window's
-// submissions, so the application needs a barrier after every batch.
-// Compare examples/quickstart and examples/ledger for the pipelined style.
+// The detector runs the engine's pipelined lifecycle with a Drain after every
+// stage of every window: each window's burst keywords and cluster
+// assignments feed the *next* stage's transactions, so the application needs
+// a barrier there, and Drain is it. Compare examples/quickstart and
+// examples/ledger for a free-running stream.
 //
 // Run with: go run ./examples/socialevents
 package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"morphstream/internal/osed"
@@ -32,7 +33,10 @@ func main() {
 	start := time.Now()
 	detected := make([][]int, len(windows))
 	for w, tw := range windows {
-		res := d.ProcessWindow(tw)
+		res, err := d.ProcessWindow(tw)
+		if err != nil {
+			log.Fatal(err)
+		}
 		tweets += len(tw)
 		detected[w] = make([]int, len(events))
 		mapping := osed.MapClustersToEvents(d.Clusters(), events)
@@ -46,6 +50,9 @@ func main() {
 		}
 	}
 	elapsed := time.Since(start)
+	if err := d.Close(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("\nevent popularity over time (expected/detected):")
 	fmt.Printf("%-8s", "window")

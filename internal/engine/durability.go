@@ -9,12 +9,10 @@ import (
 	"morphstream/internal/wal"
 )
 
-// Durability configures the punctuation-delta write-ahead log. Durability is
-// a property of the streaming lifecycle: Start opens (and recovers) the log,
-// every punctuation appends one record of the batch's net state deltas, and
-// Close closes the log. The synchronous facade (Submit/Punctuate) does not
-// log — punctuation-as-policy is what makes the quiescent barrier a commit
-// point.
+// Durability configures the punctuation-delta write-ahead log of an engine:
+// Start opens (and recovers) the log, every punctuation — a count, interval
+// or idle seal, or a Drain/Close barrier — appends one record of the batch's
+// net state deltas at the quiescent point, and Close closes the log.
 type Durability struct {
 	// Dir is the directory of the file-backed sink (segment and snapshot
 	// files). Ignored when Sink is set.

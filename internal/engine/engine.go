@@ -6,17 +6,17 @@
 // planning stage (PreProcess, StateAccess, TPG construction) and the
 // transaction processing stage (refine, decide, align, execute,
 // post-process) operate on explicit per-batch state, so the streaming
-// lifecycle (Start/Ingest/Drain/Close, pipeline.go) can run planning of
-// batch N+1 concurrently with execution of batch N. Planning touches no
-// table state — the non-deterministic fan-out universe comes from a
-// snapshot refreshed at quiescent points — so the state-table alignment and
-// the lock-free execution of PRs 2-4 stay inside the punctuation quiescent
-// point at the stage boundary. The classic batch-synchronous surface
-// (Submit/Punctuate) remains as a thin facade over the same stage methods.
+// lifecycle (Start/Ingest/Drain/Close, pipeline.go) — the engine's only way
+// in — can run planning of batch N+1 concurrently with execution of batch N.
+// Planning touches no table state — the non-deterministic fan-out universe
+// comes from a snapshot refreshed at quiescent points — so the state-table
+// alignment and the lock-free execution stay inside the punctuation
+// quiescent point at the stage boundary. A caller that needs a barrier per
+// window ingests the window, calls Drain, and reads what its result sink
+// received.
 package engine
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,8 +82,7 @@ type Config struct {
 	Fusion bool
 
 	// PunctuateEvery seals a pipelined batch after this many ingested
-	// events; <= 0 uses DefaultPunctuateEvery. The synchronous facade
-	// ignores it: Punctuate is the explicit punctuation.
+	// events; <= 0 uses DefaultPunctuateEvery.
 	PunctuateEvery int
 	// PunctuateInterval, when > 0, additionally seals a non-empty pipelined
 	// batch at most this long after its first event's Arrival — and turns
@@ -100,9 +99,9 @@ type Config struct {
 	// stage (in punctuation order, on the pipeline's goroutine) instead of
 	// the Results channel.
 	Sink func(*BatchResult)
-	// Durability, when non-nil, enables the punctuation-delta WAL for the
-	// streaming lifecycle: Start recovers, every punctuation logs the
-	// batch's net state deltas, Close closes the log. See durability.go.
+	// Durability, when non-nil, enables the punctuation-delta WAL: Start
+	// recovers, every punctuation logs the batch's net state deltas, Close
+	// closes the log. See durability.go.
 	Durability *Durability
 	// Telemetry, when non-nil, registers the engine's instruments (and the
 	// executor's and WAL's, plumbed through) on the registry: per-batch and
@@ -137,8 +136,8 @@ type BatchResult struct {
 	Props tpg.Props
 	// Events is the number of input events in the batch.
 	Events int
-	// Dropped counts ingested events discarded by PreProcess errors (the
-	// synchronous facade reports those errors from Submit instead).
+	// Dropped counts ingested events discarded by PreProcess or StateAccess
+	// errors.
 	Dropped int
 	// PlanElapsed is the planning-stage time spent on this batch
 	// (PreProcess + StateAccess + TPG construction + finalize). In the
@@ -181,8 +180,7 @@ type group struct {
 }
 
 // pendingBatch is the planning-stage state of the batch currently being
-// accumulated: exactly one exists at a time (owned by the caller goroutine
-// under the synchronous facade, by the planner stage in the pipeline), so
+// accumulated: exactly one exists at a time, owned by the planner stage, so
 // none of it needs synchronisation.
 type pendingBatch struct {
 	cache   []cachedEvent
@@ -218,12 +216,11 @@ type plannedJob struct {
 	builder *tpg.Builder
 }
 
-// sealTrigger names what sealed a batch. The zero value also covers the
-// synchronous facade's Punctuate: an explicit, caller-driven punctuation.
+// sealTrigger names what sealed a batch.
 type sealTrigger uint8
 
 const (
-	sealFlush    sealTrigger = iota // Drain/Close barrier, or Punctuate
+	sealFlush    sealTrigger = iota // Drain/Close barrier
 	sealCount                       // PunctuateEvery events accumulated (the cap)
 	sealInterval                    // PunctuateInterval since the first event (the bound)
 	sealIdle                        // ring drained and executor idle (interval engines)
@@ -311,10 +308,6 @@ type Engine struct {
 	txnSeq   atomic.Int64
 	builders builderPool
 
-	// pending is the synchronous facade's accumulating batch (Submit plans
-	// into it, Punctuate seals it). The pipeline owns its own.
-	pending *pendingBatch
-
 	// universe is the ND fan-out key universe: a snapshot of the table's
 	// key set taken at quiescent points, so planning never sweeps the
 	// table while execution is running. lastDictLen/lastBirths detect
@@ -326,9 +319,9 @@ type Engine struct {
 	lastBirths  int64
 
 	// TxnScheduler state: profiled workload characteristics feeding the
-	// decision model. Written only by the execution stage (one goroutine
-	// at a time in either mode). lastUseful is the cumulative Useful reading
-	// at the previous batch boundary, so C is profiled per batch.
+	// decision model. Written only by the execution stage. lastUseful is
+	// the cumulative Useful reading at the previous batch boundary, so C is
+	// profiled per batch.
 	lastAbortRatio float64
 	lastComplexity time.Duration
 	lastUseful     time.Duration
@@ -367,7 +360,6 @@ type Engine struct {
 	// Streaming lifecycle state (pipeline.go).
 	lifeMu  sync.Mutex
 	pipe    atomic.Pointer[pipeline]
-	running atomic.Bool
 	closed  bool
 	results chan *BatchResult
 	overlap metrics.OverlapMeter
@@ -445,9 +437,9 @@ func New(cfg Config, opts ...Option) *Engine {
 	return e
 }
 
-// Table exposes the shared state table for preloading. Read it only at
-// quiescent points: before Start, between Punctuate calls, or after
-// Drain/Close.
+// Table exposes the shared state table for preloading. Touch it only at
+// quiescent points: before Start, or after a Drain or Close with nothing
+// ingested since.
 func (e *Engine) Table() *store.Table { return e.table }
 
 // Batches reports how many punctuations have been processed.
@@ -471,8 +463,7 @@ func (e *Engine) universeSnapshot() []store.KeyID {
 // earlier — by another table sharing the process dictionary, or re-created
 // after a rollback removal — in which case the table's chain-birth counter
 // moves. Callers must be at a quiescent point (no executor running against
-// the table): Start, the synchronous Punctuate, and the execution stage's
-// batch boundary all are.
+// the table): Start and the execution stage's batch boundary are.
 func (e *Engine) refreshUniverse() {
 	dl, births := e.table.DictLen(), e.table.KeyBirths()
 	if dl != e.lastDictLen || births != e.lastBirths || e.universe.Load() == nil {
@@ -483,23 +474,23 @@ func (e *Engine) refreshUniverse() {
 	}
 }
 
-// planEvent runs the stream processing phase for one input event —
+// planEvent runs the stream processing phase for one ingested event —
 // PreProcess, StateAccess (planning the transaction into the TPG), caching
-// the event for post-processing — against pb. Events are planned in call
-// order; out-of-order *timestamps* are exercised through the planner's
-// sorted lists.
-func (e *Engine) planEvent(pb *pendingBatch, op Operator, ev *Event) error {
+// the event for post-processing — against pb. A PreProcess or StateAccess
+// failure drops the event, counted on the batch. A drop opens a batch like a
+// planned event does, so the punctuation policy also bounds how long
+// pure-failure streams stay silent. Events are planned in ring order;
+// out-of-order *timestamps* are exercised through the planner's sorted
+// lists.
+func (e *Engine) planEvent(pb *pendingBatch, op Operator, ev *Event) {
 	start := time.Now()
-	if ev.Arrival.IsZero() {
-		ev.Arrival = start
-	}
 	if len(pb.cache) == 0 && pb.dropped == 0 {
-		// Whether it plans or drops, the event opens the batch.
 		pb.firstAt = ev.Arrival
 	}
 	eb, err := op.PreProcess(ev)
 	if err != nil {
-		return fmt.Errorf("engine: preprocess: %w", err)
+		pb.dropped++
+		return
 	}
 	ts := e.pc.nextTS()
 	pb.maxTS = ts // monotonic counter: the latest allocation is the max
@@ -509,7 +500,8 @@ func (e *Engine) planEvent(pb *pendingBatch, op Operator, ev *Event) error {
 		t.Group = e.cfg.GroupFn(ev.Data)
 	}
 	if err := op.StateAccess(eb, txn.Build(t)); err != nil {
-		return fmt.Errorf("engine: state access: %w", err)
+		pb.dropped++
+		return
 	}
 
 	sw := metrics.Start()
@@ -520,7 +512,6 @@ func (e *Engine) planEvent(pb *pendingBatch, op Operator, ev *Event) error {
 
 	pb.cache = append(pb.cache, cachedEvent{ev: ev, eb: eb, t: t, op: op})
 	pb.planned += time.Since(start)
-	return nil
 }
 
 // tracksDirty reports whether sealed batches carry their touched-key set:
@@ -699,40 +690,6 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	res.Elapsed = time.Since(start)
 	e.recordBatch(res, pb.trigger, commitTime, cleanupTime)
 	return res
-}
-
-// Submit runs the stream processing phase for one input event through the
-// synchronous facade. It returns ErrStarted while the pipeline is running:
-// a started engine ingests through Ingest.
-func (e *Engine) Submit(op Operator, ev *Event) error {
-	if e.running.Load() {
-		return ErrStarted
-	}
-	if e.pending == nil {
-		e.pending = newPendingBatch()
-	}
-	return e.planEvent(e.pending, op, ev)
-}
-
-// Punctuate synchronously ends the current batch: it refines each group's
-// TPG, makes the scheduling decisions, executes all groups concurrently,
-// post-processes the cached events, and (optionally) cleans temporal
-// objects up. It panics on a started engine — punctuation is policy there
-// (WithPunctuationCount/Interval, Drain).
-func (e *Engine) Punctuate() *BatchResult {
-	if e.running.Load() {
-		panic("engine: Punctuate on a started engine; use Drain and Results")
-	}
-	pb := e.pending
-	e.pending = nil
-	if pb == nil {
-		pb = newPendingBatch()
-	}
-	e.refreshUniverse() // quiescent: cover preloads since the last batch
-	// Elapsed stays the execution phase alone (as in the pipeline);
-	// planning time — including the seal's Finalize — is PlanElapsed, so
-	// the two fields never double-count.
-	return e.executeBatch(e.seal(pb))
 }
 
 // decide picks the scheduling decision for one group: pinned per-group

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -37,6 +37,65 @@ func depositOp() Operator {
 	}
 }
 
+// barrierEngine runs an engine one barrier at a time, the way a per-window
+// caller does: Ingest a batch, Drain, and read what the result sink
+// received.
+type barrierEngine struct {
+	*Engine
+	t *testing.T
+	// results is appended by the sink on the executor goroutine; a returned
+	// Drain orders every append before the helper reads it.
+	results []*BatchResult
+	seen    int
+}
+
+// newBarrierEngine builds an engine whose sink collects every result.
+// Preload the table, then ingest: the first ingest starts the pipeline, and
+// the test's cleanup closes it.
+func newBarrierEngine(t *testing.T, cfg Config, opts ...Option) *barrierEngine {
+	d := &barrierEngine{t: t}
+	cfg.Sink = func(r *BatchResult) { d.results = append(d.results, r) }
+	d.Engine = New(cfg, opts...)
+	t.Cleanup(func() { _ = d.Close() })
+	return d
+}
+
+// ingest queues one event, starting the pipeline on first use.
+func (d *barrierEngine) ingest(op Operator, ev *Event) {
+	d.t.Helper()
+	if d.pipe.Load() == nil {
+		if err := d.Start(context.Background()); err != nil {
+			d.t.Fatal(err)
+		}
+	}
+	if err := d.Ingest(op, ev); err != nil {
+		d.t.Fatal(err)
+	}
+}
+
+// window is the barrier: it Drains and returns every batch result the sink
+// received since the previous barrier.
+func (d *barrierEngine) window() []*BatchResult {
+	d.t.Helper()
+	if err := d.Drain(); err != nil {
+		d.t.Fatal(err)
+	}
+	got := d.results[d.seen:]
+	d.seen = len(d.results)
+	return got
+}
+
+// drain is the barrier for a batch the count cap does not cut: it returns the
+// one result the window produced.
+func (d *barrierEngine) drain() *BatchResult {
+	d.t.Helper()
+	got := d.window()
+	if len(got) != 1 {
+		d.t.Fatalf("%d batch results since the last drain; want 1", len(got))
+	}
+	return got[0]
+}
+
 // eventLatencyCount reads how many per-event latencies the engine recorded
 // on reg — the same histogram /metrics serves.
 func eventLatencyCount(reg *telemetry.Registry) int64 {
@@ -44,16 +103,14 @@ func eventLatencyCount(reg *telemetry.Registry) int64 {
 }
 
 func TestEngineBasicBatch(t *testing.T) {
-	e := New(Config{Threads: 2, Cleanup: true})
+	e := newBarrierEngine(t, Config{Threads: 2, Cleanup: true})
 	e.Table().Preload("acct", int64(0))
 
 	op := depositOp()
 	for i := 0; i < 100; i++ {
-		if err := e.Submit(op, &Event{Data: [2]any{txn.Key("acct"), int64(1)}}); err != nil {
-			t.Fatal(err)
-		}
+		e.ingest(op, &Event{Data: [2]any{txn.Key("acct"), int64(1)}})
 	}
-	res := e.Punctuate()
+	res := e.drain()
 	if res.Committed != 100 || res.Aborted != 0 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -77,18 +134,16 @@ func TestEngineBasicBatch(t *testing.T) {
 // state table partitioned like the executor (exec.NumShards over the batch's
 // KeySpan), so workers' state accesses stay inside shard-local table memory.
 func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
-	e := New(Config{Threads: 4, Shards: 8, Cleanup: true})
+	e := newBarrierEngine(t, Config{Threads: 4, Shards: 8, Cleanup: true})
 	for i := 0; i < 32; i++ {
 		e.Table().Preload(txn.Key(fmt.Sprintf("align%d", i)), int64(0))
 	}
 	op := depositOp()
 	for i := 0; i < 32; i++ {
 		ev := &Event{Data: [2]any{txn.Key(fmt.Sprintf("align%d", i)), int64(1)}}
-		if err := e.Submit(op, ev); err != nil {
-			t.Fatal(err)
-		}
+		e.ingest(op, ev)
 	}
-	res := e.Punctuate()
+	res := e.drain()
 	if res.Committed != 32 {
 		t.Fatalf("committed = %d; want 32", res.Committed)
 	}
@@ -105,11 +160,9 @@ func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
 	before := e.Table().SafetyLockAcquisitions()
 	for i := 0; i < 32; i++ {
 		ev := &Event{Data: [2]any{txn.Key(fmt.Sprintf("align%d", i)), int64(1)}}
-		if err := e.Submit(op, ev); err != nil {
-			t.Fatal(err)
-		}
+		e.ingest(op, ev)
 	}
-	e.Punctuate()
+	e.drain()
 	got := e.Table().SafetyLockAcquisitions() - before
 	// Steady state: two stripe sweeps, one for the (no-op) Align and one for
 	// the clean-up. TruncateFor visits only the batch's dirty chains, but it
@@ -125,7 +178,7 @@ func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
 
 func TestEngineAbortFlagsPostProcess(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	e := New(Config{Threads: 2}, WithTelemetry(reg))
+	e := newBarrierEngine(t, Config{Threads: 2}, WithTelemetry(reg))
 	e.Table().Preload("acct", int64(0))
 
 	var abortedEvents, okEvents atomic.Int64
@@ -156,9 +209,9 @@ func TestEngineAbortFlagsPostProcess(t *testing.T) {
 		if i%2 == 0 {
 			amount = -1 // violates consistency -> abort
 		}
-		_ = e.Submit(op, &Event{Data: [2]any{txn.Key("acct"), amount}})
+		e.ingest(op, &Event{Data: [2]any{txn.Key("acct"), amount}})
 	}
-	res := e.Punctuate()
+	res := e.drain()
 	if res.Aborted != 5 || res.Committed != 5 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -175,15 +228,15 @@ func TestEngineAbortFlagsPostProcess(t *testing.T) {
 }
 
 func TestEngineAdaptiveDecisionRecorded(t *testing.T) {
-	e := New(Config{Threads: 2}) // Strategy nil -> decision model
+	e := newBarrierEngine(t, Config{Threads: 2}) // Strategy nil -> decision model
 	for i := 0; i < 8; i++ {
 		e.Table().Preload(txn.Key(fmt.Sprintf("k%d", i)), int64(0))
 	}
 	op := depositOp()
 	for i := 0; i < 200; i++ {
-		_ = e.Submit(op, &Event{Data: [2]any{txn.Key(fmt.Sprintf("k%d", i%8)), int64(1)}})
+		e.ingest(op, &Event{Data: [2]any{txn.Key(fmt.Sprintf("k%d", i%8)), int64(1)}})
 	}
-	res := e.Punctuate()
+	res := e.drain()
 	if len(res.Decisions) != 1 {
 		t.Fatalf("decisions = %v", res.Decisions)
 	}
@@ -198,13 +251,13 @@ func TestEngineAdaptiveDecisionRecorded(t *testing.T) {
 
 func TestEnginePinnedStrategy(t *testing.T) {
 	pin := sched.Decision{Explore: sched.SExploreDFS, Gran: sched.FSchedule, Abort: sched.LAbort}
-	e := New(Config{Threads: 2, Strategy: &pin})
+	e := newBarrierEngine(t, Config{Threads: 2, Strategy: &pin})
 	e.Table().Preload("k", int64(0))
 	op := depositOp()
 	for i := 0; i < 20; i++ {
-		_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), int64(2)}})
+		e.ingest(op, &Event{Data: [2]any{txn.Key("k"), int64(2)}})
 	}
-	res := e.Punctuate()
+	res := e.drain()
 	if d := res.Decisions[0]; d != pin {
 		t.Fatalf("decision = %v; want pinned %v", d, pin)
 	}
@@ -215,7 +268,7 @@ func TestEnginePinnedStrategy(t *testing.T) {
 }
 
 func TestEngineNestedGroups(t *testing.T) {
-	e := New(Config{
+	e := newBarrierEngine(t, Config{
 		Threads: 2,
 		GroupFn: func(data any) int { return int(data.([2]any)[1].(int64)) % 2 },
 		GroupStrategies: map[int]sched.Decision{
@@ -240,9 +293,9 @@ func TestEngineNestedGroups(t *testing.T) {
 			k = "odd"
 			amount = int64(3)
 		}
-		_ = e.Submit(dep, &Event{Data: [2]any{k, amount}})
+		e.ingest(dep, &Event{Data: [2]any{k, amount}})
 	}
-	res := e.Punctuate()
+	res := e.drain()
 	if len(res.Decisions) != 2 {
 		t.Fatalf("decisions = %v; want 2 groups", res.Decisions)
 	}
@@ -257,14 +310,14 @@ func TestEngineNestedGroups(t *testing.T) {
 }
 
 func TestEngineMultipleBatchesProfileAdapts(t *testing.T) {
-	e := New(Config{Threads: 2, Cleanup: true})
+	e := newBarrierEngine(t, Config{Threads: 2, Cleanup: true})
 	e.Table().Preload("k", int64(1000))
 	op := depositOp()
 	// Batch 1: no aborts.
 	for i := 0; i < 50; i++ {
-		_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
+		e.ingest(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
 	}
-	e.Punctuate()
+	e.drain()
 	if e.lastAbortRatio != 0 {
 		t.Fatalf("abort ratio = %f; want 0", e.lastAbortRatio)
 	}
@@ -274,9 +327,9 @@ func TestEngineMultipleBatchesProfileAdapts(t *testing.T) {
 		if i%2 == 0 {
 			amount = -1
 		}
-		_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), amount}})
+		e.ingest(op, &Event{Data: [2]any{txn.Key("k"), amount}})
 	}
-	e.Punctuate()
+	e.drain()
 	if e.lastAbortRatio < 0.4 || e.lastAbortRatio > 0.6 {
 		t.Fatalf("abort ratio = %f; want ~0.5", e.lastAbortRatio)
 	}
@@ -290,7 +343,7 @@ func TestEngineMultipleBatchesProfileAdapts(t *testing.T) {
 // by one batch's operations made the reading grow with uptime — 50 equal
 // punctuations of a constant 20us UDF read ~25x the second batch's C.
 func TestComplexityIsProfiledPerBatch(t *testing.T) {
-	e := New(Config{Threads: 2, Cleanup: true})
+	e := newBarrierEngine(t, Config{Threads: 2, Cleanup: true})
 	e.Table().Preload("k", int64(0))
 	op := OperatorFuncs{
 		Pre: depositOp().(OperatorFuncs).Pre,
@@ -308,9 +361,9 @@ func TestComplexityIsProfiledPerBatch(t *testing.T) {
 	var second, last time.Duration
 	for batch := 1; batch <= 50; batch++ {
 		for i := 0; i < 16; i++ {
-			_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
+			e.ingest(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
 		}
-		e.Punctuate()
+		e.drain()
 		switch {
 		case batch == 2:
 			second = e.lastComplexity
@@ -334,7 +387,7 @@ func TestComplexityIsProfiledPerBatch(t *testing.T) {
 // HighAbortRatio), and must still sit there at batch 200 — not only while
 // the process is young.
 func TestAbortHeavyCheapStreamKeepsLazyAbort(t *testing.T) {
-	e := New(Config{Threads: 2, Cleanup: true})
+	e := newBarrierEngine(t, Config{Threads: 2, Cleanup: true})
 	e.Table().Preload("k", int64(0))
 	op := depositOp()
 	// 256 events a batch amortise the first batch's cold start and any one
@@ -345,34 +398,12 @@ func TestAbortHeavyCheapStreamKeepsLazyAbort(t *testing.T) {
 			if i%2 == 0 {
 				amount = -1 // aborts
 			}
-			_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), amount}})
+			e.ingest(op, &Event{Data: [2]any{txn.Key("k"), amount}})
 		}
 		// Batch N's decision is made from batch N-1's profile.
-		if d := e.Punctuate().Decisions[0]; (batch == 2 || batch == 200) && d.Abort != sched.LAbort {
+		if d := e.drain().Decisions[0]; (batch == 2 || batch == 200) && d.Abort != sched.LAbort {
 			t.Fatalf("batch %d: decision %v (C=%v a=%.2f); want l-abort", batch, d, e.lastComplexity, e.lastAbortRatio)
 		}
-	}
-}
-
-func TestEnginePreProcessErrorDropsEvent(t *testing.T) {
-	e := New(Config{Threads: 1})
-	op := OperatorFuncs{
-		Pre: func(*Event) (*txn.EventBlotter, error) { return nil, errors.New("bad event") },
-	}
-	if err := e.Submit(op, &Event{}); err == nil {
-		t.Fatal("expected error")
-	}
-	res := e.Punctuate()
-	if res.Events != 0 {
-		t.Fatalf("events = %d; want 0", res.Events)
-	}
-}
-
-func TestEngineEmptyPunctuation(t *testing.T) {
-	e := New(Config{Threads: 2})
-	res := e.Punctuate()
-	if res.Committed != 0 || res.Aborted != 0 || res.Events != 0 {
-		t.Fatalf("empty punctuation result: %+v", res)
 	}
 }
 
@@ -384,7 +415,7 @@ func TestEngineEmptyPunctuation(t *testing.T) {
 func TestResetTxnsCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	lazy := sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: sched.LAbort}
-	e := New(Config{Threads: 1, Strategy: &lazy}, WithTelemetry(reg))
+	e := newBarrierEngine(t, Config{Threads: 1, Strategy: &lazy}, WithTelemetry(reg))
 	e.Table().Preload("a", int64(1))
 	e.Table().Preload("b", int64(1))
 	e.Table().Preload("out", int64(0))
@@ -406,9 +437,9 @@ func TestResetTxnsCounted(t *testing.T) {
 		b.Write("out", []txn.Key{"a"}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) { return src[0], nil })
 		return nil
 	}
-	_ = e.Submit(writeThenFail, &Event{})
-	_ = e.Submit(readA, &Event{})
-	res := e.Punctuate()
+	e.ingest(writeThenFail, &Event{})
+	e.ingest(readA, &Event{})
+	res := e.drain()
 
 	if res.Aborted != 1 || res.AbortRounds != 1 || res.ResetTxns != 1 || res.Redos != 1 {
 		t.Fatalf("aborted/rounds/resets/redos = %d/%d/%d/%d; want 1/1/1/1", res.Aborted, res.AbortRounds, res.ResetTxns, res.Redos)

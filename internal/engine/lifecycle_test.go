@@ -14,15 +14,15 @@ import (
 // punctuation truncates to a single version per key.
 func TestVersionGrowthWithoutCleanup(t *testing.T) {
 	for _, cleanup := range []bool{false, true} {
-		e := New(Config{Threads: 2, Cleanup: cleanup})
+		e := newBarrierEngine(t, Config{Threads: 2, Cleanup: cleanup})
 		e.Table().Preload("k", int64(0))
 		op := depositOp()
 		const batches, perBatch = 3, 40
 		for b := 0; b < batches; b++ {
 			for i := 0; i < perBatch; i++ {
-				_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
+				e.ingest(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
 			}
-			e.Punctuate()
+			e.drain()
 		}
 		got := e.Table().VersionCount("k")
 		if cleanup && got != 1 {
@@ -43,14 +43,14 @@ func TestVersionGrowthWithoutCleanup(t *testing.T) {
 // global counter spans punctuations, so windows can reach into earlier
 // batches when clean-up is off.
 func TestTimestampsMonotonicAcrossBatches(t *testing.T) {
-	e := New(Config{Threads: 1})
+	e := newBarrierEngine(t, Config{Threads: 1})
 	e.Table().Preload("k", int64(0))
 	op := depositOp()
 	for b := 0; b < 3; b++ {
 		for i := 0; i < 5; i++ {
-			_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
+			e.ingest(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
 		}
-		e.Punctuate()
+		e.drain()
 	}
 	// 15 writes -> versions at ts 1..15 plus the preload.
 	vs := e.Table().ReadRange("k", 0, ^uint64(0))
@@ -67,13 +67,13 @@ func TestTimestampsMonotonicAcrossBatches(t *testing.T) {
 // TestEngineBreakdownPopulated checks the engine's always-on breakdown
 // collects Construct and Useful time.
 func TestEngineBreakdownPopulated(t *testing.T) {
-	e := New(Config{Threads: 2})
+	e := newBarrierEngine(t, Config{Threads: 2})
 	e.Table().Preload("k", int64(0))
 	op := depositOp()
 	for i := 0; i < 200; i++ {
-		_ = e.Submit(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
+		e.ingest(op, &Event{Data: [2]any{txn.Key("k"), int64(1)}})
 	}
-	e.Punctuate()
+	e.drain()
 	if e.Breakdown.Get(metrics.Useful) == 0 {
 		t.Error("Useful bucket empty")
 	}
@@ -85,7 +85,7 @@ func TestEngineBreakdownPopulated(t *testing.T) {
 // TestWindowAcrossBatches: a window read in batch 2 must see versions
 // written in batch 1 when clean-up is off.
 func TestWindowAcrossBatches(t *testing.T) {
-	e := New(Config{Threads: 2})
+	e := newBarrierEngine(t, Config{Threads: 2})
 	e.Table().Preload("s", int64(0))
 	write := func(v int64) Operator {
 		return OperatorFuncs{
@@ -96,9 +96,9 @@ func TestWindowAcrossBatches(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 5; i++ {
-		_ = e.Submit(write(int64(i)), &Event{})
+		e.ingest(write(int64(i)), &Event{})
 	}
-	e.Punctuate()
+	e.drain()
 
 	var sum int64
 	winOp := OperatorFuncs{
@@ -112,8 +112,8 @@ func TestWindowAcrossBatches(t *testing.T) {
 			return nil
 		},
 	}
-	_ = e.Submit(winOp, &Event{})
-	e.Punctuate()
+	e.ingest(winOp, &Event{})
+	e.drain()
 	if sum != 1+2+3+4+5 {
 		t.Fatalf("cross-batch window sum = %d; want 15", sum)
 	}

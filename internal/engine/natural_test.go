@@ -354,9 +354,7 @@ func TestIntervalBoundRunsFromArrival(t *testing.T) {
 	e := New(Config{Threads: 1})
 	pb := newPendingBatch()
 	arrived := time.Now().Add(-time.Minute)
-	if err := e.planEvent(pb, depositOp(), &Event{Data: [2]any{txn.Key("acct"), int64(1)}, Arrival: arrived}); err != nil {
-		t.Fatal(err)
-	}
+	e.planEvent(pb, depositOp(), &Event{Data: [2]any{txn.Key("acct"), int64(1)}, Arrival: arrived})
 	if !pb.firstAt.Equal(arrived) {
 		t.Fatalf("firstAt = %v; want the event's Arrival %v", pb.firstAt, arrived)
 	}

@@ -10,8 +10,8 @@ import (
 
 // Streaming lifecycle errors.
 var (
-	// ErrStarted is returned by the synchronous facade (Submit) and by
-	// Start while the pipeline is running.
+	// ErrStarted is returned by a second Start while the pipeline is
+	// running.
 	ErrStarted = errors.New("engine: pipeline started")
 	// ErrNotStarted is returned by Ingest/Drain before Start.
 	ErrNotStarted = errors.New("engine: pipeline not started")
@@ -85,10 +85,8 @@ type pipeMsg struct {
 	flush chan struct{}
 }
 
-// Start spins the pipeline up. Events previously planned through the
-// synchronous facade are carried into the first pipelined batch. Start
-// returns ErrStarted while a pipeline is running and ErrClosed after Close:
-// the lifecycle is single-use.
+// Start spins the pipeline up. It returns ErrStarted while a pipeline is
+// running and ErrClosed after Close: the lifecycle is single-use.
 func (e *Engine) Start(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -120,24 +118,18 @@ func (e *Engine) Start(ctx context.Context) error {
 		execIdle: make(chan struct{}, 1),
 		execDone: make(chan struct{}),
 	}
-	pending := e.pending
-	e.pending = nil
-	if pending == nil {
-		pending = newPendingBatch()
-	}
 	e.pipe.Store(p)
-	e.running.Store(true)
-	go p.plannerLoop(pending)
+	go p.plannerLoop()
 	go p.executorLoop()
 	return nil
 }
 
 // Ingest enqueues one event onto the submission ring, blocking while the
-// ring is full (backpressure). The planner stage runs PreProcess and
-// StateAccess; a PreProcess failure is reported asynchronously through
-// BatchResult.Dropped rather than an Ingest error. Safe for concurrent use
-// from any number of goroutines; events from a single goroutine keep their
-// ingestion order.
+// ring is full (backpressure), and stamps its Arrival if unset. The planner
+// stage runs PreProcess and StateAccess; a failure in either is reported
+// through BatchResult.Dropped rather than an Ingest error. Safe for
+// concurrent use from any number of goroutines; events from a single
+// goroutine keep their ingestion order.
 func (e *Engine) Ingest(op Operator, ev *Event) error {
 	p := e.pipe.Load()
 	if p == nil {
@@ -205,8 +197,8 @@ func (e *Engine) neverStartedErr() error {
 
 // Close flushes the pipeline (every event ingested before Close executes
 // and its result is delivered), tears both stages down, and closes the
-// Results channel. Idempotent. After Close the synchronous facade works
-// again, but the pipeline cannot be restarted. If the pipeline was aborted
+// Results channel. Idempotent; the engine cannot be restarted. If the
+// pipeline was aborted
 // by context cancellation, Close skips the flush — events not yet executed
 // are discarded — and returns the context's error.
 //
@@ -240,7 +232,6 @@ func (e *Engine) Close() error {
 		_ = p.ring.push(ingestItem{flush: ch, stop: true})
 	})
 	<-p.execDone
-	e.running.Store(false)
 	err := p.closeErr()
 	// The executor has quiesced: flush and close the WAL, surfacing any
 	// sticky logging failure. Idempotent — a second Close finds wal nil.
@@ -282,8 +273,9 @@ func (p *pipeline) closeErr() error {
 // going idle with the ring drained — or a flush barrier arrives. Sealed
 // batches block on execCh until the executor stage frees up — the pipeline's
 // plan-ahead depth of one batch.
-func (p *pipeline) plannerLoop(pending *pendingBatch) {
+func (p *pipeline) plannerLoop() {
 	e := p.e
+	pending := newPendingBatch()
 	defer close(p.execCh)
 	defer p.ring.close() // idempotent; releases producers on the cancel path
 
@@ -358,7 +350,7 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 						sealAndSend(s.flush, sealFlush)
 						return
 					}
-					p.planItem(pending, s)
+					e.planEvent(pending, s.op, s.ev)
 				}
 				p.ring.drainPending(late)
 				p.ring.close()
@@ -369,7 +361,7 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 			}
 			return true
 		}
-		p.planItem(pending, it)
+		e.planEvent(pending, it.op, it.ev)
 		if batchLoad() >= e.cfg.PunctuateEvery {
 			return sealAndSend(nil, sealCount)
 		}
@@ -421,16 +413,6 @@ func (p *pipeline) plannerLoop(pending *pendingBatch) {
 			// no table state, so the events simply never execute.
 			return
 		}
-	}
-}
-
-// planItem plans one ingested event; PreProcess/StateAccess failures are
-// accounted as drops on the batch (the asynchronous counterpart of Submit's
-// error return). A drop opens a batch like a planned event does, so the
-// interval policy also bounds how long pure-failure streams stay silent.
-func (p *pipeline) planItem(pending *pendingBatch, it ingestItem) {
-	if err := p.e.planEvent(pending, it.op, it.ev); err != nil {
-		pending.dropped++
 	}
 }
 

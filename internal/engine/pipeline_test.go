@@ -15,6 +15,7 @@ import (
 	"morphstream/internal/store"
 	"morphstream/internal/telemetry"
 	"morphstream/internal/txn"
+	"morphstream/internal/wal"
 	"morphstream/internal/workload"
 )
 
@@ -35,17 +36,6 @@ func TestLifecycleStateErrors(t *testing.T) {
 	if err := e.Start(context.Background()); !errors.Is(err, ErrStarted) {
 		t.Fatalf("second Start = %v; want ErrStarted", err)
 	}
-	if err := e.Submit(op, &Event{}); !errors.Is(err, ErrStarted) {
-		t.Fatalf("Submit while started = %v; want ErrStarted", err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Punctuate on a started engine did not panic")
-			}
-		}()
-		e.Punctuate()
-	}()
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close = %v", err)
 	}
@@ -58,13 +48,62 @@ func TestLifecycleStateErrors(t *testing.T) {
 	if err := e.Start(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Start after Close = %v; want ErrClosed", err)
 	}
-	// The synchronous facade works again after Close.
-	e.Table().Preload("k", int64(0))
-	if err := e.Submit(depositOp(), &Event{Data: [2]any{txn.Key("k"), int64(5)}}); err != nil {
-		t.Fatalf("Submit after Close = %v", err)
+	if err := e.Drain(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Drain after Close = %v; want ErrClosed", err)
 	}
-	if res := e.Punctuate(); res.Committed != 1 {
-		t.Fatalf("post-Close punctuate: %+v", res)
+}
+
+// TestDrainIsAWindowBarrier pins the contract every per-window caller (the
+// case studies, Fig. 23/25) relies on: Ingest a window, Drain, and the results
+// the sink received since the previous Drain account for exactly that window's
+// events — however the count cap cut it — with the table reflecting every
+// write, Seq strictly increasing, and no result for an empty window. With
+// durability on, every one of those results is Durable.
+func TestDrainIsAWindowBarrier(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			var opts []Option
+			if durable {
+				opts = append(opts, WithDurability(&Durability{Sink: wal.NewMemSink()}))
+			}
+			d := newBarrierEngine(t, Config{Threads: 2, Cleanup: true}, append(opts, WithPunctuationCount(1024))...)
+			d.Table().Preload("acct", int64(0))
+			op := depositOp()
+			total := 0
+			for _, window := range []int{300, 1500, 0} {
+				for i := 0; i < window; i++ {
+					d.ingest(op, &Event{Data: [2]any{txn.Key("acct"), int64(1)}})
+				}
+				got := d.window()
+				total += window
+				events, committed := 0, 0
+				for _, r := range got {
+					events += r.Events
+					committed += r.Committed
+					if durable && !r.Durable {
+						t.Errorf("window %d: batch %d delivered without durability", window, r.Seq)
+					}
+				}
+				if events != window || committed != window {
+					t.Fatalf("window %d: sink saw %d events, %d committed; want %d", window, events, committed, window)
+				}
+				if window == 0 && len(got) != 0 {
+					t.Fatalf("empty window yielded %d results", len(got))
+				}
+				if v, _ := d.Table().Latest("acct"); v.(int64) != int64(total) {
+					t.Fatalf("after window %d: acct = %v; want %d", window, v, total)
+				}
+			}
+			for i := 1; i < len(d.results); i++ {
+				if d.results[i].Seq <= d.results[i-1].Seq {
+					t.Fatalf("Seq %d after %d: not strictly increasing", d.results[i].Seq, d.results[i-1].Seq)
+				}
+			}
+			// 300 fits under the cap; 1,500 is cut once by it.
+			if len(d.results) != 3 {
+				t.Fatalf("%d batches; want 3 (300, then 1024 + 476)", len(d.results))
+			}
+		})
 	}
 }
 
@@ -466,30 +505,8 @@ func preloadState(e *Engine, b *workload.Batch) {
 	}
 }
 
-// runSync pushes the whole spec stream through the synchronous facade in
-// punctuations of batchSize.
-func runSync(t *testing.T, b *workload.Batch, d *sched.Decision, batchSize int) (map[txn.Key]txn.Value, *runRecord, int, int) {
-	t.Helper()
-	rec := newRunRecord()
-	e := New(Config{Threads: 4, Strategy: d, Cleanup: true})
-	preloadState(e, b)
-	op := specOp(rec)
-	committed, aborted := 0, 0
-	for i, s := range b.Specs {
-		if err := e.Submit(op, &Event{Data: s}); err != nil {
-			t.Fatal(err)
-		}
-		if (i+1)%batchSize == 0 || i == len(b.Specs)-1 {
-			r := e.Punctuate()
-			committed += r.Committed
-			aborted += r.Aborted
-		}
-	}
-	return e.Table().Snapshot(), rec, committed, aborted
-}
-
-// runPipelined pushes the same stream through Start/Ingest/Drain/Close with
-// a count-punctuation policy equal to the synchronous batch size.
+// runPipelined pushes the spec stream through Start/Ingest/Close with a
+// count-punctuation policy of batchSize.
 func runPipelined(t *testing.T, b *workload.Batch, d *sched.Decision, batchSize int) (map[txn.Key]txn.Value, *runRecord, int, int) {
 	t.Helper()
 	return runPipelinedPaced(t, b, d, nil, WithPunctuationCount(batchSize))
@@ -572,13 +589,12 @@ func diffRuns(t *testing.T, label string,
 	}
 }
 
-// TestPipelinedMatchesSynchronousAndOracle is the engine-level leg of the
-// strategy-matrix suite: the same seeded workloads run (a) on the serial
-// oracle, (b) through the synchronous facade, and (c) through the pipelined
-// lifecycle, under every pinned decision plus the adaptive model. Final
-// state, per-transaction abort flags, blotter results, and commit/abort
-// totals must all agree.
-func TestPipelinedMatchesSynchronousAndOracle(t *testing.T) {
+// TestPipelinedMatchesOracle is the engine-level leg of the strategy-matrix
+// suite: the same seeded workloads run on the serial oracle and through the
+// pipelined lifecycle, under every pinned decision plus the adaptive model.
+// Final state, per-transaction abort flags, blotter results, and
+// commit/abort totals must all agree.
+func TestPipelinedMatchesOracle(t *testing.T) {
 	workloads := []struct {
 		name  string
 		batch *workload.Batch
@@ -614,9 +630,7 @@ func TestPipelinedMatchesSynchronousAndOracle(t *testing.T) {
 				name = d.String()
 			}
 			t.Run(fmt.Sprintf("%s/%s", w.name, name), func(t *testing.T) {
-				sSnap, sRec, sC, sA := runSync(t, w.batch, d, batchSize)
 				pSnap, pRec, pC, pA := runPipelined(t, w.batch, d, batchSize)
-				diffRuns(t, "sync-vs-oracle", oSnap, oRec, oC, oA, sSnap, sRec, sC, sA)
 				diffRuns(t, "pipelined-vs-oracle", oSnap, oRec, oC, oA, pSnap, pRec, pC, pA)
 			})
 		}
@@ -625,19 +639,19 @@ func TestPipelinedMatchesSynchronousAndOracle(t *testing.T) {
 
 // TestUniverseRefreshSeesPreInternedKeys pins the ND fan-out staleness
 // fix: a key whose string was interned long ago (by another table sharing
-// the process dictionary) and preloaded between punctuations must still
-// enter the quiescent-point universe snapshot — the dictionary length
-// alone cannot signal it, the table's chain-birth counter must.
+// the process dictionary) and preloaded between two Drains must still enter
+// the universe snapshot the next batch boundary takes — the dictionary
+// length alone cannot signal it, the table's chain-birth counter must.
 func TestUniverseRefreshSeesPreInternedKeys(t *testing.T) {
 	// Intern the key via a different table first.
 	other := store.NewTable()
 	other.Preload("pre-interned-elsewhere", int64(0))
 	id := store.Intern("pre-interned-elsewhere")
 
-	e := New(Config{Threads: 1})
+	e := newBarrierEngine(t, Config{Threads: 1})
 	e.Table().Preload("k0", int64(0))
-	_ = e.Submit(depositOp(), &Event{Data: [2]any{txn.Key("k0"), int64(1)}})
-	e.Punctuate() // snapshot taken; dict already contains the foreign key
+	e.ingest(depositOp(), &Event{Data: [2]any{txn.Key("k0"), int64(1)}})
+	e.drain() // snapshot taken; dict already contains the foreign key
 
 	inUniverse := func() bool {
 		for _, u := range e.universeSnapshot() {
@@ -650,11 +664,11 @@ func TestUniverseRefreshSeesPreInternedKeys(t *testing.T) {
 	if inUniverse() {
 		t.Fatal("key unexpectedly in the universe before preload")
 	}
-	// Preload moves KeyBirths but not DictLen: the next quiescent refresh
-	// must still pick it up.
+	// Preload moves KeyBirths but not DictLen: the executor's end-of-batch
+	// refresh must still pick it up.
 	e.Table().Preload("pre-interned-elsewhere", int64(7))
-	_ = e.Submit(depositOp(), &Event{Data: [2]any{txn.Key("k0"), int64(1)}})
-	e.Punctuate()
+	e.ingest(depositOp(), &Event{Data: [2]any{txn.Key("k0"), int64(1)}})
+	e.drain()
 	if !inUniverse() {
 		t.Fatal("preloaded pre-interned key missing from the ND universe snapshot")
 	}

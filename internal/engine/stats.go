@@ -65,7 +65,7 @@ type PipelineStats struct {
 
 	// LastTrigger names what sealed the most recent batch — "count" (the
 	// cap), "interval" (the bound), "idle" (ring drained and executor idle;
-	// interval engines only) or "flush" (Drain/Close/Punctuate) — and
+	// interval engines only) or "flush" (Drain/Close) — and
 	// LastBatchEvents its size; empty and zero before the first batch.
 	LastTrigger     string
 	LastBatchEvents int

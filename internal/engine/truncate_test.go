@@ -64,22 +64,18 @@ func TestTruncateForMatchesFullTruncate(t *testing.T) {
 					name = d.String()
 				}
 				t.Run(fmt.Sprintf("%s/%s/fusion=%v", w.name, name, fusion), func(t *testing.T) {
-					dirty := New(Config{Threads: 4, Strategy: d, Fusion: fusion, Cleanup: true})
-					full := New(Config{Threads: 4, Strategy: d, Fusion: fusion})
-					preloadState(dirty, w.batch)
-					preloadState(full, w.batch)
+					dirty := newBarrierEngine(t, Config{Threads: 4, Strategy: d, Fusion: fusion, Cleanup: true})
+					full := newBarrierEngine(t, Config{Threads: 4, Strategy: d, Fusion: fusion})
+					preloadState(dirty.Engine, w.batch)
+					preloadState(full.Engine, w.batch)
 					dOp, fOp := specOp(newRunRecord()), specOp(newRunRecord())
 					for i, s := range w.batch.Specs {
-						if err := dirty.Submit(dOp, &Event{Data: s}); err != nil {
-							t.Fatal(err)
-						}
-						if err := full.Submit(fOp, &Event{Data: s}); err != nil {
-							t.Fatal(err)
-						}
+						dirty.ingest(dOp, &Event{Data: s})
+						full.ingest(fOp, &Event{Data: s})
 						if (i+1)%batchSize != 0 && i != len(w.batch.Specs)-1 {
 							continue
 						}
-						dr, fr := dirty.Punctuate(), full.Punctuate()
+						dr, fr := dirty.drain(), full.drain()
 						full.Table().Truncate(^uint64(0))
 						label := fmt.Sprintf("batch %d", dr.Seq)
 						if dr.Committed != fr.Committed || dr.Aborted != fr.Aborted {

@@ -21,7 +21,10 @@ func Fig23(threads int) *Report {
 	tweets := 0
 	start := time.Now()
 	for w, tw := range windows {
-		res := d.ProcessWindow(tw)
+		res, err := d.ProcessWindow(tw)
+		if err != nil {
+			panic(err)
+		}
 		tweets += len(tw)
 		detected[w] = make([]int, len(events))
 		mapping := osed.MapClustersToEvents(d.Clusters(), events)
@@ -32,6 +35,9 @@ func Fig23(threads int) *Report {
 		}
 	}
 	elapsed := time.Since(start)
+	if err := d.Close(); err != nil {
+		panic(err)
+	}
 
 	header := []string{"window"}
 	for _, ev := range events {
@@ -75,7 +81,9 @@ func Fig25(threads int) *Report {
 	events := 0
 	start := time.Now()
 	for b, tuples := range batches {
-		j.ProcessBatch(tuples)
+		if _, _, err := j.ProcessBatch(tuples); err != nil {
+			panic(err)
+		}
 		events += len(tuples)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(b),
@@ -85,6 +93,9 @@ func Fig25(threads int) *Report {
 		})
 	}
 	elapsed := time.Since(start)
+	if err := j.Close(); err != nil {
+		panic(err)
+	}
 	r.Notes = append(r.Notes, fmt.Sprintf("throughput: %.2f k events/sec", metrics.Throughput(events, elapsed)))
 	return r
 }

@@ -120,6 +120,8 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 		{"fig20", func() *Report { return Fig20(testScale, threads) }, 10},
 		{"fig21a", func() *Report { return Fig21a(testScale, threads) }, 3},
 		{"fig21b", func() *Report { return Fig21b(testScale, 4) }, 3},
+		{"fig23", func() *Report { return Fig23(threads) }, 13},
+		{"fig25", func() *Report { return Fig25(threads) }, 10},
 	}
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
@@ -155,35 +157,5 @@ func TestDynamicExperimentsRun(t *testing.T) {
 	r17 := Fig17(testScale, 2)
 	if len(r17.Rows) != 4 {
 		t.Fatalf("fig17 rows = %d", len(r17.Rows))
-	}
-}
-
-// TestPipelineOverlapExperiment checks the pipelined-vs-synchronous
-// comparison runs at tiny scale, processes every event in both modes, and
-// actually measures overlap.
-func TestPipelineOverlapExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	b, batchSize := pipelineWorkload(testScale)
-	sc, _ := RunSynchronousBaseline(b, batchSize, 2)
-	pc, _, st := RunPipelined(b, batchSize, 2)
-	if sc != pc {
-		t.Fatalf("committed: sync %d vs pipelined %d", sc, pc)
-	}
-	if sc == 0 {
-		t.Fatal("nothing committed")
-	}
-	if st.PlanBusy <= 0 || st.ExecBusy <= 0 {
-		t.Fatalf("overlap meter empty: %+v", st)
-	}
-	r := PipelineOverlap(testScale, 2)
-	if len(r.Rows) != 2 {
-		t.Fatalf("report rows = %d; want 2\n%s", len(r.Rows), r)
-	}
-	for i, row := range r.Rows {
-		if len(row) != len(r.Header) {
-			t.Fatalf("row %d has %d cells; header has %d", i, len(row), len(r.Header))
-		}
 	}
 }

@@ -13,12 +13,10 @@ import (
 	"morphstream/internal/telemetry"
 )
 
-// This file benchmarks the framed RPC front door (internal/rpcserve): N
-// concurrent client connections flood the demo ledger operator over
-// loopback TCP and every event's receipt round-trip time is recorded. The
-// in-process row runs the same event stream straight into the engine, so
-// the delta is the cost of the wire: framing, the payload codec, the kernel
-// socket path, and the per-connection receipt fan-out.
+// This file drives the framed RPC front door (internal/rpcserve) for
+// BenchmarkServeThroughput: N concurrent client connections flood the demo
+// ledger operator over loopback TCP and every event's receipt round-trip
+// time is recorded.
 
 // ServeFloodResult is one flood run's measurement.
 type ServeFloodResult struct {
@@ -29,7 +27,7 @@ type ServeFloodResult struct {
 	// Elapsed is the wall time from first submit to last receipt.
 	Elapsed time.Duration
 	// RTT holds one receipt round-trip sample (ns) per event: submit to
-	// receipt arrival, as seen by the client. Nil for in-process runs.
+	// receipt arrival, as seen by the client.
 	RTT *telemetry.Histogram
 }
 
@@ -191,74 +189,4 @@ func serveFloodClient(addr string, ops []any, conn int, rtt *telemetry.Histogram
 	}
 	<-done
 	return committed, aborted, consumeErr
-}
-
-// ServeFloodInProcess runs the identical event stream straight into an
-// engine (no network, no codec) as the comparison baseline.
-func ServeFloodInProcess(conns, events, span int, balance int64, threads int) (*ServeFloodResult, error) {
-	op := rpcserve.LedgerOperator()
-	ops := serveFloodOps(conns, events, span, balance)
-	elapsed, _, err := drivePipelined(
-		engine.Config{Threads: threads, Cleanup: true, PunctuateEvery: 4096},
-		func(e *engine.Engine) { rpcserve.PreloadAccounts(e.Table(), conns*span, balance) },
-		func(e *engine.Engine) {
-			var wg sync.WaitGroup
-			for c := range ops {
-				wg.Add(1)
-				go func(list []any) {
-					defer wg.Done()
-					for _, o := range list {
-						_ = e.Ingest(op, &engine.Event{Data: o})
-					}
-				}(ops[c])
-			}
-			wg.Wait()
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &ServeFloodResult{Events: conns * events, Elapsed: elapsed}, nil
-}
-
-// ServeFlood benchmarks the RPC front door: a multi-connection loopback
-// flood against the demo ledger, with the identical stream ingested
-// in-process as the no-wire baseline.
-func ServeFlood(scale Scale, conns, threads int) (*Report, error) {
-	events := scale.txns(25600)
-	span := 64
-	balance := int64(1000)
-
-	nw, err := ServeFloodNetwork(conns, events, span, balance, threads)
-	if err != nil {
-		return nil, err
-	}
-	inp, err := ServeFloodInProcess(conns, events, span, balance, threads)
-	if err != nil {
-		return nil, err
-	}
-
-	r := &Report{
-		Title:  "Framed RPC front door: loopback flood vs in-process ingest",
-		Header: []string{"mode", "conns", "events", "committed", "aborted", "elapsed", "thr(k/s)", "p50", "p95", "p99"},
-	}
-	rtt := nw.RTT.Snapshot()
-	r.Rows = append(r.Rows, []string{
-		"rpc(loopback)", fmt.Sprint(conns), fmt.Sprint(nw.Events),
-		fmt.Sprint(nw.Committed), fmt.Sprint(nw.Aborted),
-		nw.Elapsed.Round(time.Millisecond).String(), kps(nw.Events, nw.Elapsed),
-		quantile(rtt, 0.50, 10*time.Microsecond),
-		quantile(rtt, 0.95, 10*time.Microsecond),
-		quantile(rtt, 0.99, 10*time.Microsecond),
-	})
-	r.Rows = append(r.Rows, []string{
-		"in-process", fmt.Sprint(conns), fmt.Sprint(inp.Events), "-", "-",
-		inp.Elapsed.Round(time.Millisecond).String(), kps(inp.Events, inp.Elapsed),
-		"-", "-", "-",
-	})
-	r.Notes = append(r.Notes,
-		"rpc row: each connection self-paces on an inflight-receipt window; RTT is submit-to-receipt as seen by the client",
-		"receipts are correlated by connection-scoped txn id and delivered per event, in submit order, exactly once (on the wire: one frame per session per batch)",
-		fmt.Sprintf("ledger: %d accounts per connection (disjoint ranges), initial balance %d; punctuation every 4096 events or 2ms", span, balance),
-	)
-	return r, nil
 }

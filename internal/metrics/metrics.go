@@ -165,7 +165,7 @@ type OverlapStats struct {
 	// ExecBusy is the total time the execution stage was busy.
 	ExecBusy time.Duration
 	// Overlap is the time both stages were busy simultaneously; it is the
-	// wall-clock time a batch-synchronous front door would have added.
+	// wall-clock time strictly alternating the two stages would have added.
 	Overlap time.Duration
 	// Wall is the wall-clock span from the first transition to the reading.
 	Wall time.Duration

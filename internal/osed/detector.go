@@ -1,6 +1,7 @@
 package osed
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -15,13 +16,18 @@ import (
 // -> Similarity Calculator -> Cluster Updater -> Event Selector. Word
 // occurrences live as timestamped versions in the multi-version state
 // table, so the Trend Calculator's cross-window frequency comparison is a
-// genuine windowed state access (Section 6.5.1).
+// genuine windowed state access (Section 6.5.1). The detector owns a running
+// engine: NewDetector starts it and Close stops it.
 type Detector struct {
 	eng *engine.Engine
+	// committed and aborted sum the batch results the sink received since the
+	// last drain. The sink runs on the executor goroutine; drain reads them
+	// only after the engine's Drain returned.
+	committed, aborted int
 
 	// submitted mirrors the ProgressController's timestamp counter: every
-	// Submit consumes one timestamp, which lets the detector place exact
-	// event-time window boundaries.
+	// ingested event consumes one timestamp, which lets the detector place
+	// exact event-time window boundaries.
 	submitted uint64
 	// curStart / prevStart are the first timestamps of the current and
 	// previous processing windows.
@@ -53,19 +59,31 @@ type WindowResult struct {
 	Aborted       int
 }
 
-// NewDetector builds a detector with the given executor thread count.
+// NewDetector builds and starts a detector with the given executor thread
+// count. Close it when done.
 func NewDetector(threads int) *Detector {
-	return &Detector{
-		eng:       engine.New(engine.Config{Threads: threads}),
+	d := &Detector{
 		curStart:  1,
 		prevStart: 1,
 		vocab:     map[string]bool{},
 		active:    map[string]int{},
 	}
+	d.eng = engine.New(engine.Config{Threads: threads}, engine.WithResultSink(func(r *engine.BatchResult) {
+		d.committed += r.Committed
+		d.aborted += r.Aborted
+	}))
+	// Start can only fail on recovery or reuse; this engine has neither.
+	if err := d.eng.Start(context.Background()); err != nil {
+		panic(err)
+	}
+	return d
 }
 
-// Engine exposes the underlying MorphStream instance (examples print its
-// latency recorder and breakdown).
+// Close flushes and stops the detector's engine.
+func (d *Detector) Close() error { return d.eng.Close() }
+
+// Engine exposes the underlying MorphStream instance (its Table, Breakdown
+// and PipelineStats).
 func (d *Detector) Engine() *engine.Engine { return d.eng }
 
 // Clusters exposes the current centroids; the evaluation maps detected
@@ -76,16 +94,31 @@ func wordKey(w string) txn.Key { return txn.Key("word:" + w) }
 
 func clusterKey(c int) txn.Key { return txn.Key(fmt.Sprintf("cluster:%d", c)) }
 
-func (d *Detector) submit(op engine.Operator, ev *engine.Event) {
-	if err := d.eng.Submit(op, ev); err == nil {
-		d.submitted++
+func (d *Detector) ingest(op engine.Operator, ev *engine.Event) error {
+	if err := d.eng.Ingest(op, ev); err != nil {
+		return err
 	}
+	d.submitted++
+	return nil
+}
+
+// drain is a stage barrier: it waits until every ingested event executed and
+// returns how many transactions committed and aborted since the previous
+// drain. A count cut inside a stage changes nothing the detector reads: its
+// windows are timestamp ranges over a table that is never cleaned up.
+func (d *Detector) drain() (committed, aborted int, err error) {
+	if err := d.eng.Drain(); err != nil {
+		return 0, 0, err
+	}
+	committed, aborted = d.committed, d.aborted
+	d.committed, d.aborted = 0, 0
+	return committed, aborted, nil
 }
 
 // ProcessWindow ingests one window of tweets and returns its detection
-// result. Stages are separated by punctuations, mirroring the paper's
+// result. Stages are separated by Drain barriers, mirroring the paper's
 // punctuation-controlled stage boundaries.
-func (d *Detector) ProcessWindow(tweets []Tweet) WindowResult {
+func (d *Detector) ProcessWindow(tweets []Tweet) (WindowResult, error) {
 	res := WindowResult{ClusterGrowth: map[int]int{}}
 	d.prevStart, d.curStart = d.curStart, d.submitted+1
 	d.vocab = map[string]bool{}
@@ -114,15 +147,20 @@ func (d *Detector) ProcessWindow(tweets []Tweet) WindowResult {
 				return nil
 			},
 		}
-		d.submit(op, &engine.Event{Data: t})
+		if err := d.ingest(op, &engine.Event{Data: t}); err != nil {
+			return res, err
+		}
 	}
-	br := d.eng.Punctuate()
-	res.Committed += br.Committed
-	res.Aborted += br.Aborted
+	var err error
+	if res.Committed, res.Aborted, err = d.drain(); err != nil {
+		return res, err
+	}
 
 	// Stage 3: Trend Calculator. Newly bursting keywords refresh their
 	// time-to-live; stale ones expire.
-	res.BurstKeywords = d.detectBursts()
+	if res.BurstKeywords, err = d.detectBursts(); err != nil {
+		return res, err
+	}
 	for w, ttl := range d.active {
 		if ttl <= 1 {
 			delete(d.active, w)
@@ -139,22 +177,29 @@ func (d *Detector) ProcessWindow(tweets []Tweet) WindowResult {
 	for w := range d.active {
 		burstSet[w] = true
 	}
-	br2, growth := d.clusterTweets(tweets, burstSet)
-	res.Committed += br2.Committed
-	res.Aborted += br2.Aborted
+	growth, err := d.clusterTweets(tweets, burstSet)
+	if err != nil {
+		return res, err
+	}
+	committed, aborted, err := d.drain()
+	if err != nil {
+		return res, err
+	}
+	res.Committed += committed
+	res.Aborted += aborted
 	for c, g := range growth {
 		if g > 0 {
 			res.ClusterGrowth[c] = g
 		}
 	}
-	return res
+	return res, nil
 }
 
 // detectBursts issues one windowed transaction per vocabulary word: a
 // window read spanning the previous and current windows, split at the
 // current window's start. Words whose frequency at least doubles across
 // the boundary (and crosses an absolute floor) are burst keywords.
-func (d *Detector) detectBursts() []string {
+func (d *Detector) detectBursts() ([]string, error) {
 	words := make([]string, 0, len(d.vocab))
 	for w := range d.vocab {
 		words = append(words, w)
@@ -184,9 +229,13 @@ func (d *Detector) detectBursts() []string {
 				return nil
 			},
 		}
-		d.submit(op, &engine.Event{Data: w})
+		if err := d.ingest(op, &engine.Event{Data: w}); err != nil {
+			return nil, err
+		}
 	}
-	d.eng.Punctuate()
+	if _, _, err := d.drain(); err != nil {
+		return nil, err
+	}
 
 	var burst []string
 	for i, st := range stats {
@@ -194,13 +243,13 @@ func (d *Detector) detectBursts() []string {
 			burst = append(burst, words[i])
 		}
 	}
-	return burst
+	return burst, nil
 }
 
 // clusterTweets assigns every burst tweet to the most cosine-similar
-// cluster (creating one when none passes the threshold), persists the
-// merges as state transactions, and returns per-cluster growth.
-func (d *Detector) clusterTweets(tweets []Tweet, burst map[string]bool) (*engine.BatchResult, map[int]int) {
+// cluster (creating one when none passes the threshold), ingests the merges
+// as state transactions, and returns per-cluster growth; the caller drains.
+func (d *Detector) clusterTweets(tweets []Tweet, burst map[string]bool) (map[int]int, error) {
 	growth := map[int]int{}
 	var merges []int
 	for _, t := range tweets {
@@ -230,12 +279,17 @@ func (d *Detector) clusterTweets(tweets []Tweet, burst map[string]bool) (*engine
 		merges = append(merges, best)
 	}
 
+	// New clusters start at zero. The burst-detection drain left the engine
+	// quiescent; preload before the first merge is ingested, because once
+	// merges flow the count cap may have the executor running.
+	for _, c := range merges {
+		if _, ok := d.eng.Table().Latest(clusterKey(c)); !ok {
+			d.eng.Table().Preload(clusterKey(c), int64(0))
+		}
+	}
 	// Cluster Updater: one state transaction per merge.
 	for _, c := range merges {
 		key := clusterKey(c)
-		if _, ok := d.eng.Table().Latest(key); !ok {
-			d.eng.Table().Preload(key, int64(0))
-		}
 		op := engine.OperatorFuncs{
 			Access: func(_ *txn.EventBlotter, b *txn.Builder) error {
 				b.Write(key, []txn.Key{key}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) {
@@ -244,10 +298,11 @@ func (d *Detector) clusterTweets(tweets []Tweet, burst map[string]bool) (*engine
 				return nil
 			},
 		}
-		d.submit(op, &engine.Event{Data: c})
+		if err := d.ingest(op, &engine.Event{Data: c}); err != nil {
+			return nil, err
+		}
 	}
-	br := d.eng.Punctuate()
-	return br, growth
+	return growth, nil
 }
 
 func cosine(a, b map[string]float64) float64 {

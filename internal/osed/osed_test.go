@@ -1,7 +1,9 @@
 package osed
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestGenerateGroundTruth(t *testing.T) {
@@ -77,17 +79,22 @@ func TestCosine(t *testing.T) {
 
 // TestDetectorFindsEvents runs the full pipeline and checks that detected
 // popularity tracks the ground truth: every event is detected, and its
-// detected peak lands within two windows of the expected peak.
+// detected peak lands within two windows of the expected peak. Close must
+// then take down every goroutine the detector started.
 func TestDetectorFindsEvents(t *testing.T) {
 	cfg := DefaultGenConfig()
 	events := DefaultEvents()
 	windows, _ := Generate(cfg, events)
 
+	goroutines := runtime.NumGoroutine()
 	d := NewDetector(2)
 	// detected[w][ei] accumulates cluster growth mapped to events.
 	detected := make([][]int, len(windows))
 	for w, tweets := range windows {
-		res := d.ProcessWindow(tweets)
+		res, err := d.ProcessWindow(tweets)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Aborted != 0 {
 			t.Fatalf("window %d: %d aborted transactions", w, res.Aborted)
 		}
@@ -97,6 +104,16 @@ func TestDetectorFindsEvents(t *testing.T) {
 			if c < len(mapping) && mapping[c] >= 0 {
 				detected[w][mapping[c]] += g
 			}
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The executor stage exits before Close returns; the planner may still be
+	// on its way out.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close; %d before NewDetector", runtime.NumGoroutine(), goroutines)
 		}
 	}
 

@@ -70,8 +70,7 @@ type Server struct {
 	// pending accumulates the current batch's post-processed envelopes
 	// between PostProcess and the result sink, and touched the sessions the
 	// sink found among them. Both run on the engine's executor goroutine,
-	// so no lock guards them — which is also why the server never drives
-	// the engine's synchronous facade.
+	// so no lock guards them.
 	pending []*envelope
 	touched []*session
 

@@ -13,6 +13,7 @@
 package sea
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -104,23 +105,37 @@ func Expected(batches [][]Tuple, window uint64, firstTS uint64) []int {
 	return out
 }
 
-// Joiner runs the hash-based sliding-window join on a MorphStream engine.
+// Joiner runs the hash-based sliding-window join on a MorphStream engine it
+// owns: NewJoiner starts the engine and Close stops it.
 type Joiner struct {
 	eng    *engine.Engine
 	window uint64
 	// matched accumulates join matches across batches (written by UDFs on
 	// executor threads).
 	matched atomic.Int64
+	// committed and aborted sum the batch results the sink received since the
+	// last Drain. The sink runs on the executor goroutine; ProcessBatch reads
+	// them only after its Drain returned.
+	committed, aborted int
 }
 
-// NewJoiner builds a joiner with the given executor threads and event-time
-// window size.
+// NewJoiner builds and starts a joiner with the given executor threads and
+// event-time window size. Close it when done.
 func NewJoiner(threads int, window uint64) *Joiner {
-	return &Joiner{
-		eng:    engine.New(engine.Config{Threads: threads}),
-		window: window,
+	j := &Joiner{window: window}
+	j.eng = engine.New(engine.Config{Threads: threads}, engine.WithResultSink(func(r *engine.BatchResult) {
+		j.committed += r.Committed
+		j.aborted += r.Aborted
+	}))
+	// Start can only fail on recovery or reuse; this engine has neither.
+	if err := j.eng.Start(context.Background()); err != nil {
+		panic(err)
 	}
+	return j
 }
+
+// Close flushes and stops the joiner's engine.
+func (j *Joiner) Close() error { return j.eng.Close() }
 
 // Engine exposes the underlying MorphStream instance.
 func (j *Joiner) Engine() *engine.Engine { return j.eng }
@@ -131,10 +146,12 @@ func (j *Joiner) Matched() int { return int(j.matched.Load()) }
 func quoteKey(stock int) txn.Key { return txn.Key(fmt.Sprintf("quotes:%d", stock)) }
 func tradeKey(stock int) txn.Key { return txn.Key(fmt.Sprintf("trades:%d", stock)) }
 
-// ProcessBatch submits one batch of tuples and punctuates. Each tuple is
-// one state transaction: probe the opposite stream's hash entry within the
-// window, then insert itself (steps 1-4 of Fig. 24).
-func (j *Joiner) ProcessBatch(tuples []Tuple) *engine.BatchResult {
+// ProcessBatch ingests one batch of tuples, Drains, and returns how many of
+// their transactions committed and aborted. Each tuple is one state
+// transaction: probe the opposite stream's hash entry within the window, then
+// insert itself (steps 1-4 of Fig. 24). The window is a timestamp range, so
+// where the engine's count cap cuts a large batch does not change a match.
+func (j *Joiner) ProcessBatch(tuples []Tuple) (committed, aborted int, err error) {
 	for _, t := range tuples {
 		t := t
 		probe, insert := tradeKey(t.Stock), quoteKey(t.Stock)
@@ -163,7 +180,14 @@ func (j *Joiner) ProcessBatch(tuples []Tuple) *engine.BatchResult {
 				return nil
 			},
 		}
-		_ = j.eng.Submit(op, &engine.Event{Data: t})
+		if err := j.eng.Ingest(op, &engine.Event{Data: t}); err != nil {
+			return 0, 0, err
+		}
 	}
-	return j.eng.Punctuate()
+	if err := j.eng.Drain(); err != nil {
+		return 0, 0, err
+	}
+	committed, aborted = j.committed, j.aborted
+	j.committed, j.aborted = 0, 0
+	return committed, aborted, nil
 }

@@ -1,7 +1,9 @@
 package sea
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestGenerateShape(t *testing.T) {
@@ -54,21 +56,38 @@ func TestExpectedSmallHandComputed(t *testing.T) {
 
 // TestJoinerMatchesExpected is the Fig. 25 correctness core: the engine's
 // accumulated match count must equal the sequential ground truth exactly,
-// batch by batch.
+// batch by batch — including a batch larger than the engine's 1,024-event
+// count cap, which the pipeline cuts inside the window. Close must then take
+// down every goroutine the joiner started.
 func TestJoinerMatchesExpected(t *testing.T) {
 	cfg := GenConfig{Stocks: 20, Batches: 5, TuplesPerBatch: 300, QuoteRatio: 0.5, Seed: 7}
 	batches := Generate(cfg)
+	batches = append(batches, Generate(GenConfig{Stocks: 20, Batches: 1, TuplesPerBatch: 1500, QuoteRatio: 0.5, Seed: 8})...)
 	const window = 400
 
 	want := Expected(batches, window, 1)
+	goroutines := runtime.NumGoroutine()
 	j := NewJoiner(2, window)
 	for b, tuples := range batches {
-		res := j.ProcessBatch(tuples)
-		if res.Aborted != 0 {
-			t.Fatalf("batch %d: %d aborts", b, res.Aborted)
+		committed, aborted, err := j.ProcessBatch(tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aborted != 0 || committed != len(tuples) {
+			t.Fatalf("batch %d: %d committed, %d aborted; want %d and 0", b, committed, aborted, len(tuples))
 		}
 		if got := j.Matched(); got != want[b] {
 			t.Fatalf("batch %d: matched = %d; want %d", b, got, want[b])
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The executor stage exits before Close returns; the planner may still be
+	// on its way out.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close; %d before NewJoiner", runtime.NumGoroutine(), goroutines)
 		}
 	}
 }
@@ -77,10 +96,17 @@ func TestJoinerWindowExpiry(t *testing.T) {
 	// With a tiny window, old tuples expire: a quote and a trade far apart
 	// must not match.
 	j := NewJoiner(1, 1)
-	j.ProcessBatch([]Tuple{{Stock: 0, IsQuote: true, Price: 1}})
-	// Consume timestamps so the quote falls out of any window.
-	j.ProcessBatch([]Tuple{{Stock: 5, IsQuote: true}, {Stock: 6, IsQuote: true}, {Stock: 7, IsQuote: true}})
-	j.ProcessBatch([]Tuple{{Stock: 0, IsQuote: false, Price: 2}})
+	defer j.Close()
+	for _, batch := range [][]Tuple{
+		{{Stock: 0, IsQuote: true, Price: 1}},
+		// Consume timestamps so the quote falls out of any window.
+		{{Stock: 5, IsQuote: true}, {Stock: 6, IsQuote: true}, {Stock: 7, IsQuote: true}},
+		{{Stock: 0, IsQuote: false, Price: 2}},
+	} {
+		if _, _, err := j.ProcessBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if j.Matched() != 0 {
 		t.Fatalf("matched = %d; want 0 (window expiry)", j.Matched())
 	}

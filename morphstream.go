@@ -45,19 +45,25 @@
 // events not yet executed are discarded without a trace, since planning
 // writes no state.
 //
-// # Synchronous facade
+// # A barrier per window
 //
-// The batch-synchronous surface remains as a thin wrapper over the same
-// pipeline stages, for tests, small tools, and workloads that need a
-// barrier after every batch:
+// Start/Ingest/Drain/Close is the engine's only lifecycle. A workload that
+// needs a barrier after every window — to read state, or to let one
+// window's outcome shape the next — ingests the window, calls Drain, and
+// reads what its result sink received:
 //
-//	eng := morphstream.New(morphstream.Config{Threads: 4, Cleanup: true})
-//	eng.Table().Preload("alice", int64(100))
-//	eng.Submit(op, &morphstream.Event{Data: transfer})
-//	res := eng.Punctuate() // plan + execute the batch, synchronously
+//	var committed int // written by the sink, read after Drain
+//	eng := morphstream.New(morphstream.Config{Threads: 4},
+//		morphstream.WithResultSink(func(r *morphstream.BatchResult) { committed += r.Committed }))
+//	eng.Start(ctx)
+//	for _, ev := range window {
+//		eng.Ingest(op, &morphstream.Event{Data: ev})
+//	}
+//	eng.Drain() // every event of the window executed; the table is quiescent
 //
-// Submit returns ErrStarted while the pipeline runs; the two surfaces do
-// not mix within a lifecycle phase.
+// The count cap may cut a large window into several batches, so sum over
+// what the sink received since the previous Drain rather than expecting one
+// result.
 //
 // Internally the engine follows the paper's three-stage execution paradigm:
 //
@@ -73,8 +79,8 @@
 //     rollback and redo.
 //
 // See examples/ for complete programs (examples/quickstart and
-// examples/ledger drive the pipelined lifecycle; examples/socialevents and
-// examples/stockexchange use the synchronous facade for their per-window
+// examples/ledger run a free-running stream; examples/socialevents and
+// examples/stockexchange Drain after every window for their per-window
 // feedback loops).
 package morphstream
 
@@ -139,7 +145,7 @@ var ErrAbort = txn.ErrAbort
 
 // Streaming lifecycle errors.
 var (
-	// ErrStarted: the pipeline is running (returned by Submit and Start).
+	// ErrStarted: the pipeline is running (returned by a second Start).
 	ErrStarted = engine.ErrStarted
 	// ErrNotStarted: Ingest/Drain before Start.
 	ErrNotStarted = engine.ErrNotStarted
@@ -227,8 +233,7 @@ func WithShards(n int) Option { return engine.WithShards(n) }
 func WithFusion(on bool) Option { return engine.WithFusion(on) }
 
 // WithPunctuationCount seals a pipelined batch after n ingested events.
-// Punctuation is policy under the streaming lifecycle; the synchronous
-// facade's Punctuate remains the explicit punctuation.
+// Punctuation is policy; Drain and Close are the explicit barriers.
 func WithPunctuationCount(n int) Option { return engine.WithPunctuationCount(n) }
 
 // WithPunctuationInterval additionally seals a non-empty pipelined batch at
@@ -252,8 +257,8 @@ func WithIngestBuffer(n int) Option { return engine.WithIngestBuffer(n) }
 // Results channel.
 func WithResultSink(fn func(*BatchResult)) Option { return engine.WithResultSink(fn) }
 
-// Durability (punctuation-delta WAL). With durability enabled the streaming
-// lifecycle logs, at every punctuation, the batch's net final-version-per-key
+// Durability (punctuation-delta WAL). With durability enabled the engine
+// logs, at every punctuation, the batch's net final-version-per-key
 // state deltas — "commit information, not traffic" — as one checksummed
 // record; periodic shard-parallel snapshots bound the log, and Start recovers
 // the table by restoring the newest snapshot and replaying the records above
@@ -281,8 +286,8 @@ const (
 	SyncNone = wal.SyncNone
 )
 
-// WithDurability enables the punctuation-delta WAL for the streaming
-// lifecycle (Start recovers, punctuations log, Close closes the log).
+// WithDurability enables the punctuation-delta WAL (Start recovers,
+// punctuations log, Close closes the log).
 func WithDurability(d *Durability) Option { return engine.WithDurability(d) }
 
 // RegisterWALValue registers a concrete state-value type for WAL encoding.

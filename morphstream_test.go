@@ -8,11 +8,64 @@ import (
 	"morphstream"
 )
 
+// barrierEngine runs a public engine one barrier at a time, the way a
+// per-window caller does: Ingest a batch, Drain, and read what the result
+// sink received.
+type barrierEngine struct {
+	*morphstream.Engine
+	t *testing.T
+	// results is appended by the sink on the executor goroutine; a returned
+	// Drain orders every append before the helper reads it.
+	results []*morphstream.BatchResult
+	seen    int
+	started bool
+}
+
+// newBarrierEngine builds an engine whose sink collects every result.
+// Preload the table, then ingest: the first ingest starts the engine, and
+// the test's cleanup closes it.
+func newBarrierEngine(t *testing.T, cfg morphstream.Config, opts ...morphstream.Option) *barrierEngine {
+	d := &barrierEngine{t: t}
+	cfg.Sink = func(r *morphstream.BatchResult) { d.results = append(d.results, r) }
+	d.Engine = morphstream.New(cfg, opts...)
+	t.Cleanup(func() { _ = d.Close() })
+	return d
+}
+
+// ingest queues one event, starting the engine on first use.
+func (d *barrierEngine) ingest(op morphstream.Operator, ev *morphstream.Event) {
+	d.t.Helper()
+	if !d.started {
+		if err := d.Start(context.Background()); err != nil {
+			d.t.Fatal(err)
+		}
+		d.started = true
+	}
+	if err := d.Ingest(op, ev); err != nil {
+		d.t.Fatal(err)
+	}
+}
+
+// drain is the barrier for a batch the count cap does not cut: it Drains and
+// returns the one result the sink received since the previous drain.
+func (d *barrierEngine) drain() *morphstream.BatchResult {
+	d.t.Helper()
+	if err := d.Drain(); err != nil {
+		d.t.Fatal(err)
+	}
+	got := d.results[d.seen:]
+	d.seen = len(d.results)
+	if len(got) != 1 {
+		d.t.Fatalf("%d batch results since the last drain; want 1", len(got))
+	}
+	return got[0]
+}
+
 // TestPublicAPILedgerFlow drives the full public surface: preload, the
 // three-step operator model, punctuated batches, abort reporting, and the
 // adaptive scheduler.
 func TestPublicAPILedgerFlow(t *testing.T) {
-	eng := morphstream.New(morphstream.Config{Threads: 2, Cleanup: true})
+	eng := newBarrierEngine(t, morphstream.Config{Threads: 2, Cleanup: true})
 	eng.Table().Preload("a", int64(100))
 	eng.Table().Preload("b", int64(0))
 
@@ -59,11 +112,9 @@ func TestPublicAPILedgerFlow(t *testing.T) {
 		{"a", "b", 30},
 	}
 	for _, e := range events {
-		if err := eng.Submit(op, &morphstream.Event{Data: e}); err != nil {
-			t.Fatal(err)
-		}
+		eng.ingest(op, &morphstream.Event{Data: e})
 	}
-	res := eng.Punctuate()
+	res := eng.drain()
 	if res.Committed != 3 || res.Aborted != 1 {
 		t.Fatalf("batch result: %+v", res)
 	}
@@ -80,7 +131,7 @@ func TestPublicAPILedgerFlow(t *testing.T) {
 // TestPublicAPIWindowAndND exercises windowed and non-deterministic state
 // access through the public API (paper Table 5's extended calls).
 func TestPublicAPIWindowAndND(t *testing.T) {
-	eng := morphstream.New(morphstream.Config{Threads: 2})
+	eng := newBarrierEngine(t, morphstream.Config{Threads: 2})
 	eng.Table().Preload("sensor", int64(0))
 	eng.Table().Preload("agg", int64(0))
 	for i := 0; i < 4; i++ {
@@ -98,7 +149,7 @@ func TestPublicAPIWindowAndND(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 10; i++ {
-		_ = eng.Submit(writeOp(int64(i)), &morphstream.Event{})
+		eng.ingest(writeOp(int64(i)), &morphstream.Event{})
 	}
 
 	// Windowed aggregation over the last 5 sensor versions.
@@ -117,7 +168,7 @@ func TestPublicAPIWindowAndND(t *testing.T) {
 			return nil
 		},
 	}
-	_ = eng.Submit(winOp, &morphstream.Event{})
+	eng.ingest(winOp, &morphstream.Event{})
 
 	// Non-deterministic write: target shard derived from the timestamp.
 	ndOp := morphstream.OperatorFuncs{
@@ -130,9 +181,9 @@ func TestPublicAPIWindowAndND(t *testing.T) {
 			return nil
 		},
 	}
-	_ = eng.Submit(ndOp, &morphstream.Event{})
+	eng.ingest(ndOp, &morphstream.Event{})
 
-	res := eng.Punctuate()
+	res := eng.drain()
 	if res.Aborted != 0 {
 		t.Fatalf("aborts: %+v", res)
 	}
@@ -163,7 +214,7 @@ func TestPublicAPIPinnedStrategies(t *testing.T) {
 		{Explore: morphstream.NSExplore, Gran: morphstream.CSchedule, Abort: morphstream.LAbort},
 	} {
 		d := d
-		eng := morphstream.New(morphstream.Config{Threads: 2, Strategy: &d})
+		eng := newBarrierEngine(t, morphstream.Config{Threads: 2, Strategy: &d})
 		eng.Table().Preload("k", int64(0))
 		op := morphstream.OperatorFuncs{
 			Access: func(_ *morphstream.EventBlotter, b *morphstream.TxnBuilder) error {
@@ -175,9 +226,9 @@ func TestPublicAPIPinnedStrategies(t *testing.T) {
 			},
 		}
 		for i := 0; i < 50; i++ {
-			_ = eng.Submit(op, &morphstream.Event{})
+			eng.ingest(op, &morphstream.Event{})
 		}
-		res := eng.Punctuate()
+		res := eng.drain()
 		if got := res.Decisions[0]; got != d {
 			t.Fatalf("decision = %v; want %v", got, d)
 		}
@@ -266,7 +317,7 @@ func TestPublicAPIDurableRestart(t *testing.T) {
 // change results.
 func TestWithShardsOptionEquivalence(t *testing.T) {
 	run := func(opts ...morphstream.Option) map[morphstream.Key]morphstream.Value {
-		eng := morphstream.New(morphstream.Config{Threads: 4, Cleanup: false}, opts...)
+		eng := newBarrierEngine(t, morphstream.Config{Threads: 4, Cleanup: false}, opts...)
 		keys := make([]morphstream.Key, 12)
 		for i := range keys {
 			keys[i] = morphstream.Key(fmt.Sprintf("acct%d", i))
@@ -294,11 +345,9 @@ func TestWithShardsOptionEquivalence(t *testing.T) {
 		}
 		for batch := 0; batch < 3; batch++ {
 			for i := 0; i < 60; i++ {
-				if err := eng.Submit(op, &morphstream.Event{Data: batch*60 + i}); err != nil {
-					t.Fatal(err)
-				}
+				eng.ingest(op, &morphstream.Event{Data: batch*60 + i})
 			}
-			eng.Punctuate()
+			eng.drain()
 		}
 		return eng.Table().Snapshot()
 	}
