@@ -326,7 +326,7 @@ type Engine struct {
 	lastComplexity time.Duration
 	lastUseful     time.Duration
 
-	// Breakdown accumulates the time breakdown across batches.
+	// Breakdown accumulates the Fig. 16a time breakdown across batches.
 	Breakdown *metrics.Breakdown
 
 	batches atomic.Int64
@@ -362,7 +362,7 @@ type Engine struct {
 	pipe    atomic.Pointer[pipeline]
 	closed  bool
 	results chan *BatchResult
-	overlap metrics.OverlapMeter
+	overlap OverlapMeter
 }
 
 // Option customises an Engine's Config beyond its literal fields; the

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"morphstream/internal/metrics"
 	"morphstream/internal/telemetry"
 )
 
@@ -16,7 +15,7 @@ import (
 // mid-traffic) — the totals are a consistent-enough racy read: each field is
 // individually monotonic.
 type PipelineStats struct {
-	metrics.OverlapStats
+	OverlapStats
 
 	// Batches is the number of punctuations processed (== Engine.Batches).
 	Batches int64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"morphstream/internal/metrics"
 	"morphstream/internal/osed"
 	"morphstream/internal/sea"
 )
@@ -47,7 +46,7 @@ func Fig23(threads int) *Report {
 		Title:  "Fig.23 — OSED: event popularity, expected vs detected",
 		Header: header,
 		Notes: []string{
-			fmt.Sprintf("throughput: %.2f k tweets/sec (paper: ~1.3 k/s)", metrics.Throughput(tweets, elapsed)),
+			fmt.Sprintf("throughput: %.2f k tweets/sec (paper: ~1.3 k/s)", Throughput(tweets, elapsed)),
 			"paper shape: detected popularity tracks expected summits within seconds",
 		},
 	}
@@ -96,6 +95,6 @@ func Fig25(threads int) *Report {
 	if err := j.Close(); err != nil {
 		panic(err)
 	}
-	r.Notes = append(r.Notes, fmt.Sprintf("throughput: %.2f k events/sec", metrics.Throughput(events, elapsed)))
+	r.Notes = append(r.Notes, fmt.Sprintf("throughput: %.2f k events/sec", Throughput(events, elapsed)))
 	return r
 }

@@ -10,6 +10,7 @@ import (
 	"morphstream/internal/baseline/spe"
 	"morphstream/internal/baseline/sstore"
 	"morphstream/internal/baseline/tstream"
+	"morphstream/internal/engine"
 	"morphstream/internal/metrics"
 	"morphstream/internal/sched"
 	"morphstream/internal/telemetry"
@@ -79,7 +80,10 @@ func Fig11(scale Scale, threads int) *Report {
 
 // Fig12 runs the four-phase dynamic workload (Section 8.2.2): per-batch
 // throughput for adaptive MorphStream, TStream and S-Store, plus the
-// end-to-end latency CDF of Fig. 12b.
+// end-to-end latency CDF of Fig. 12b. MorphStream runs the phases as the one
+// stream they are, so its decisions come from the engine's own cross-batch
+// profiling; a batch's throughput is its events over the time since the
+// previous delivery.
 func Fig12(scale Scale, threads int) *Report {
 	base := workload.Config{
 		Txns:      scale.txns(4096),
@@ -88,36 +92,52 @@ func Fig12(scale Scale, threads int) *Report {
 	}
 	batches := workload.Dynamic(base, workload.DynamicPhases(3))
 
-	systems := []baseline.System{NewMorph(), tstream.New(), sstore.New()}
+	baselines := []baseline.System{tstream.New(), sstore.New()}
 	r := &Report{
 		Title:  "Fig.12 — Dynamic workload: throughput per batch + latency CDF",
 		Header: []string{"batch", "phase", "MorphStream(k/s)", "decision", "TStream(k/s)", "S-Store(k/s)"},
 		Notes: []string{
 			"paper shape: MorphStream adapts per phase and stays on top; TStream drops in phase 4 (aborts)",
+			"MorphStream ingests all batches as one stream (one punctuation per batch); the baselines reset state per batch",
 		},
 	}
-	morph := systems[0].(*MorphSystem)
 	// Every event of a batch completes with the batch, and the batches are
 	// equal-sized, so one sample per batch is the per-event distribution.
-	latency := make([]telemetry.Histogram, len(systems))
-	for _, db := range batches {
-		row := []string{fmt.Sprint(db.Step), db.Phase}
-		for i, sys := range systems {
+	latency := make([]telemetry.Histogram, 1+len(baselines))
+	var morph [][]string
+	last := time.Now()
+	RunPipelined(stream(batches), base.Txns, threads, engine.WithResultSink(func(res *engine.BatchResult) {
+		now := time.Now()
+		latency[0].Record(int64(now.Sub(last)))
+		morph = append(morph, []string{kps(res.Events, now.Sub(last)), res.Decisions[0].String()})
+		last = now
+	}))
+	for i, db := range batches {
+		row := append([]string{fmt.Sprint(db.Step), db.Phase}, morph[i]...)
+		for j, sys := range baselines {
 			_, elapsed := timedRun(sys, db.Batch, threads, nil)
-			latency[i].Record(int64(elapsed))
+			latency[1+j].Record(int64(elapsed))
 			row = append(row, kps(len(db.Specs), elapsed))
-			if sys == systems[0] {
-				row = append(row, morph.LastDecision().String())
-			}
 		}
 		r.Rows = append(r.Rows, row)
 	}
-	for i, sys := range systems {
+	for i, name := range []string{"MorphStream", baselines[0].Name(), baselines[1].Name()} {
 		lat := latency[i].Snapshot()
-		r.Notes = append(r.Notes, fmt.Sprintf("latency CDF %s: p50=%s p90=%s p99=%s", sys.Name(),
+		r.Notes = append(r.Notes, fmt.Sprintf("latency CDF %s: p50=%s p90=%s p99=%s", name,
 			quantile(lat, 0.50, time.Microsecond), quantile(lat, 0.90, time.Microsecond), quantile(lat, 0.99, time.Microsecond)))
 	}
 	return r
+}
+
+// stream concatenates the dynamic workload's batches into the one stream they
+// are: timestamps already continue across batches, and every batch carries the
+// same initial state.
+func stream(batches []workload.DynamicBatch) *workload.Batch {
+	out := &workload.Batch{State: batches[0].State}
+	for _, db := range batches {
+		out.Specs = append(out.Specs, db.Specs...)
+	}
+	return out
 }
 
 // Fig13 compares nested per-group scheduling against the two plain
@@ -133,13 +153,12 @@ func Fig13(scale Scale, threads int) *Report {
 
 	plain1 := sched.Decision{Explore: sched.NSExplore, Gran: sched.CSchedule, Abort: sched.LAbort}
 	plain2 := sched.Decision{Explore: sched.SExploreBFS, Gran: sched.CSchedule, Abort: sched.EAbort}
-	nested := &MorphSystem{
-		Label: "Nested",
-		GroupDecisions: map[int]sched.Decision{
+	nested := &MorphSystem{Label: "Nested", Config: engine.Config{
+		GroupStrategies: map[int]sched.Decision{
 			0: plain1, // skewed, aborty group: ns-explore + l-abort
 			1: plain2, // uniform, clean group: s-explore + e-abort
 		},
-	}
+	}}
 	systems := []baseline.System{
 		nested,
 		NewMorphPinned(plain1, "Plain-1"),
@@ -149,7 +168,7 @@ func Fig13(scale Scale, threads int) *Report {
 	}
 	r := &Report{
 		Title:  "Fig.13 — Single vs multiple (nested) scheduling strategies on TP",
-		Header: []string{"system", "throughput(k/s)", "p95 latency", "aborted"},
+		Header: []string{"system", "throughput(k/s)", "p95 latency", "committed", "aborted"},
 		Notes:  []string{"paper shape: Nested > Plain-1 > TStream > S-Store ≈ Plain-2"},
 	}
 	for _, sys := range systems {
@@ -157,7 +176,7 @@ func Fig13(scale Scale, threads int) *Report {
 		res, elapsed := timedRun(sys, b, threads, nil)
 		r.Rows = append(r.Rows, []string{
 			sys.Name(), kps(len(b.Specs), elapsed),
-			fmt.Sprint(elapsed), fmt.Sprint(res.Aborted),
+			fmt.Sprint(elapsed), fmt.Sprint(res.Committed), fmt.Sprint(res.Aborted),
 		})
 	}
 	return r
@@ -255,7 +274,7 @@ func Fig16a(scale Scale, threads int) *Report {
 		}
 		row := []string{sys.Name()}
 		for _, c := range metrics.Categories() {
-			row = append(row, bd.Get(c).Round(time.Millisecond).String())
+			row = append(row, bd.Get(c).Round(time.Microsecond).String())
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -271,45 +290,46 @@ func Fig16b(scale Scale, threads int) *Report {
 		Seed: 17, ComplexityUS: 0,
 	}
 	batches := workload.Dynamic(base, workload.DynamicPhases(2))
-	systems := []baseline.System{NewMorph(), tstream.New(), sstore.New()}
 
 	r := &Report{
 		Title:  "Fig.16b — Memory footprint over time (no clean-up)",
 		Header: []string{"system", "samples", "peak-heap(MB)", "final-heap(MB)"},
-		Notes:  []string{"paper shape: MorphStream ≈ 1.4x TStream; S-Store flat"},
+		Notes: []string{
+			"paper shape: MorphStream ≈ 1.4x TStream; S-Store flat",
+			"MorphStream ingests all batches as one stream with Cleanup off; the baselines reset state per batch",
+		},
 	}
-	for _, sys := range systems {
-		runtime.GC()
-		sampler := metrics.StartMemSampler(time.Millisecond)
-		for _, db := range batches {
-			sys.Run(db.Batch, threads, nil)
-		}
-		samples := sampler.Stop()
-		var peak, final uint64
-		for _, s := range samples {
-			if s.HeapBytes > peak {
-				peak = s.HeapBytes
-			}
-			final = s.HeapBytes
-		}
+	row := func(name string, run func()) {
+		samples, peak, final := heapCurve(run)
 		r.Rows = append(r.Rows, []string{
-			sys.Name(), fmt.Sprint(len(samples)),
+			name, fmt.Sprint(samples),
 			fmt.Sprintf("%.1f", float64(peak)/1e6),
 			fmt.Sprintf("%.1f", float64(final)/1e6),
+		})
+	}
+	row("MorphStream", func() {
+		RunPipelined(stream(batches), base.Txns, threads, func(c *engine.Config) { c.Cleanup = false })
+	})
+	for _, sys := range []baseline.System{tstream.New(), sstore.New()} {
+		row(sys.Name(), func() {
+			for _, db := range batches {
+				sys.Run(db.Batch, threads, nil)
+			}
 		})
 	}
 	return r
 }
 
 // Fig17 measures the impact of clean-up under varying memory limits
-// (Section 8.3.3). The paper varies the JVM heap (100–300 GB); we
-// substitute Go's soft memory limit.
+// (Section 8.3.3): the dynamic workload as one stream, with the engine's
+// batch-boundary clean-up off or on. The paper varies the JVM heap
+// (100–300 GB); we substitute Go's soft memory limit.
 func Fig17(scale Scale, threads int) *Report {
 	base := workload.Config{
 		Txns: scale.txns(4096), StateSize: scale.states(4096),
 		Seed: 18, ComplexityUS: 0,
 	}
-	batches := workload.Dynamic(base, workload.DynamicPhases(2))
+	events := stream(workload.Dynamic(base, workload.DynamicPhases(2)))
 
 	r := &Report{
 		Title:  "Fig.17 — Clean-up impact under memory limits",
@@ -320,35 +340,12 @@ func Fig17(scale Scale, threads int) *Report {
 		},
 	}
 	run := func(label string, cleanup bool, limit int64) {
-		old := debug.SetMemoryLimit(-1)
-		if limit > 0 {
-			debug.SetMemoryLimit(limit)
-		}
-		defer debug.SetMemoryLimit(old)
-		runtime.GC()
-		sampler := metrics.StartMemSampler(time.Millisecond)
-		morph := NewMorph()
-		events := 0
-		start := time.Now()
-		for _, db := range batches {
-			morph.Run(db.Batch, threads, nil)
-			events += len(db.Specs)
-			if cleanup {
-				// The adapter materialises fresh tables per batch; the
-				// clean-up cost is modelled by forcing a GC cycle, which
-				// is what dropping the TPG + versions triggers.
-				runtime.GC()
-			}
-		}
-		elapsed := time.Since(start)
-		samples := sampler.Stop()
-		var peak uint64
-		for _, s := range samples {
-			if s.HeapBytes > peak {
-				peak = s.HeapBytes
-			}
-		}
-		r.Rows = append(r.Rows, []string{label, kps(events, elapsed), fmt.Sprintf("%.1f", float64(peak)/1e6)})
+		defer debug.SetMemoryLimit(debug.SetMemoryLimit(limit)) // a negative limit only reads the current one
+		var elapsed time.Duration
+		_, peak, _ := heapCurve(func() {
+			_, elapsed, _ = RunPipelined(events, base.Txns, threads, func(c *engine.Config) { c.Cleanup = cleanup })
+		})
+		r.Rows = append(r.Rows, []string{label, kps(len(events.Specs), elapsed), fmt.Sprintf("%.1f", float64(peak)/1e6)})
 	}
 	run("no-cleanup / no-limit", false, -1)
 	run("cleanup / no-limit", true, -1)
@@ -536,9 +533,9 @@ func Fig21a(scale Scale, threads int) *Report {
 	for _, sys := range []baseline.System{NewMorph(), tstream.New(), sstore.New()} {
 		bd := &metrics.Breakdown{}
 		runtime.GC()
-		before := metrics.ReadCPUTicksProxy()
+		before := ReadCPUTicksProxy()
 		_, elapsed := timedRun(sys, b, threads, bd)
-		delta := metrics.ReadCPUTicksProxy().Delta(before)
+		delta := ReadCPUTicksProxy().Delta(before)
 		share := 0.0
 		if tot := bd.Total(); tot > 0 {
 			share = float64(bd.Get(metrics.Sync)+bd.Get(metrics.Lock)) / float64(tot)

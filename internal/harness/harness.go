@@ -1,5 +1,5 @@
-// Package harness runs the paper's experiments: it adapts MorphStream to
-// the common baseline.System interface, sweeps workload parameters, and
+// Package harness runs the paper's experiments: it adapts the engine to the
+// common baseline.System interface, sweeps workload parameters, and
 // renders each figure/table of the evaluation section (Section 8) as a
 // textual report. One runner exists per figure; cmd/morphbench exposes
 // them on the command line and bench_test.go wraps them in testing.B.
@@ -11,28 +11,22 @@ import (
 	"time"
 
 	"morphstream/internal/baseline"
-	"morphstream/internal/exec"
+	"morphstream/internal/engine"
 	"morphstream/internal/metrics"
 	"morphstream/internal/sched"
 	"morphstream/internal/telemetry"
-	"morphstream/internal/tpg"
-	"morphstream/internal/txn"
 	"morphstream/internal/workload"
 )
 
-// MorphSystem adapts the MorphStream planning/scheduling/execution stack to
-// the baseline.System interface so it can be benchmarked side by side.
+// MorphSystem adapts the shipped engine to the baseline.System interface so
+// it can be benchmarked side by side: every Run drives a fresh engine
+// through Start/Ingest/Close, the lifecycle morphserve runs.
 type MorphSystem struct {
-	// Decision pins a scheduling strategy; nil enables the adaptive
-	// decision model with cross-batch profiling.
-	Decision *sched.Decision
-	// GroupDecisions pins per-group strategies (nested scheduling).
-	GroupDecisions map[int]sched.Decision
 	// Label overrides the reported name.
 	Label string
-
-	lastAbort    float64
-	lastDecision sched.Decision
+	// Config is what each Run's engine starts from, typically Strategy or
+	// GroupStrategies; Run sets Threads, PunctuateEvery, GroupFn and Sink.
+	Config engine.Config
 }
 
 // NewMorph returns the adaptive MorphStream system.
@@ -40,7 +34,7 @@ func NewMorph() *MorphSystem { return &MorphSystem{} }
 
 // NewMorphPinned returns MorphStream locked to one scheduling decision.
 func NewMorphPinned(d sched.Decision, label string) *MorphSystem {
-	return &MorphSystem{Decision: &d, Label: label}
+	return &MorphSystem{Label: label, Config: engine.Config{Strategy: &d}}
 }
 
 // Name implements baseline.System.
@@ -48,103 +42,33 @@ func (m *MorphSystem) Name() string {
 	if m.Label != "" {
 		return m.Label
 	}
-	if m.Decision != nil {
-		return "MorphStream(" + m.Decision.String() + ")"
+	if d := m.Config.Strategy; d != nil {
+		return "MorphStream(" + d.String() + ")"
 	}
 	return "MorphStream"
 }
 
-// LastDecision reports the decision taken for the most recent batch.
-func (m *MorphSystem) LastDecision() sched.Decision { return m.lastDecision }
-
-// Run implements baseline.System: plan (two-phase TPG construction),
-// schedule (decision model or pinned strategy, per group), execute.
+// Run implements baseline.System: the batch is one punctuation of a fresh
+// engine, which numbers timestamps from 1 like the generators, so ND keys and
+// windows resolve as in the serial oracle. bd receives the engine's breakdown.
 func (m *MorphSystem) Run(b *workload.Batch, threads int, bd *metrics.Breakdown) baseline.Result {
-	if threads < 1 {
-		threads = 1
+	cfg := m.Config
+	cfg.Threads = threads
+	cfg.PunctuateEvery = len(b.Specs)
+	cfg.GroupFn = func(data any) int { return data.(workload.TxnSpec).Group }
+	cfg.Sink = func(*engine.BatchResult) {}
+	e, _ := drive(cfg, b)
+	for _, c := range metrics.Categories() {
+		bd.Add(c, e.Breakdown.Get(c))
 	}
-	txns, table := b.Materialize()
-
-	// Partition transactions by scheduling group (disjoint key spaces).
-	groups := map[int][]int{}
-	for i, s := range b.Specs {
-		groups[s.Group] = append(groups[s.Group], i)
-	}
-
-	type job struct {
-		g *tpg.Graph
-		d sched.Decision
-	}
-	var jobs []job
-	for gid, idxs := range groups {
-		sw := metrics.Start()
-		builder := tpg.NewBuilder(table.Keys)
-		batchTxns := make([]*txn.Transaction, 0, len(idxs))
-		for _, i := range idxs {
-			batchTxns = append(batchTxns, txns[i])
-		}
-		builder.AddTxns(batchTxns, threads)
-		g := builder.Finalize(threads)
-		sw.Stop(bd, metrics.Construct)
-
-		d := m.decide(gid, g)
-		jobs = append(jobs, job{g: g, d: d})
-		m.lastDecision = d
-	}
-
-	// Align the table's shards to the executors' shard map before workers
-	// start (same quiescent point as the engine's per-punctuation Align).
-	graphs := make([]*tpg.Graph, len(jobs))
-	for i, j := range jobs {
-		graphs[i] = j.g
-	}
-	exec.AlignTable(table, 0, threads, graphs...)
-
-	perJob := threads
-	if len(jobs) > 1 {
-		perJob = threads / len(jobs)
-		if perJob < 1 {
-			perJob = 1
-		}
-	}
-	results := make([]exec.Result, len(jobs))
-	done := make(chan int, len(jobs))
-	for i, j := range jobs {
-		go func(i int, j job) {
-			results[i] = exec.Run(j.g, exec.Config{
-				Decision: j.d, Threads: perJob, Table: table, Breakdown: bd,
-			})
-			done <- i
-		}(i, j)
-	}
-	for range jobs {
-		<-done
-	}
-
-	var res baseline.Result
-	res.Attempts = 1
-	for _, r := range results {
-		res.Committed += r.Committed
-		res.Aborted += r.Aborted
-	}
-	if total := res.Committed + res.Aborted; total > 0 {
-		m.lastAbort = float64(res.Aborted) / float64(total)
-	}
-	res.FinalState = make(map[workload.Key]int64, table.Len())
-	for k, v := range table.Snapshot() {
+	st := e.PipelineStats()
+	res := baseline.Result{Committed: int(st.Committed), Aborted: int(st.Aborted), Attempts: 1}
+	snap := e.Table().Snapshot()
+	res.FinalState = make(map[workload.Key]int64, len(snap))
+	for k, v := range snap {
 		res.FinalState[k] = v.(int64)
 	}
 	return res
-}
-
-func (m *MorphSystem) decide(gid int, g *tpg.Graph) sched.Decision {
-	if d, ok := m.GroupDecisions[gid]; ok {
-		return d
-	}
-	if m.Decision != nil {
-		return *m.Decision
-	}
-	return sched.DecideGraph(g, sched.DefaultComplexity, m.lastAbort)
 }
 
 // Report is one figure/table rendered as rows of labelled cells.
@@ -215,5 +139,5 @@ func quantile(s telemetry.HistSnapshot, q float64, unit time.Duration) string {
 
 // kps formats a throughput in k events/sec.
 func kps(events int, elapsed time.Duration) string {
-	return fmt.Sprintf("%.2f", metrics.Throughput(events, elapsed))
+	return fmt.Sprintf("%.2f", Throughput(events, elapsed))
 }

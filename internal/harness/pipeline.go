@@ -26,18 +26,10 @@ func specEngineOp() engine.Operator {
 	}
 }
 
-// RunPipelined drives the stream through Start/Ingest/Close with a
-// count-punctuation policy and reports committed transactions, wall time
-// (Ingest of the first event to the end of Close, which flushes), and the
-// full pipeline counters. Engine options select the variant:
-// engine.WithDurability for the WAL runs — every delivered batch must then be
-// durable — engine.WithResultSink to observe per-batch results (results are
-// otherwise discarded).
-func RunPipelined(b *workload.Batch, batchSize, threads int, opts ...engine.Option) (committed int, elapsed time.Duration, stats engine.PipelineStats) {
-	cfg := engine.Config{Threads: threads, Cleanup: true, PunctuateEvery: batchSize, Sink: func(*engine.BatchResult) {}}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// drive preloads b's state into a fresh engine, runs b through Start/Ingest/
+// Close, and returns the closed engine with the wall time from the first
+// Ingest to the end of Close, which flushes.
+func drive(cfg engine.Config, b *workload.Batch) (*engine.Engine, time.Duration) {
 	e := engine.New(cfg)
 	for k, v := range b.State {
 		e.Table().Preload(k, v)
@@ -53,7 +45,21 @@ func RunPipelined(b *workload.Batch, batchSize, threads int, opts ...engine.Opti
 	if err := e.Close(); err != nil {
 		panic(err)
 	}
-	elapsed = time.Since(start)
+	return e, time.Since(start)
+}
+
+// RunPipelined drives the stream through Start/Ingest/Close with a
+// count-punctuation policy and clean-up on, and reports committed
+// transactions, wall time (see drive), and the full pipeline counters.
+// Engine options select the variant: engine.WithDurability for the WAL runs —
+// every delivered batch must then be durable — engine.WithResultSink to
+// observe per-batch results (results are otherwise discarded).
+func RunPipelined(b *workload.Batch, batchSize, threads int, opts ...engine.Option) (committed int, elapsed time.Duration, stats engine.PipelineStats) {
+	cfg := engine.Config{Threads: threads, Cleanup: true, PunctuateEvery: batchSize, Sink: func(*engine.BatchResult) {}}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	e, elapsed := drive(cfg, b)
 	stats = e.PipelineStats()
 	if cfg.Durability != nil && stats.DurableBatches != stats.Batches {
 		panic(fmt.Sprintf("%d of %d batches durable", stats.DurableBatches, stats.Batches))

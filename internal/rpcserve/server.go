@@ -150,7 +150,7 @@ func (s *Server) RegisterCodec(c Codec) {
 }
 
 // Engine exposes the embedded engine for preloading state (before Serve)
-// and reading stats (Latency, PipelineStats, RecoveredSeq).
+// and reading stats (PipelineStats, RecoveredSeq).
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Sessions reports the number of live sessions.
