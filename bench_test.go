@@ -149,9 +149,9 @@ func BenchmarkStoreWindowRead(b *testing.B) {
 // BenchmarkStoreReadWrite interleaves one write and one read per iteration
 // over a 64k-key working set — the datastore call pattern of the Fig. 11
 // hot path (every operation resolves its key, then touches the table).
-// "string" goes through the compatibility wrapper, "interned" through the
-// dense-ID hot path with keys resolved once up front (as the engine does at
-// transaction build time). The "populate" variants measure first-touch
+// "string" is a dictionary intern/lookup plus the dense-ID path (the string
+// adapters are one-line wrappers), "interned" the dense-ID path alone with
+// keys resolved once up front (as the engine does at transaction build time). The "populate" variants measure first-touch
 // writes (per-batch temporal-object churn): a fresh table every 64k ops.
 func BenchmarkStoreReadWrite(b *testing.B) {
 	const nKeys = 1 << 16
@@ -367,13 +367,13 @@ func BenchmarkTPGFinalize(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			builder := tpg.NewBuilder(table.Keys)
+			builder := tpg.NewBuilderIDs(table.KeyIDs)
 			builder.AddTxns(txns, 2)
 			builder.Finalize(2)
 		}
 	})
 	b.Run("steady", func(b *testing.B) {
-		builder := tpg.NewBuilder(table.Keys)
+		builder := tpg.NewBuilderIDs(table.KeyIDs)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -393,7 +393,7 @@ func BenchmarkBuildUnits(b *testing.B) {
 	cfg.ComplexityUS = 0
 	batch := workload.GS(cfg)
 	txns, table := batch.Materialize()
-	builder := tpg.NewBuilder(table.Keys)
+	builder := tpg.NewBuilderIDs(table.KeyIDs)
 	builder.AddTxns(txns, 2)
 	graph := builder.Finalize(2)
 	for _, gran := range []sched.Granularity{sched.FSchedule, sched.CSchedule} {
@@ -417,7 +417,7 @@ func BenchmarkTPGConstruction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txns, table := batch.Materialize()
-		builder := tpg.NewBuilder(table.Keys)
+		builder := tpg.NewBuilderIDs(table.KeyIDs)
 		builder.AddTxns(txns, 2)
 		builder.Finalize(2)
 	}
@@ -439,7 +439,7 @@ func BenchmarkExecStrategies(b *testing.B) {
 				b.Run(d.String(), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						txns, table := batch.Materialize()
-						builder := tpg.NewBuilder(table.Keys)
+						builder := tpg.NewBuilderIDs(table.KeyIDs)
 						builder.AddTxns(txns, 2)
 						graph := builder.Finalize(2)
 						exec.Run(graph, exec.Config{Decision: d, Threads: 2, Table: table})
@@ -460,8 +460,8 @@ func contendedDecisions() []sched.Decision {
 	}
 }
 
-// benchContendedRun times exec.Run alone (materialisation and TPG
-// construction are excluded) with more threads than cores, the worst case
+// benchContendedRun times exec.Run alone (materialisation and the serial
+// TPG construction are excluded) with more threads than cores, the worst case
 // for any per-operation synchronisation in the explore hot loop. shards=0
 // means the automatic KeyID-range partition (one shard per worker);
 // shards=1 degenerates to the PR 2 single-ring layout, isolating the
@@ -472,7 +472,7 @@ func benchContendedRun(b *testing.B, batch *workload.Batch, d sched.Decision, sh
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		txns, table := batch.Materialize()
-		builder := tpg.NewBuilder(table.Keys)
+		builder := tpg.NewBuilderIDs(table.KeyIDs)
 		builder.AddTxns(txns, 2)
 		graph := builder.Finalize(2)
 		b.StartTimer()
@@ -859,8 +859,8 @@ func BenchmarkBreakdownOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkTPGConstructionWorkers ablates the parallel two-phase
-// construction (design D1): single-worker vs multi-worker planning.
+// BenchmarkTPGConstructionWorkers ablates Finalize's per-list-shard workers
+// (design D1); list insertion (AddTxns) is serial at every width.
 func BenchmarkTPGConstructionWorkers(b *testing.B) {
 	cfg := workload.DefaultGS()
 	cfg.Txns = 4096
@@ -871,7 +871,7 @@ func BenchmarkTPGConstructionWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				txns, table := batch.Materialize()
-				builder := tpg.NewBuilder(table.Keys)
+				builder := tpg.NewBuilderIDs(table.KeyIDs)
 				builder.AddTxns(txns, workers)
 				builder.Finalize(workers)
 			}
@@ -893,7 +893,7 @@ func BenchmarkNDFanOut(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				txns, table := batch.Materialize()
-				builder := tpg.NewBuilder(table.Keys)
+				builder := tpg.NewBuilderIDs(table.KeyIDs)
 				builder.AddTxns(txns, 2)
 				builder.Finalize(2)
 			}
@@ -942,7 +942,7 @@ func BenchmarkHotKeyFusion(b *testing.B) {
 				b.StopTimer()
 				txns, table := batch.Materialize()
 				b.StartTimer()
-				builder := tpg.NewBuilder(table.Keys).SetFusion(fusion)
+				builder := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
 				builder.AddTxns(txns, 2)
 				graph := builder.Finalize(2)
 				exec.Run(graph, exec.Config{Decision: d, Threads: 4, Table: table})

@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"fmt"
 	"testing"
 
 	"morphstream/internal/baseline"
@@ -78,6 +79,27 @@ func TestTStreamMatchesOracle(t *testing.T) {
 	res := tstream.New().Run(clean, 2, nil)
 	if res.Attempts != 1 || res.Aborted != 0 {
 		t.Fatalf("clean batch: %+v", res)
+	}
+}
+
+// TestTStreamHotKeyMatchesOracle runs TStream on a hot-key GS batch: Zipf
+// 1.0 over 64 keys gives long chains whose readers busy-wait on one
+// another, and aborts force whole-batch redo.
+func TestTStreamHotKeyMatchesOracle(t *testing.T) {
+	c := workload.DefaultGS()
+	c.Txns = 400
+	c.StateSize = 64
+	c.Theta = 1.0
+	c.ComplexityUS = 0
+	c.AbortRatio = 0.1
+	c.Seed = 5
+	b := workload.GS(c)
+	want, wantAborted := oracle(t, b)
+	for _, threads := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			res := tstream.New().Run(b, threads, nil)
+			assertMatchesOracle(t, "tstream-hot", res, want, wantAborted)
+		})
 	}
 }
 

@@ -9,7 +9,9 @@
 package tstream
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,9 +39,31 @@ func (e *Engine) Name() string { return "TStream" }
 
 // chainOp is one operation slot in a per-key chain.
 type chainOp struct {
-	txn int // index into specs
-	op  int // index into specs[txn].Ops
-	ts  uint64
+	txn  int // index into specs
+	op   int // index into specs[txn].Ops
+	ts   uint64
+	srcs []srcRef // the op's parametric sources, resolved once per attempt
+}
+
+// srcRef is one parametric source: its key and the chain of operations
+// targeting it, nil when the batch does not write the key.
+type srcRef struct {
+	key   store.KeyID
+	chain *opChain
+}
+
+// opChain is one key's timestamp-ordered operations. Its owning worker
+// executes them in order and publishes progress, the number executed;
+// cross-chain reads busy-wait on it.
+type opChain struct {
+	key      store.KeyID
+	ops      []chainOp
+	progress atomic.Int64
+}
+
+// ready reports whether every op of c older than ts has executed.
+func (c *opChain) ready(ts uint64) bool {
+	return int(c.progress.Load()) >= sort.Search(len(c.ops), func(i int) bool { return c.ops[i].ts >= ts })
 }
 
 // Run implements baseline.System.
@@ -97,12 +121,16 @@ func (e *Engine) runOnce(specs []workload.TxnSpec, excluded []bool, b *workload.
 		table.Preload(k, v)
 	}
 	e.finalTable = table
+	view := table.View()
 
-	// Construct operation chains: per-key, timestamp-sorted lists of the
+	// Construct operation chains: per-key, timestamp-ordered lists of the
 	// operations targeting that key (TStream's auxiliary structure; its
-	// construction cost shows up in Fig. 16a's Construct bar).
+	// construction cost shows up in Fig. 16a's Construct bar). specs are
+	// sorted by timestamp, so appending in spec order keeps each chain
+	// sorted. Every key is interned here, once per attempt.
 	sw := metrics.Start()
-	chains := make(map[workload.Key][]chainOp)
+	byKey := make(map[store.KeyID]*opChain)
+	var chains []*opChain
 	for i, s := range specs {
 		if excluded[i] {
 			continue
@@ -116,37 +144,29 @@ func (e *Engine) runOnce(specs []workload.TxnSpec, excluded []bool, b *workload.
 				// but pay a global progress barrier at execution.
 				key = workload.NDKeyOf(s.TS, op.NDSpace)
 			}
-			chains[key] = append(chains[key], chainOp{txn: i, op: j, ts: s.TS})
+			id := store.Intern(key)
+			c := byKey[id]
+			if c == nil {
+				c = &opChain{key: id}
+				byKey[id] = c
+				chains = append(chains, c)
+			}
+			c.ops = append(c.ops, chainOp{txn: i, op: j, ts: s.TS})
 		}
 	}
-	keys := make([]workload.Key, 0, len(chains))
-	for k := range chains {
-		sort.Slice(chains[k], func(a, c int) bool { return chains[k][a].ts < chains[k][c].ts })
-		keys = append(keys, k)
+	for _, c := range chains {
+		for i := range c.ops {
+			co := &c.ops[i]
+			for _, k := range specs[co.txn].Ops[co.op].Srcs {
+				id := store.Intern(k)
+				co.srcs = append(co.srcs, srcRef{key: id, chain: byKey[id]})
+			}
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	// progress[k] = number of executed ops in k's chain; cross-chain reads
-	// busy-wait on source-chain progress.
-	progress := make(map[workload.Key]*atomic.Int64, len(chains))
-	for _, k := range keys {
-		progress[k] = &atomic.Int64{}
-	}
-	// waitIndex(k, ts): ops of k's chain that must complete before a read
-	// of k at ts (all ops with smaller timestamp).
-	waitIndex := func(k workload.Key, ts uint64) int {
-		c := chains[k]
-		return sort.Search(len(c), func(i int) bool { return c[i].ts >= ts })
-	}
+	slices.SortFunc(chains, func(a, c *opChain) int { return cmp.Compare(a.key, c.key) })
 	sw.Stop(bd, metrics.Construct)
 
-	var (
-		failedMu sync.Mutex
-		failed   []int
-		aborted  = make([]atomic.Bool, len(specs))
-	)
-
-	cursor := make([]int, len(keys))
+	aborted := make([]atomic.Bool, len(specs))
 	var wg sync.WaitGroup
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
@@ -154,28 +174,24 @@ func (e *Engine) runOnce(specs []workload.TxnSpec, excluded []bool, b *workload.
 			defer wg.Done()
 			// Cooperative pass loop over this worker's chains: execute
 			// every op whose dependencies are resolved, spin otherwise.
-			myKeys := make([]int, 0)
-			for i := t; i < len(keys); i += threads {
-				myKeys = append(myKeys, i)
+			var mine []*opChain
+			for i := t; i < len(chains); i += threads {
+				mine = append(mine, chains[i])
 			}
 			for {
 				progressed, done := false, true
-				for _, ki := range myKeys {
-					k := keys[ki]
-					chain := chains[k]
-					for cursor[ki] < len(chain) {
-						co := chain[cursor[ki]]
-						s := specs[co.txn]
-						op := s.Ops[co.op]
-						if !e.srcsReady(op, s.TS, chains, progress, waitIndex) {
+				for _, c := range mine {
+					n := int(c.progress.Load())
+					for ; n < len(c.ops); n++ {
+						co := &c.ops[n]
+						if !srcsReady(specs[co.txn].Ops[co.op], co, chains) {
 							break // busy-wait: revisit on the next pass
 						}
-						e.execOp(co, specs, table, &aborted[co.txn], bd)
-						progress[k].Add(1)
-						cursor[ki]++
+						e.execOp(co, c.key, specs, view, &aborted[co.txn], bd)
+						c.progress.Store(int64(n + 1))
 						progressed = true
 					}
-					if cursor[ki] < len(chain) {
+					if n < len(c.ops) {
 						done = false
 					}
 				}
@@ -193,44 +209,39 @@ func (e *Engine) runOnce(specs []workload.TxnSpec, excluded []bool, b *workload.
 	}
 	wg.Wait()
 
+	var failed []int
 	for i := range specs {
 		if aborted[i].Load() && !excluded[i] {
-			failedMu.Lock()
 			failed = append(failed, i)
-			failedMu.Unlock()
 		}
 	}
 	return failed
 }
 
 // srcsReady reports whether every source chain has progressed past the
-// reader's timestamp; a non-deterministic op additionally waits for every
-// chain (it could target any state), TStream's ND penalty in Fig. 15.
-func (e *Engine) srcsReady(op workload.OpSpec, ts uint64,
-	chains map[workload.Key][]chainOp, progress map[workload.Key]*atomic.Int64,
-	waitIndex func(workload.Key, uint64) int) bool {
-
+// reader's timestamp (a source the batch never writes has no chain); a
+// non-deterministic op additionally waits for every chain (it could target
+// any state), TStream's ND penalty in Fig. 15.
+func srcsReady(op workload.OpSpec, co *chainOp, chains []*opChain) bool {
 	if op.ND {
-		for k := range chains {
-			if int(progress[k].Load()) < waitIndex(k, ts) {
+		for _, c := range chains {
+			if !c.ready(co.ts) {
 				return false
 			}
 		}
 	}
-	for _, src := range op.Srcs {
-		if _, ok := chains[src]; !ok {
-			continue // no writes to this source in the batch
-		}
-		if int(progress[src].Load()) < waitIndex(src, ts) {
+	for _, src := range co.srcs {
+		if src.chain != nil && !src.chain.ready(co.ts) {
 			return false
 		}
 	}
 	return true
 }
 
-// execOp runs one operation; failures mark the transaction aborted but
-// execution continues (logical dependencies are ignored until batch end).
-func (e *Engine) execOp(co chainOp, specs []workload.TxnSpec, table *store.Table,
+// execOp runs one operation against key, its chain's key; failures mark the
+// transaction aborted but execution continues (logical dependencies are
+// ignored until batch end).
+func (e *Engine) execOp(co *chainOp, key store.KeyID, specs []workload.TxnSpec, view store.View,
 	abortFlag *atomic.Bool, bd *metrics.Breakdown) {
 
 	sw := metrics.Start()
@@ -241,27 +252,23 @@ func (e *Engine) execOp(co chainOp, specs []workload.TxnSpec, table *store.Table
 	if abortFlag.Load() {
 		return // a sibling already failed; skip wasted work when detected
 	}
-	key := op.Key
-	if op.ND {
-		key = workload.NDKeyOf(s.TS, op.NDSpace)
-	}
 	if op.Fn == workload.FnWindowSum {
 		lo := uint64(0)
 		if s.TS > op.Window {
 			lo = s.TS - op.Window
 		}
-		src := make([][]store.Version, len(op.Srcs))
-		for i, k := range op.Srcs {
-			src[i] = table.ReadRange(k, lo, s.TS)
+		src := make([][]store.Version, len(co.srcs))
+		for i, r := range co.srcs {
+			src[i] = view.ReadRangeID(r.key, lo, s.TS)
 		}
 		if _, ok := workload.EvalWindow(op, src); !ok {
 			abortFlag.Store(true)
 		}
 		return
 	}
-	src := make([]int64, len(op.Srcs))
-	for i, k := range op.Srcs {
-		v, ok := table.Read(k, s.TS)
+	src := make([]int64, len(co.srcs))
+	for i, r := range co.srcs {
+		v, ok := view.ReadID(r.key, s.TS)
 		if !ok {
 			abortFlag.Store(true)
 			return
@@ -270,7 +277,7 @@ func (e *Engine) execOp(co chainOp, specs []workload.TxnSpec, table *store.Table
 	}
 	if op.Fn == workload.FnRead {
 		if len(src) == 0 {
-			if v, ok := table.Read(key, s.TS); ok {
+			if v, ok := view.ReadID(key, s.TS); ok {
 				src = []int64{v.(int64)}
 			} else {
 				abortFlag.Store(true)
@@ -287,5 +294,5 @@ func (e *Engine) execOp(co chainOp, specs []workload.TxnSpec, table *store.Table
 		abortFlag.Store(true)
 		return
 	}
-	table.Write(key, s.TS, v)
+	view.WriteID(key, s.TS, v)
 }

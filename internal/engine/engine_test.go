@@ -154,26 +154,6 @@ func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
 	if span < 32 {
 		t.Fatalf("table span = %d; want >= 32 (the batch's key range)", span)
 	}
-	// The executor hot loop must not have touched a single store lock; the
-	// only acquisitions belong to engine-side whole-table maintenance
-	// (Align/Truncate sweeps) and preloads, all at quiescent points.
-	before := e.Table().SafetyLockAcquisitions()
-	for i := 0; i < 32; i++ {
-		ev := &Event{Data: [2]any{txn.Key(fmt.Sprintf("align%d", i)), int64(1)}}
-		e.ingest(op, ev)
-	}
-	e.drain()
-	got := e.Table().SafetyLockAcquisitions() - before
-	// Steady state: two stripe sweeps, one for the (no-op) Align and one for
-	// the clean-up. TruncateFor visits only the batch's dirty chains, but it
-	// still holds the whole sweep while it does: collapsing a chain edits a
-	// published prefix in place, so every string-API caller must be fenced,
-	// not only those whose key happens to be dirty. Sweeping 64 uncontended
-	// mutexes is ~1 us per batch; the O(keys) part of the old boundary was
-	// the chain walk, and that is what went away.
-	if want := int64(2 * 64); got != want {
-		t.Fatalf("safety-lock acquisitions per steady batch = %d; want %d (two stripe sweeps)", got, want)
-	}
 }
 
 func TestEngineAbortFlagsPostProcess(t *testing.T) {

@@ -95,7 +95,7 @@ func (w workloadSpec) generate() ([]*txn.Transaction, *store.Table) {
 }
 
 func buildGraph(txns []*txn.Transaction, table *store.Table) *tpg.Graph {
-	b := tpg.NewBuilder(table.Keys)
+	b := tpg.NewBuilderIDs(table.KeyIDs)
 	b.AddTxns(txns, 2)
 	return b.Finalize(2)
 }

@@ -65,7 +65,7 @@ func (mc matrixCase) batch() *workload.Batch {
 }
 
 func buildGraphFromTable(txns []*txn.Transaction, table *store.Table, fusion bool) *tpg.Graph {
-	b := tpg.NewBuilder(table.Keys).SetFusion(fusion)
+	b := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
 	b.AddTxns(txns, 2)
 	return b.Finalize(2)
 }

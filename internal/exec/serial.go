@@ -25,7 +25,7 @@ func Serial(txns []*txn.Transaction, table *store.Table) Result {
 	for _, t := range sorted {
 		failed := false
 		for _, op := range t.Ops {
-			sc.ctx = txn.Ctx{TS: op.TS(), Blotter: t.Blotter}
+			sc.ctx = txn.Ctx{TS: op.TS(), Blotter: t.Blotter, Sink: &sc.sink}
 			if err := ex.apply(op, &sc); err != nil {
 				failed = true
 				break
@@ -33,6 +33,7 @@ func Serial(txns []*txn.Transaction, table *store.Table) Result {
 			op.SetState(txn.EXE)
 			res.OpsExecuted++
 		}
+		sc.sink.Flush()
 		if failed {
 			// Atomic rollback of the transaction's own writes (LD).
 			for _, op := range t.Ops {

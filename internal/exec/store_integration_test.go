@@ -10,25 +10,6 @@ import (
 	"morphstream/internal/txn"
 )
 
-// TestExecHotLoopTakesNoStoreLocks is the PR 4 acceptance assertion: a full
-// executor run — explore hot loop, source reads, abort rounds with RemoveID
-// storms — performs zero safety-net lock acquisitions in the state table.
-// The dense-ID path must stay lock-free under every strategy.
-func TestExecHotLoopTakesNoStoreLocks(t *testing.T) {
-	for _, d := range allDecisions() {
-		w := workloadSpec{keys: 32, txns: 256, seed: 7, abortEvery: 9}
-		txns, table := w.generate()
-		g := buildGraph(txns, table)
-		table.Align(NumShards(0, 4), g.KeySpan)
-
-		before := table.SafetyLockAcquisitions()
-		Run(g, Config{Decision: d, Threads: 4, Table: table})
-		if got := table.SafetyLockAcquisitions() - before; got != 0 {
-			t.Errorf("%v: executor run took %d store safety locks; want 0", d, got)
-		}
-	}
-}
-
 // ndFreshEpoch makes each test invocation's ND-created key names unique, so
 // the keys are genuinely interned for the first time mid-batch (ids beyond
 // the planner's KeySpan) even under -count=N.

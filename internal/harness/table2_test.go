@@ -12,7 +12,7 @@ func buildProps(t *testing.T, c workload.Config) tpg.Props {
 	t.Helper()
 	b := workload.GS(c)
 	txns, table := b.Materialize()
-	builder := tpg.NewBuilder(table.Keys)
+	builder := tpg.NewBuilderIDs(table.KeyIDs)
 	builder.AddTxns(txns, 2)
 	return builder.Finalize(2).Props
 }
@@ -82,7 +82,7 @@ func TestTable2PropsTrackWorkloadCharacteristics(t *testing.T) {
 	t.Run("ND and window counts", func(t *testing.T) {
 		nd := workload.GSND(workload.GSNDConfig{Config: base, NDAccesses: 25})
 		txns, table := nd.Materialize()
-		builder := tpg.NewBuilder(table.Keys)
+		builder := tpg.NewBuilderIDs(table.KeyIDs)
 		builder.AddTxns(txns, 2)
 		if p := builder.Finalize(2).Props; p.NumND != 25 {
 			t.Fatalf("NumND = %d; want 25", p.NumND)
@@ -91,7 +91,7 @@ func TestTable2PropsTrackWorkloadCharacteristics(t *testing.T) {
 			Config: base, WindowSize: 100, ReadEvery: 500, ReadKeys: 3,
 		})
 		txns, table = win.Materialize()
-		builder = tpg.NewBuilder(table.Keys)
+		builder = tpg.NewBuilderIDs(table.KeyIDs)
 		builder.AddTxns(txns, 2)
 		if p := builder.Finalize(2).Props; p.NumWindow != 4*3 {
 			t.Fatalf("NumWindow = %d; want 12", p.NumWindow)

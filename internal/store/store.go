@@ -15,10 +15,9 @@
 // open-addressing index with lock-free reads, append-only, one mutex for
 // inserts): planning and execution resolve keys at transaction build time
 // and carry KeyIDs through the TPG, so the hot path (*ID methods) never
-// hashes a string. The
-// string-keyed methods remain as compatibility wrappers that resolve through
-// the process-wide dictionary; examples, tests and baselines use them, the
-// engine's hot path does not.
+// hashes a string. The string-keyed methods are adapters that resolve
+// through the process-wide dictionary; examples, tests and set-up code use
+// them, the engine's hot path does not.
 //
 // # Shard-aligned arena layout
 //
@@ -39,38 +38,30 @@
 //     arena recycle — and rollback's RemoveID storms stay inside the
 //     aborting shard's memory.
 //
-// # The lock-free hot path and its synchronisation contract
+// # Synchronisation: one owner at a time, no lock
 //
-// The dense-ID hot path (ReadID/WriteID/RemoveID/...) takes no locks. A
-// chain slot holds an atomic pointer to a header carrying a full-capacity
-// version run and the atomically published live length. Within a batch the
-// TPG's temporal-dependency chain serialises all operations targeting one
-// key, so each chain has at most one mutator at a time — but parametric
-// source reads at older timestamps may legally run concurrently with a
-// newer write to the same key (they do not observe it, so the TPG does not
-// order them). The publication discipline makes that physical overlap safe
-// where the seed took a RWMutex: the visible prefix is immutable while any
-// reader may hold it — an in-order append writes the run's next reserved
-// element and release-publishes the length (no allocation), while
-// out-of-order inserts, same-timestamp replaces and run growth copy into a
-// fresh header before the slot republishes — so a reader always searches a
-// consistent snapshot. Shrinking mutations (RemoveID, the collapse of
-// Truncate and TruncateFor) edit the prefix in place and therefore demand
-// quiescence, which their only callers have by construction: rollback runs
-// under the executor's abort fence, truncation under the whole-table stripe
-// sweep at a batch boundary.
+// The table takes no lock: a structure that one goroutine owns at a time
+// needs none. The dense-ID hot path through a pinned View is safe with one
+// writer per chain plus readers at older timestamps. Within a batch the
+// TPG's temporal-dependency chain serialises every operation targeting one
+// key, while parametric source reads at older timestamps may overlap a newer
+// write to that key (they do not observe it, so the TPG does not order
+// them). A chain slot holds an atomic pointer to a header carrying a
+// full-capacity version run and the atomically published live length. The
+// visible prefix is immutable while any reader may hold it: an in-order
+// append writes the run's next reserved element and release-publishes the
+// length, while out-of-order inserts, same-timestamp replaces and run growth
+// copy into a fresh header before the slot republishes. RemoveID shrinks the
+// prefix in place, so it needs no reader of its key active, which rollback
+// has under the executor's abort fence.
 //
-// Whole-table operations (Truncate, TruncateFor, Snapshot, Clone, KeyIDs, Len,
-// TotalVersions, Align) need full quiescence: the engine runs them only at
-// batch boundaries, where the executor's PR 2 epoch fence guarantees no
-// worker is inside an operation. Direct public callers get a safety net,
-// mirroring EventBlotter's public-API mutex: the string-keyed wrappers
-// serialise per key through mod-64 lock stripes (the seed table's locking,
-// preserved for exactly the callers that used it), and whole-table
-// operations sweep all stripes, so string-API readers racing a Truncate are
-// fenced. None of these locks is ever taken by the executor;
-// SafetyLockAcquisitions exposes the count so tests can assert the hot loop
-// stays mutex-free.
+// Everything else runs only at a quiescent point, where no other goroutine
+// touches the table: the string-keyed adapters and the whole-table
+// operations (Align, Truncate, TruncateFor, KeyIDs, Len, Snapshot,
+// TotalVersions, LatestSince, LatestFor, Restore, RestoreDelta). The engine
+// runs them before its pipeline starts or at a batch boundary, behind the
+// executor's epoch fence. The dictionary's insert mutex guards the
+// dictionary, not the table.
 package store
 
 import (
@@ -89,7 +80,9 @@ type Value = any
 
 // Version is a single timestamped copy of a state entry.
 type Version struct {
-	TS    uint64
+	// TS is the timestamp of the transaction that installed the version.
+	TS uint64
+	// Value is the state content at TS.
 	Value Value
 }
 
@@ -97,10 +90,6 @@ type Version struct {
 func locate(vs []Version, ts uint64) int {
 	return sort.Search(len(vs), func(i int) bool { return vs[i].TS >= ts })
 }
-
-// apiStripes is the lock-stripe count of the string-API safety net (the
-// seed table's shard count, kept for its public callers).
-const apiStripes = 64
 
 const (
 	chainBlockBits = 9 // 512 chains per block
@@ -116,8 +105,8 @@ const (
 // same-timestamp replaces and run growth copy into a fresh chain before the
 // slot republishes. Shrinking mutations (RemoveID, Truncate's collapse) do
 // edit the prefix in place, which is why they demand quiescence: rollback
-// runs under the executor's abort fence and truncation under the
-// whole-table sweep, where no reader holds a view.
+// runs under the executor's abort fence and truncation at a batch boundary,
+// where no reader holds a view.
 type chain struct {
 	n   atomic.Int64
 	buf []Version
@@ -150,7 +139,7 @@ type tableShard struct {
 	harena bump[chain]
 	// lastInstalls records varena+harena chunk installs at the last
 	// compaction, liveInstalls how many of them that compaction made — the
-	// shard's live size in chunks (only touched under the whole-table sweep).
+	// shard's live size in chunks (only touched at a quiescent point).
 	lastInstalls, liveInstalls int64
 	// maxIdx tracks the highest slot index ever holding a chain (-1 when
 	// none); Align uses it to size a new layout's span over late keys.
@@ -285,7 +274,7 @@ func (sh *tableShard) noteBirth(idx uint64) {
 }
 
 // forEach visits every present chain's snapshot in ascending KeyID order.
-// The caller must hold the stripe sweep or otherwise be quiescent.
+// The caller must be quiescent.
 func (ly *layout) forEach(fn func(id KeyID, vs []Version)) {
 	ly.forEachChain(func(id KeyID, c *chain) { fn(id, c.snap()) })
 }
@@ -329,13 +318,6 @@ func (ly *layout) maxPresent() int64 {
 type Table struct {
 	dict   *Dict
 	layout atomic.Pointer[layout]
-
-	// stripes is the string-API safety net: per-key (mod-64) serialisation
-	// for direct public callers, swept in full by whole-table operations.
-	// Never taken on the dense-ID hot path.
-	stripes [apiStripes]sync.Mutex
-	// safetyLocks counts stripe acquisitions for lock-freedom assertions.
-	safetyLocks atomic.Int64
 	// births counts chain births — keys becoming present in this table.
 	// Together with DictLen it is a cheap staleness signal for key-set
 	// snapshots: unchanged births + unchanged dict length means the
@@ -360,12 +342,9 @@ func NewTable() *Table {
 // [0, span) — the executor's shard map (exec shard count over
 // tpg.Graph.KeySpan) — moving existing chain headers to their new shards.
 // The span never shrinks and always covers every key already present, so
-// repeated alignment cannot thrash. Callers must be quiescent with respect
-// to dense-ID accessors (the engine aligns once per punctuation, before
-// executor workers start); the stripe sweep fences string-API callers.
+// repeated alignment cannot thrash. The engine aligns once per punctuation,
+// before executor workers start.
 func (t *Table) Align(num int, span KeyID) {
-	t.lockAll()
-	defer t.unlockAll()
 	old := t.layout.Load()
 	if num < 1 {
 		num = 1
@@ -411,40 +390,9 @@ func (t *Table) Shards() (int, KeyID) {
 
 // ShardOf reports the shard index id currently maps to; tests use it to
 // assert congruence with the executor's shard map.
-func (t *Table) ShardOf(id KeyID) int {
-	ly := t.layout.Load()
-	x := uint64(id)
-	if x >= ly.span {
-		x = ly.span - 1
-	}
-	return int(x * uint64(ly.num) / ly.span)
-}
+func (t *Table) ShardOf(id KeyID) int { return t.layout.Load().indexOf(id) }
 
-// SafetyLockAcquisitions reports how many times a safety-net stripe was
-// taken. Executor hot-loop tests assert it does not move during a run.
-func (t *Table) SafetyLockAcquisitions() int64 { return t.safetyLocks.Load() }
-
-func (t *Table) stripe(id KeyID) *sync.Mutex {
-	t.safetyLocks.Add(1)
-	return &t.stripes[uint32(id)%apiStripes]
-}
-
-// lockAll sweeps every stripe in order; whole-table operations hold the
-// sweep so they exclude all string-API callers.
-func (t *Table) lockAll() {
-	t.safetyLocks.Add(apiStripes)
-	for i := range t.stripes {
-		t.stripes[i].Lock()
-	}
-}
-
-func (t *Table) unlockAll() {
-	for i := len(t.stripes) - 1; i >= 0; i-- {
-		t.stripes[i].Unlock()
-	}
-}
-
-// --- Dense-ID hot path (lock-free; see the package contract) ---
+// --- Dense-ID hot path (see the package's synchronisation rule) ---
 
 // PreloadID seeds id with an initial version at timestamp 0, replacing any
 // existing chain. TSPEs preallocate shared state before processing
@@ -638,96 +586,39 @@ func (v View) WriteID(id KeyID, ts uint64, val Value) { v.ly.writeID(id, ts, val
 // RemoveID is Table.RemoveID on the pinned layout.
 func (v View) RemoveID(id KeyID, ts uint64) { v.ly.removeID(id, ts) }
 
-// --- String-keyed compatibility wrappers (safety-net striped) ---
+// --- String-keyed adapters (quiescent points only) ---
 
-// Preload seeds key k with an initial version at timestamp 0.
-func (t *Table) Preload(k Key, v Value) {
-	id := t.dict.Intern(k)
-	mu := t.stripe(id)
-	mu.Lock()
-	t.PreloadID(id, v)
-	mu.Unlock()
-}
-
-// Read returns the value of the latest version of k with TS < ts.
-func (t *Table) Read(k Key, ts uint64) (Value, bool) {
-	id, ok := t.dict.Lookup(k)
-	if !ok {
-		return nil, false
+// idOf resolves k without interning; NoKeyID, which names no chain, when k
+// was never interned.
+func (t *Table) idOf(k Key) KeyID {
+	if id, ok := t.dict.Lookup(k); ok {
+		return id
 	}
-	mu := t.stripe(id)
-	mu.Lock()
-	v, ok := t.ReadID(id, ts)
-	mu.Unlock()
-	return v, ok
+	return NoKeyID
 }
 
-// ReadRange returns a copy of all versions of k with lo <= TS < hi.
-func (t *Table) ReadRange(k Key, lo, hi uint64) []Version {
-	id, ok := t.dict.Lookup(k)
-	if !ok {
-		return nil
-	}
-	mu := t.stripe(id)
-	mu.Lock()
-	vs := t.ReadRangeID(id, lo, hi)
-	mu.Unlock()
-	return vs
-}
+// Preload is PreloadID on k's interned id.
+func (t *Table) Preload(k Key, v Value) { t.PreloadID(t.dict.Intern(k), v) }
 
-// Write installs a new version of k at ts.
-func (t *Table) Write(k Key, ts uint64, v Value) {
-	id := t.dict.Intern(k)
-	mu := t.stripe(id)
-	mu.Lock()
-	t.WriteID(id, ts, v)
-	mu.Unlock()
-}
+// Read is ReadID on k's id.
+func (t *Table) Read(k Key, ts uint64) (Value, bool) { return t.ReadID(t.idOf(k), ts) }
 
-// Remove deletes the version of k at exactly ts, if present.
-func (t *Table) Remove(k Key, ts uint64) {
-	id, ok := t.dict.Lookup(k)
-	if !ok {
-		return
-	}
-	mu := t.stripe(id)
-	mu.Lock()
-	t.RemoveID(id, ts)
-	mu.Unlock()
-}
+// ReadRange is ReadRangeID on k's id.
+func (t *Table) ReadRange(k Key, lo, hi uint64) []Version { return t.ReadRangeID(t.idOf(k), lo, hi) }
 
-// Latest returns the most recent version value of k regardless of timestamp.
-func (t *Table) Latest(k Key) (Value, bool) {
-	id, ok := t.dict.Lookup(k)
-	if !ok {
-		return nil, false
-	}
-	mu := t.stripe(id)
-	mu.Lock()
-	v, ok := t.LatestID(id)
-	mu.Unlock()
-	return v, ok
-}
+// Write is WriteID on k's interned id.
+func (t *Table) Write(k Key, ts uint64, v Value) { t.WriteID(t.dict.Intern(k), ts, v) }
 
-// VersionCount reports how many versions k currently holds.
-func (t *Table) VersionCount(k Key) int {
-	id, ok := t.dict.Lookup(k)
-	if !ok {
-		return 0
-	}
-	mu := t.stripe(id)
-	mu.Lock()
-	n := t.VersionCountID(id)
-	mu.Unlock()
-	return n
-}
+// Remove is RemoveID on k's id.
+func (t *Table) Remove(k Key, ts uint64) { t.RemoveID(t.idOf(k), ts) }
 
-// --- Whole-table operations ---
-//
-// All of them sweep the safety-net stripes (fencing string-API callers) and
-// require quiescence from dense-ID accessors: the engine runs them only at
-// batch boundaries, where the executor's epoch fence guarantees no worker
-// is inside an operation.
+// Latest is LatestID on k's id.
+func (t *Table) Latest(k Key) (Value, bool) { return t.LatestID(t.idOf(k)) }
+
+// VersionCount is VersionCountID on k's id.
+func (t *Table) VersionCount(k Key) int { return t.VersionCountID(t.idOf(k)) }
+
+// --- Whole-table operations (quiescent points only) ---
 
 // Truncate collapses every chain to its latest version not newer than ts —
 // the surviving version keeps its timestamp — while preserving any versions
@@ -745,13 +636,6 @@ func (t *Table) VersionCount(k Key) int {
 // headers — become garbage wholesale. That is the per-shard arena recycle
 // of the batch boundary.
 func (t *Table) Truncate(ts uint64) {
-	t.lockAll()
-	defer t.unlockAll()
-	t.truncateAll(ts)
-}
-
-// truncateAll is Truncate under the held stripe sweep.
-func (t *Table) truncateAll(ts uint64) {
 	ly := t.layout.Load()
 	for si := range ly.shards {
 		truncateShard(&ly.shards[si], ts)
@@ -780,10 +664,8 @@ func (t *Table) truncateAll(ts uint64) {
 // still compacted whole, exactly as Truncate would. Same quiescence contract
 // as Truncate.
 func (t *Table) TruncateFor(dirty []KeyID) {
-	t.lockAll()
-	defer t.unlockAll()
 	if t.untracked.Load() {
-		t.truncateAll(^uint64(0))
+		t.Truncate(^uint64(0))
 		return
 	}
 	ly := t.layout.Load()
@@ -900,8 +782,6 @@ func truncateShard(sh *tableShard, ts uint64) {
 // Planning uses the key universe to fan virtual operations of
 // non-deterministic accesses out to all states (Section 4.4).
 func (t *Table) KeyIDs() []KeyID {
-	t.lockAll()
-	defer t.unlockAll()
 	var out []KeyID
 	t.layout.Load().forEach(func(id KeyID, _ []Version) {
 		out = append(out, id)
@@ -927,8 +807,6 @@ func (t *Table) Keys() []Key {
 
 // Len reports the number of keys.
 func (t *Table) Len() int {
-	t.lockAll()
-	defer t.unlockAll()
 	n := 0
 	t.layout.Load().forEach(func(KeyID, []Version) { n++ })
 	return n
@@ -937,8 +815,6 @@ func (t *Table) Len() int {
 // Snapshot materialises the latest value of every key. Tests use it to
 // compare engines against the serial oracle.
 func (t *Table) Snapshot() map[Key]Value {
-	t.lockAll()
-	defer t.unlockAll()
 	ly := t.layout.Load()
 	n := 0
 	ly.forEach(func(KeyID, []Version) { n++ })
@@ -954,8 +830,6 @@ func (t *Table) Snapshot() map[Key]Value {
 // TotalVersions reports the number of versions across all keys; the memory
 // footprint experiments sample it.
 func (t *Table) TotalVersions() int {
-	t.lockAll()
-	defer t.unlockAll()
 	n := 0
 	t.layout.Load().forEach(func(_ KeyID, vs []Version) { n += len(vs) })
 	return n
@@ -968,8 +842,11 @@ func (t *Table) TotalVersions() int {
 // as strings because dense KeyIDs are an in-process artifact of interning
 // order and do not survive a restart.
 type Entry struct {
-	Key   Key
-	TS    uint64
+	// Key names the state by its string key.
+	Key Key
+	// TS is the timestamp of the key's latest version.
+	TS uint64
+	// Value is the content of the key's latest version.
 	Value Value
 }
 
@@ -984,13 +861,10 @@ type Entry struct {
 //     by the batch just executed (rolled-back aborts were removed under the
 //     abort fence, so they never appear).
 //
-// Like every whole-table operation it requires quiescence from dense-ID
-// accessors and sweeps the string-API safety stripes; the engine calls it
-// only at the punctuation boundary. The concurrently running planner stage
-// is safe: it touches no table state, and Dict.Name is lock-free.
+// Like every whole-table operation it runs at a quiescent point; the engine
+// calls it at the punctuation boundary. The concurrently running planner
+// stage is safe: it touches no table state, and Dict.Name is lock-free.
 func (t *Table) LatestSince(since uint64) [][]Entry {
-	t.lockAll()
-	defer t.unlockAll()
 	ly := t.layout.Load()
 	out := make([][]Entry, len(ly.shards))
 	var wg sync.WaitGroup
@@ -1043,8 +917,6 @@ func (t *Table) LatestSince(since uint64) [][]Entry {
 // ND keys resolved during execution provide exactly that cover). Same
 // quiescence contract as LatestSince.
 func (t *Table) LatestFor(dirty []KeyID, since uint64) [][]Entry {
-	t.lockAll()
-	defer t.unlockAll()
 	ly := t.layout.Load()
 	out := make([][]Entry, len(ly.shards))
 	if len(dirty) == 0 {
@@ -1100,8 +972,6 @@ func (t *Table) LatestFor(dirty []KeyID, since uint64) [][]Entry {
 // quiescence as every whole-table operation; the engine restores only
 // before its pipeline starts.
 func (t *Table) Restore(shards [][]Entry) {
-	t.lockAll()
-	defer t.unlockAll()
 	// A fresh single-shard layout: old chains, directories and arena chunks
 	// become garbage wholesale. Restored keys count as births (the key set
 	// is rebuilt), keeping the engine's universe staleness signal honest.
@@ -1134,8 +1004,6 @@ func (t *Table) Restore(shards [][]Entry) {
 // each diff, then each record), so a later delta's version for a key lands
 // on or after the earlier one. Same quiescence contract as Restore.
 func (t *Table) RestoreDelta(shards [][]Entry) {
-	t.lockAll()
-	defer t.unlockAll()
 	t.noteUntracked()
 	var wg sync.WaitGroup
 	for _, es := range shards {
@@ -1152,29 +1020,6 @@ func (t *Table) RestoreDelta(shards [][]Entry) {
 		}(es)
 	}
 	wg.Wait()
-}
-
-// Clone deep-copies the table (values are copied shallowly) into fresh
-// arenas, preserving the source's shard alignment. The TStream baseline
-// snapshots state at batch start to support whole-batch redo.
-func (t *Table) Clone() *Table {
-	t.lockAll()
-	defer t.unlockAll()
-	ly := t.layout.Load()
-	c := &Table{dict: t.dict}
-	c.untracked.Store(t.untracked.Load())
-	nl := newLayout(ly.num, KeyID(ly.span), &c.births)
-	ly.forEach(func(id KeyID, vs []Version) {
-		sh := nl.of(id)
-		idx := uint64(id) - sh.lo
-		nvs := allocVersions(&sh.varena, chainCap(len(vs)))[:len(vs)]
-		copy(nvs, vs)
-		sh.installChain(sh.slotFor(idx), nvs, len(nvs))
-		sh.noteBirth(idx)
-		nl.births.Add(1)
-	})
-	c.layout.Store(nl)
-	return c
 }
 
 // String summarises the table for debugging.

@@ -122,7 +122,7 @@ func TestTruncateKeepsLatest(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndClone(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	tb := NewTable()
 	tb.Preload("a", int64(1))
 	tb.Preload("b", int64(2))
@@ -132,15 +132,6 @@ func TestSnapshotAndClone(t *testing.T) {
 	want := map[Key]Value{"a": int64(30), "b": int64(2)}
 	if !reflect.DeepEqual(snap, want) {
 		t.Fatalf("Snapshot = %v; want %v", snap, want)
-	}
-
-	cl := tb.Clone()
-	cl.Write("a", 9, int64(900))
-	if v, _ := tb.Latest("a"); v.(int64) != 30 {
-		t.Fatal("Clone is not independent of the original")
-	}
-	if v, _ := cl.Latest("a"); v.(int64) != 900 {
-		t.Fatal("Clone missed the new write")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -262,63 +263,69 @@ func TestArenaTableMatchesModNReference(t *testing.T) {
 	}
 }
 
-// --- Whole-table fence: string-API readers racing Truncate stay safe ---
+// --- The overlap the table promises: one writer per chain plus readers at
+// older timestamps, with no lock ---
 
-func TestConcurrentReadersVsTruncateFence(t *testing.T) {
+// TestOverlappingReadersOfOneChain appends 32,768 versions of one key
+// through a View while four readers, all started before the first write,
+// probe ReadID and ReadRangeID at or below the newest published timestamp
+// (half the probes exactly at it, so the binary search touches the element
+// the writer published last). Every read must return exactly the version
+// below its probe, and every range must be gapless. Under -race this pins
+// writeID's order: store the element, then publish the length.
+func TestOverlappingReadersOfOneChain(t *testing.T) {
+	const writes = 1 << 15
 	tb := NewTable()
-	const nKeys = 128
-	keys := make([]Key, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("fence-%d", i)
-		tb.Preload(keys[i], int64(0))
-		for ts := uint64(1); ts <= 8; ts++ {
-			tb.Write(keys[i], ts, int64(ts))
-		}
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	id := Intern("overlap-chain")
+	tb.PreloadID(id, int64(0))
+	var frontier atomic.Uint64 // newest ts whose WriteID has returned
+	var done atomic.Bool
+	var ready, wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		ready.Add(1)
 		wg.Add(1)
-		go func(w int) {
+		go func(r int) {
 			defer wg.Done()
-			i := w
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			rng := rand.New(rand.NewSource(int64(r)))
+			ready.Done()
+			for !done.Load() {
+				f := frontier.Load()
+				if f == 0 {
+					continue
 				}
-				k := keys[i%nKeys]
-				// Any snapshot a reader observes is internally consistent:
-				// the latest value below the probe is the version directly
-				// below it, whatever Truncate has discarded.
-				if v, ok := tb.Read(k, 100); ok {
-					if got := v.(int64); got < 0 || got > 9 {
-						t.Errorf("Read(%s) saw impossible value %d", k, got)
+				p := f
+				if rng.Intn(2) == 0 {
+					p = 1 + uint64(rng.Int63n(int64(f)))
+				}
+				if v, ok := tb.ReadID(id, p); !ok || v.(int64) != int64(p-1) {
+					t.Errorf("ReadID(%d) = %v,%v; want %d", p, v, ok, p-1)
+					return
+				}
+				lo := p - min(p, uint64(rng.Intn(16)))
+				vs := tb.ReadRangeID(id, lo, p)
+				for i, v := range vs {
+					if want := lo + uint64(i); v.TS != want || v.Value.(int64) != int64(want) {
+						t.Errorf("ReadRangeID(%d,%d)[%d] = %+v; want ts %d", lo, p, i, v, want)
 						return
 					}
-				} else {
-					t.Errorf("Read(%s) found no version at all", k)
+				}
+				if uint64(len(vs)) != p-lo {
+					t.Errorf("ReadRangeID(%d,%d) has %d versions; want %d", lo, p, len(vs), p-lo)
 					return
 				}
-				tb.ReadRange(k, 0, 100)
-				i++
 			}
-		}(w)
+		}(r)
 	}
-	for round := 0; round < 50; round++ {
-		tb.Truncate(^uint64(0))
-		for i := range keys {
-			tb.Write(keys[i], uint64(9), int64(9))
-		}
-		tb.Truncate(5) // mid-history: keeps the suffix
+	ready.Wait()
+	v := tb.View()
+	for ts := uint64(1); ts <= writes; ts++ {
+		v.WriteID(id, ts, int64(ts))
+		frontier.Store(ts)
 	}
-	close(stop)
+	done.Store(true)
 	wg.Wait()
-	for _, k := range keys {
-		if v, ok := tb.Latest(k); !ok || v.(int64) != 9 {
-			t.Fatalf("Latest(%s) = %v,%v; want 9", k, v, ok)
-		}
+	if n := tb.VersionCountID(id); n != writes+1 {
+		t.Fatalf("VersionCountID = %d; want %d", n, writes+1)
 	}
 }
 

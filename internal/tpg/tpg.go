@@ -72,8 +72,7 @@ type keyList struct {
 const ListShards = 64
 
 type listShard struct {
-	mu sync.Mutex
-	m  map[store.KeyID]*keyList
+	m map[store.KeyID]*keyList
 	// touched lists the keys whose list received its first entry of the
 	// batch, in arrival order: AppendDirtyKeys reads the batch's key set off
 	// it instead of walking m, which still holds the previous batch's
@@ -88,9 +87,13 @@ type listShard struct {
 	writes []writeAt
 }
 
-// Builder accumulates one batch of state transactions and constructs its TPG.
-// AddTxn/AddTxns may be called concurrently (stream processing phase);
-// Finalize runs the transaction processing phase.
+// Builder accumulates one batch of state transactions and constructs its TPG:
+// AddTxn is the stream processing phase, Finalize the transaction processing
+// phase. A builder takes no lock, because one goroutine owns it at a time:
+// the planner while it adds transactions and finalizes, then the batch's
+// clean-up (Recycle, Reset). The engine's builder pool is the hand-off
+// between them. Inside Finalize, each per-shard goroutine owns one list
+// shard.
 type Builder struct {
 	shards [ListShards]listShard
 
@@ -99,18 +102,14 @@ type Builder struct {
 	// per-list fusible counters the fuse pass keys off.
 	fusion bool
 
-	mu      sync.Mutex
-	txns    []*txn.Transaction
-	ndOps   []*txn.Operation
-	numOps  int
-	numLD   int
-	multi   int // ops with >1 source key
-	withSrc int // ops with >=1 source key
+	txns   []*txn.Transaction
+	ndOps  []*txn.Operation
+	numOps int
+	numLD  int
+	multi  int // ops with >1 source key
 
-	// allKeys / allKeyIDs lazily supply the key universe for
-	// non-deterministic fan-out (typically store.Table.Keys or, on the
-	// dense hot path, store.Table.KeyIDs).
-	allKeys   func() []Key
+	// allKeyIDs lazily supplies the key universe for non-deterministic
+	// fan-out (typically store.Table.KeyIDs).
 	allKeyIDs func() []store.KeyID
 
 	// childPos / parentPos are linkEdges scratch (count-then-offset
@@ -128,15 +127,9 @@ type Builder struct {
 	poolParent []*txn.Operation
 }
 
-// NewBuilder returns an empty Builder. allKeys supplies the key universe for
-// non-deterministic operations; it may be nil when the workload has none.
-func NewBuilder(allKeys func() []Key) *Builder {
-	return &Builder{allKeys: allKeys}
-}
-
-// NewBuilderIDs is NewBuilder with the key universe supplied as dense ids
-// (typically store.Table.KeyIDs), sparing the ND fan-out a string
-// round-trip per key. The engine uses this constructor.
+// NewBuilderIDs returns an empty Builder. allKeyIDs supplies the key
+// universe for non-deterministic operations (typically store.Table.KeyIDs);
+// it may be nil when the workload has none.
 func NewBuilderIDs(allKeyIDs func() []store.KeyID) *Builder {
 	return &Builder{allKeyIDs: allKeyIDs}
 }
@@ -172,7 +165,6 @@ func clearCap[T any](s []T) []T {
 func (b *Builder) Reset() {
 	for i := range b.shards {
 		s := &b.shards[i]
-		s.mu.Lock()
 		for id, l := range s.m {
 			if len(l.entries) == 0 {
 				// Cold for a full batch: evict, so builder memory tracks
@@ -190,18 +182,14 @@ func (b *Builder) Reset() {
 		s.edges = clearCap(s.edges)
 		s.writes = clearCap(s.writes)
 		s.touched = s.touched[:0]
-		s.mu.Unlock()
 	}
-	b.mu.Lock()
 	b.txns = nil // the previous Graph aliases the backing array
 	b.ndOps = nil
-	b.numOps, b.numLD, b.multi, b.withSrc = 0, 0, 0, 0
-	b.mu.Unlock()
+	b.numOps, b.numLD, b.multi = 0, 0, 0
 }
 
 func (b *Builder) appendEntry(id store.KeyID, e entry) {
 	s := b.shardOf(id)
-	s.mu.Lock()
 	l := s.m[id]
 	if l == nil {
 		if s.m == nil {
@@ -217,28 +205,26 @@ func (b *Builder) appendEntry(id store.KeyID, e entry) {
 	if e.kind == real && b.fusion && e.op.Fusible() {
 		l.fusibles++
 	}
-	s.mu.Unlock()
 }
 
 // AddTxn decomposes one state transaction into its operations and inserts
-// them into the per-key lists (stream processing phase). Safe for concurrent
-// use.
+// them into the per-key lists (stream processing phase).
 func (b *Builder) AddTxn(t *txn.Transaction) {
-	multi, withSrc := 0, 0
-	var nds []*txn.Operation
+	b.txns = append(b.txns, t)
+	b.numOps += len(t.Ops)
+	if n := len(t.Ops); n > 1 {
+		b.numLD += n - 1
+	}
 	for _, op := range t.Ops {
 		op.SetState(txn.BLK)
 		op.FusedInto = nil // re-planning the same transactions starts clean
 		if len(op.SrcIDs) > 1 {
-			multi++
-		}
-		if len(op.SrcIDs) > 0 {
-			withSrc++
+			b.multi++
 		}
 		if op.IsND() {
 			// Fan-out is deferred to Finalize so that lists created by
 			// later arrivals are covered too.
-			nds = append(nds, op)
+			b.ndOps = append(b.ndOps, op)
 			continue
 		}
 		b.appendEntry(op.KeyID, entry{op: op, kind: real})
@@ -251,43 +237,14 @@ func (b *Builder) AddTxn(t *txn.Transaction) {
 			b.appendEntry(src, entry{op: op, kind: vo, window: op.Window})
 		}
 	}
-	b.mu.Lock()
-	b.txns = append(b.txns, t)
-	b.numOps += len(t.Ops)
-	if n := len(t.Ops); n > 1 {
-		b.numLD += n - 1
-	}
-	b.multi += multi
-	b.withSrc += withSrc
-	b.ndOps = append(b.ndOps, nds...)
-	b.mu.Unlock()
 }
 
-// AddTxns adds a slice of transactions using the given number of workers;
-// it models the parallel stream processing phase.
+// AddTxns adds txns in order. workers is unused: list insertion stays on
+// the builder's owning goroutine.
 func (b *Builder) AddTxns(txns []*txn.Transaction, workers int) {
-	if workers <= 1 || len(txns) < 2 {
-		for _, t := range txns {
-			b.AddTxn(t)
-		}
-		return
+	for _, t := range txns {
+		b.AddTxn(t)
 	}
-	var wg sync.WaitGroup
-	chunk := (len(txns) + workers - 1) / workers
-	for lo := 0; lo < len(txns); lo += chunk {
-		hi := lo + chunk
-		if hi > len(txns) {
-			hi = len(txns)
-		}
-		wg.Add(1)
-		go func(part []*txn.Transaction) {
-			defer wg.Done()
-			for _, t := range part {
-				b.AddTxn(t)
-			}
-		}(txns[lo:hi])
-	}
-	wg.Wait()
 }
 
 // Graph is the constructed TPG for one batch: vertices are operations, edges
@@ -358,10 +315,7 @@ type Props struct {
 // inflate the dirty set back to the whole key universe.
 func (b *Builder) AppendDirtyKeys(dst []store.KeyID) []store.KeyID {
 	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		dst = append(dst, s.touched...)
-		s.mu.Unlock()
+		dst = append(dst, b.shards[i].touched...)
 	}
 	return dst
 }
@@ -386,15 +340,8 @@ func (b *Builder) Finalize(workers int) *Graph {
 				universe[id] = struct{}{}
 			}
 		}
-		if b.allKeys != nil {
-			for _, k := range b.allKeys() {
-				universe[store.Intern(k)] = struct{}{}
-			}
-		}
 		for i := range b.shards {
-			s := &b.shards[i]
-			s.mu.Lock()
-			for id, l := range s.m {
+			for id, l := range b.shards[i].m {
 				// Only lists touched this batch: a reused builder keeps
 				// empty lists of earlier batches, which are not part of
 				// the current key universe.
@@ -402,7 +349,6 @@ func (b *Builder) Finalize(workers int) *Graph {
 					universe[id] = struct{}{}
 				}
 			}
-			s.mu.Unlock()
 		}
 		for id := range universe {
 			if id != store.NoKeyID && id+1 > ndSpan {
@@ -764,12 +710,10 @@ func (b *Builder) Recycle(g *Graph) {
 	if g == nil {
 		return
 	}
-	b.mu.Lock()
 	b.poolOps = clearCap(g.Ops)
 	b.poolChains = clearCap(g.Chains)
 	b.poolChild = clearCap(g.childBuf)
 	b.poolParent = clearCap(g.parentBuf)
-	b.mu.Unlock()
 	g.Txns, g.Ops, g.Chains, g.childBuf, g.parentBuf = nil, nil, nil, nil, nil
 	g.NDOps = nil
 }

@@ -38,7 +38,7 @@ func TestRunningExampleFigure3(t *testing.T) {
 	o4 := mkWrite(t3, "B")      // debit B
 	o5 := mkWrite(t3, "A", "B") // credit A with f(B)
 
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	b.AddTxns([]*txn.Transaction{t1, t2, t3}, 1)
 	g := b.Finalize(1)
 
@@ -84,7 +84,7 @@ func TestOutOfOrderArrivalSameGraph(t *testing.T) {
 		ops := map[*txn.Operation]string{o1: "o1", o2: "o2", o3: "o3", o4: "o4", o5: "o5"}
 		all := []*txn.Transaction{t1, t2, t3}
 
-		b := NewBuilder(nil)
+		b := NewBuilderIDs(nil)
 		for _, i := range order {
 			b.AddTxn(all[i])
 		}
@@ -124,7 +124,7 @@ func TestWindowDependencies(t *testing.T) {
 	wop := txn.Build(wtx).WindowWrite("A", []Key{"C"}, 10, nil)
 	all = append(all, wtx)
 
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	b.AddTxns(all, 1)
 	b.Finalize(1)
 
@@ -138,7 +138,7 @@ func TestWindowDependencies(t *testing.T) {
 	// A second, narrower window [9,12) catches only the last write.
 	wtx2 := txn.NewTransaction(10, 12)
 	wop2 := txn.Build(wtx2).WindowWrite("A", []Key{"C"}, 3, nil)
-	b2 := NewBuilder(nil)
+	b2 := NewBuilderIDs(nil)
 	for i := 1; i <= 3; i++ {
 		tx := txn.NewTransaction(int64(i), uint64(i*3))
 		writesC[i-1] = mkWrite(tx, "C")
@@ -172,7 +172,9 @@ func TestNonDeterministicFanOut(t *testing.T) {
 	later := txn.NewTransaction(5, 5)
 	od := mkWrite(later, "D")
 
-	b := NewBuilder(func() []Key { return []Key{"A", "B", "C", "D"} })
+	b := NewBuilderIDs(func() []store.KeyID {
+		return []store.KeyID{store.Intern("A"), store.Intern("B"), store.Intern("C"), store.Intern("D")}
+	})
 	b.AddTxns([]*txn.Transaction{t1, t2, t3, nd, later}, 1)
 	g := b.Finalize(1)
 
@@ -206,7 +208,7 @@ func TestSelfSourcedWriteHasNoSelfEdge(t *testing.T) {
 	t2 := txn.NewTransaction(2, 2)
 	o2 := mkWrite(t2, "A", "A")
 
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	b.AddTxns([]*txn.Transaction{t1, t2}, 1)
 	b.Finalize(1)
 
@@ -230,7 +232,7 @@ func TestChainsGroupByKey(t *testing.T) {
 		perKey[k]++
 		all = append(all, tx)
 	}
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	b.AddTxns(all, 1)
 	g := b.Finalize(1)
 
@@ -251,7 +253,7 @@ func TestChainsGroupByKey(t *testing.T) {
 
 func TestDegreeSkewProps(t *testing.T) {
 	// 10 ops on one hot key, 1 op each on 10 cold keys.
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	id := int64(1)
 	for i := 0; i < 10; i++ {
 		tx := txn.NewTransaction(id, uint64(id))
@@ -272,9 +274,10 @@ func TestDegreeSkewProps(t *testing.T) {
 	}
 }
 
-// TestParallelConstructionEquivalence checks that multi-worker construction
-// yields exactly the single-worker dependency structure.
-func TestParallelConstructionEquivalence(t *testing.T) {
+// TestFinalizeWorkersEquivalence checks that Finalize(8), with its
+// per-list-shard goroutines, yields exactly the Finalize(1) dependency
+// structure.
+func TestFinalizeWorkersEquivalence(t *testing.T) {
 	gen := func() []*txn.Transaction {
 		rng := rand.New(rand.NewSource(7))
 		var all []*txn.Transaction
@@ -300,23 +303,23 @@ func TestParallelConstructionEquivalence(t *testing.T) {
 	}
 
 	seq := gen()
-	b1 := NewBuilder(nil)
+	b1 := NewBuilderIDs(nil)
 	b1.AddTxns(seq, 1)
 	b1.Finalize(1)
 	want := edgeSet(seq)
 
 	par := gen()
-	b2 := NewBuilder(nil)
-	b2.AddTxns(par, 8)
+	b2 := NewBuilderIDs(nil)
+	b2.AddTxns(par, 1)
 	b2.Finalize(8)
 	got := edgeSet(par)
 
 	if len(want) != len(got) {
-		t.Fatalf("edge count: sequential %d vs parallel %d", len(want), len(got))
+		t.Fatalf("edge count: Finalize(1) %d vs Finalize(8) %d", len(want), len(got))
 	}
 	for e := range want {
 		if !got[e] {
-			t.Errorf("edge %s missing under parallel construction", e)
+			t.Errorf("edge %s missing under Finalize(8)", e)
 		}
 	}
 }
@@ -339,7 +342,7 @@ func TestEdgesRespectTimestampOrder(t *testing.T) {
 		}
 		all = append(all, tx)
 	}
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	b.AddTxns(all, 4)
 	g := b.Finalize(4)
 	for _, op := range g.Ops {
@@ -360,7 +363,7 @@ func TestKeySpanCoversBatchKeys(t *testing.T) {
 	t2 := txn.NewTransaction(2, 2)
 	mkWrite(t2, "span-b", "span-c") // source key counts too
 
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	b.AddTxns([]*txn.Transaction{t1, t2}, 1)
 	g := b.Finalize(1)
 
@@ -451,7 +454,7 @@ func TestRecycleSteadyStateEquivalence(t *testing.T) {
 		return txns
 	}
 
-	steady := NewBuilder(nil)
+	steady := NewBuilderIDs(nil)
 	var prev *Graph
 	for round := int64(0); round < 4; round++ {
 		if prev != nil {
@@ -461,7 +464,7 @@ func TestRecycleSteadyStateEquivalence(t *testing.T) {
 		steady.AddTxns(gen(round), 2)
 		g := steady.Finalize(2)
 
-		fresh := NewBuilder(nil)
+		fresh := NewBuilderIDs(nil)
 		fresh.AddTxns(gen(round), 2)
 		want := fresh.Finalize(2)
 
@@ -474,7 +477,7 @@ func TestRecycleSteadyStateEquivalence(t *testing.T) {
 
 // TestRecycleNilGraphIsNoop guards the engine's first-punctuation path.
 func TestRecycleNilGraphIsNoop(t *testing.T) {
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	b.Recycle(nil)
 	tx := txn.NewTransaction(1, 1)
 	mkWrite(tx, "nq")
@@ -505,7 +508,7 @@ func TestAppendDirtyKeysIsTheBatchKeySet(t *testing.T) {
 			t.Fatalf("%s: dirty = %v; want %v", label, got, want(keys...))
 		}
 	}
-	b := NewBuilder(nil)
+	b := NewBuilderIDs(nil)
 	t1 := txn.NewTransaction(1, 1)
 	mkWrite(t1, "dk/A", "dk/A")
 	mkWrite(t1, "dk/B", "dk/A", "dk/C") // C only as a source

