@@ -957,7 +957,7 @@ func BenchmarkHotKeyFusion(b *testing.B) {
 // BenchmarkTelemetryOverhead runs the identical pipelined lifecycle with
 // telemetry off (no registry — every instrument update is a single
 // predictable nil branch) and on (a live registry absorbing every batch's
-// counters, latency histograms and per-ingest ring occupancy reads), so the
+// counters, latency histograms and ingest-queue occupancy reads), so the
 // CI gate keeps the instrumentation tax on the streaming hot path provably
 // negligible: instruments update at batch granularity plus one sharded
 // atomic per scrape-visible gauge, so off and on must stay within noise of

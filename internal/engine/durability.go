@@ -23,8 +23,6 @@ type Durability struct {
 	// one group fsync per punctuation so a delivered batch result implies
 	// a durable batch.
 	Sync wal.SyncPolicy
-	// SyncEvery is the fsync stride under wal.SyncInterval.
-	SyncEvery int
 	// SnapshotEvery checkpoints every this many punctuations; 0 uses
 	// DefaultSnapshotEvery, negative disables periodic snapshots (the
 	// baseline snapshot at sequence 0 is still written). The stride counts
@@ -102,7 +100,6 @@ func (e *Engine) openDurability() error {
 	}
 	l, rec, err := wal.Open(sink, wal.Options{
 		Policy:       d.Sync,
-		SyncEvery:    d.SyncEvery,
 		DiffBudget:   d.SnapshotDiffBudget,
 		MaxDiffChain: d.SnapshotMaxDiffs,
 		Registry:     e.cfg.Telemetry,

@@ -31,10 +31,12 @@ import (
 	"morphstream/internal/wal"
 )
 
-// Event is one input tuple. Data carries the application payload consumed
-// by the operator's PreProcess; Arrival timestamps end-to-end latency.
+// Event is one input tuple.
 type Event struct {
-	Data    any
+	// Data carries the application payload consumed by the operator's
+	// PreProcess.
+	Data any
+	// Arrival timestamps end-to-end latency; Ingest stamps it when zero.
 	Arrival time.Time
 }
 
@@ -86,15 +88,11 @@ type Config struct {
 	PunctuateEvery int
 	// PunctuateInterval, when > 0, additionally seals a non-empty pipelined
 	// batch at most this long after its first event's Arrival — and turns
-	// natural batching on: the batch also seals as soon as the submission
-	// ring is drained and the executor stage is idle, so the interval is a
+	// natural batching on: the batch also seals as soon as the ingest
+	// queue is drained and the executor stage is idle, so the interval is a
 	// bound on silence, not a wait. Zero keeps count-only punctuation, whose
 	// cuts are a function of the input alone.
 	PunctuateInterval time.Duration
-	// IngestBuffer is the submission-ring capacity (rounded up to a power
-	// of two); <= 0 uses DefaultIngestBuffer. Ingest blocks when the ring
-	// is full — the pipeline's backpressure.
-	IngestBuffer int
 	// Sink, when non-nil, receives every BatchResult from the executor
 	// stage (in punctuation order, on the pipeline's goroutine) instead of
 	// the Results channel.
@@ -105,7 +103,7 @@ type Config struct {
 	Durability *Durability
 	// Telemetry, when non-nil, registers the engine's instruments (and the
 	// executor's and WAL's, plumbed through) on the registry: per-batch and
-	// per-event latency histograms, and scrape-time counter/ring/overlap/WAL
+	// per-event latency histograms, and scrape-time counter/queue/overlap/WAL
 	// views.
 	// Nil costs the hot path nothing beyond nil-check branches. See
 	// stats.go and morphstream.WithTelemetry.
@@ -117,9 +115,6 @@ const (
 	// DefaultPunctuateEvery is the pipelined batch size when Config leaves
 	// PunctuateEvery unset.
 	DefaultPunctuateEvery = 1024
-	// DefaultIngestBuffer is the submission-ring capacity when Config
-	// leaves IngestBuffer unset.
-	DefaultIngestBuffer = 4096
 	// resultsBuffer decouples result delivery from consumption; once full,
 	// the executor stage blocks, propagating backpressure to Ingest.
 	resultsBuffer = 16
@@ -153,9 +148,8 @@ type BatchResult struct {
 
 // progressController assigns monotonically increasing timestamps to events
 // and punctuations through a simple global counter (Section 7.2.1). The
-// counter is a bare atomic: submission is already lock-free here, and the
-// execution layer below is epoch-fenced rather than gate-locked, so no
-// mutex remains on the per-event path.
+// counter is a bare atomic: only the planner draws from it, and the
+// execution layer below is epoch-fenced rather than gate-locked.
 type progressController struct {
 	next atomic.Uint64
 }
@@ -223,7 +217,7 @@ const (
 	sealFlush    sealTrigger = iota // Drain/Close barrier
 	sealCount                       // PunctuateEvery events accumulated (the cap)
 	sealInterval                    // PunctuateInterval since the first event (the bound)
-	sealIdle                        // ring drained and executor idle (interval engines)
+	sealIdle                        // queue drained and executor idle (interval engines)
 )
 
 // sealTriggerNames are the telemetry label values, indexed by sealTrigger.
@@ -387,16 +381,10 @@ func WithPunctuationCount(n int) Option {
 }
 
 // WithPunctuationInterval additionally seals a non-empty pipelined batch at
-// most d after its first event was ingested, and earlier whenever the ring
-// is drained and the executor idle (Config.PunctuateInterval).
+// most d after its first event was ingested, and earlier whenever the
+// ingest queue is drained and the executor idle (Config.PunctuateInterval).
 func WithPunctuationInterval(d time.Duration) Option {
 	return func(c *Config) { c.PunctuateInterval = d }
-}
-
-// WithIngestBuffer sets the submission-ring capacity (rounded up to a power
-// of two).
-func WithIngestBuffer(n int) Option {
-	return func(c *Config) { c.IngestBuffer = n }
 }
 
 // WithResultSink delivers batch results through fn (called on the
@@ -422,9 +410,6 @@ func New(cfg Config, opts ...Option) *Engine {
 	}
 	if cfg.PunctuateEvery <= 0 {
 		cfg.PunctuateEvery = DefaultPunctuateEvery
-	}
-	if cfg.IngestBuffer <= 0 {
-		cfg.IngestBuffer = DefaultIngestBuffer
 	}
 	e := &Engine{
 		cfg:            cfg,
@@ -479,7 +464,7 @@ func (e *Engine) refreshUniverse() {
 // the event for post-processing — against pb. A PreProcess or StateAccess
 // failure drops the event, counted on the batch. A drop opens a batch like a
 // planned event does, so the punctuation policy also bounds how long
-// pure-failure streams stay silent. Events are planned in ring order;
+// pure-failure streams stay silent. Events are planned in queue order;
 // out-of-order *timestamps* are exercised through the planner's sorted
 // lists.
 func (e *Engine) planEvent(pb *pendingBatch, op Operator, ev *Event) {

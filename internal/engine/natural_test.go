@@ -16,7 +16,7 @@ import (
 )
 
 // Natural batching (pipeline.go): an interval engine seals the moment its
-// batch is non-empty, the ring is drained and the executor stage is idle.
+// batch is non-empty, the queue is drained and the executor stage is idle.
 // These tests pin the trigger's liveness, its scope (interval engines only),
 // that results do not depend on where batches are cut, and its accounting
 // through the durability and cancellation paths.
@@ -87,7 +87,7 @@ func TestIdleSealNoLostWakeup(t *testing.T) {
 }
 
 // TestCountOnlyCutsAreDeterministic: a count-only engine never takes the idle
-// path. Under paced ingest — the executor idle and the ring drained between
+// path. Under paced ingest — the executor idle and the queue drained between
 // any two events — every batch still holds exactly the configured count.
 func TestCountOnlyCutsAreDeterministic(t *testing.T) {
 	const n, batches = 8, 25
@@ -327,9 +327,9 @@ func TestCancelLeavesNothingInFlight(t *testing.T) {
 			}
 			// Wait until the planner has taken both events and sealed what
 			// the policy lets it seal.
-			for deadline := time.Now().Add(10 * time.Second); p.ring.len() > 0 || p.inflight.Load() != tc.inflight; {
+			for deadline := time.Now().Add(10 * time.Second); len(p.in) > 0 || p.inflight.Load() != tc.inflight; {
 				if time.Now().After(deadline) {
-					t.Fatalf("ring %d, in flight %d; want 0 and %d", p.ring.len(), p.inflight.Load(), tc.inflight)
+					t.Fatalf("queue %d, in flight %d; want 0 and %d", len(p.in), p.inflight.Load(), tc.inflight)
 				}
 				time.Sleep(100 * time.Microsecond)
 			}

@@ -5,9 +5,12 @@ import "morphstream/internal/txn"
 // OperatorFuncs adapts plain functions to the Operator interface; any nil
 // step is a no-op (PreProcess defaults to an empty blotter).
 type OperatorFuncs struct {
-	Pre    func(ev *Event) (*txn.EventBlotter, error)
+	// Pre implements PreProcess.
+	Pre func(ev *Event) (*txn.EventBlotter, error)
+	// Access implements StateAccess.
 	Access func(eb *txn.EventBlotter, b *txn.Builder) error
-	Post   func(ev *Event, eb *txn.EventBlotter, aborted bool) error
+	// Post implements PostProcess.
+	Post func(ev *Event, eb *txn.EventBlotter, aborted bool) error
 }
 
 // PreProcess implements Operator.

@@ -20,25 +20,25 @@ var (
 	ErrClosed = errors.New("engine: pipeline closed")
 )
 
-// pipeline is the running streaming lifecycle of an engine: a bounded MPSC
-// submission ring feeding a planner goroutine, which seals punctuation
-// batches and hands them to an executor goroutine over a depth-1 channel —
-// so planning of batch N+1 (PreProcess + StateAccess + TPG construction,
-// table-free) overlaps execution of batch N (align + execute +
+// pipeline is the running streaming lifecycle of an engine: a bounded ingest
+// queue (a buffered channel) feeding a planner goroutine, which seals
+// punctuation batches and hands them to an executor goroutine over a depth-1
+// channel — so planning of batch N+1 (PreProcess + StateAccess + TPG
+// construction, table-free) overlaps execution of batch N (align + execute +
 // post-process, the punctuation quiescent point).
 //
-//	Ingest* -> [submission ring] -> planner -> [execCh] -> executor -> Results/Sink
+//	Ingest* -> [ingest queue] -> planner -> [execCh] -> executor -> Results/Sink
 //	                                   ^------- [execIdle] -------'
 //
 // Natural batching: an engine configured with a punctuation interval also
-// seals the moment its pending batch is non-empty, the ring is drained and
+// seals the moment its pending batch is non-empty, the queue is drained and
 // the executor stage is idle — batch N+1 then accumulates exactly as long as
 // batch N runs, and a lightly loaded stream never waits out the interval.
 // Count-only engines never take that path: their cuts stay a function of the
 // input alone.
 //
 // Teardown paths:
-//   - Close(): flush everything (a stop marker through the ring preserves
+//   - Close(): flush everything (a stop marker through the queue preserves
 //     ordering), deliver all results, then stop both stages.
 //   - context cancellation: stop planning immediately; events not yet
 //     executed are discarded (planning wrote no table state, so dropping
@@ -47,7 +47,19 @@ type pipeline struct {
 	e   *Engine
 	ctx context.Context
 
-	ring   *ingestRing
+	// in is the ingest queue; the planner is its only receiver. Senders
+	// hold inMu's read lock, and Close takes the write lock to set
+	// inClosed, so once Close has enqueued its stop marker nothing can
+	// follow it. A sender keeps the read lock across a blocking send on
+	// purpose: the planner receives until it meets the stop marker, and
+	// cancellation releases the send, so Close waits at most for the
+	// queue to drain.
+	in       chan ingestItem
+	inMu     sync.RWMutex
+	inClosed bool
+	// stalls counts sends that found the queue full — the backpressure
+	// signal PipelineStats and the telemetry registry expose.
+	stalls atomic.Int64
 	execCh chan pipeMsg
 
 	// natural enables the idle trigger (PunctuateInterval > 0).
@@ -62,9 +74,7 @@ type pipeline struct {
 	// edge is never lost and a stale token only costs one re-check.
 	execIdle chan struct{}
 
-	// ingestClosed rejects new Ingest calls once Close began.
-	ingestClosed atomic.Bool
-	closeOnce    sync.Once
+	closeOnce sync.Once
 	// clean records that the planner exited through the stop marker (all
 	// ingested events flushed) rather than via cancellation.
 	clean atomic.Bool
@@ -76,6 +86,24 @@ type pipeline struct {
 	discarded atomic.Bool
 
 	execDone chan struct{}
+}
+
+// ingestCapacity bounds the ingest queue; Ingest blocks while it is full.
+// Four default-sized batches of slack let producers keep going while the
+// planner waits on the executor stage for a batch hand-off.
+const ingestCapacity = 4096
+
+// ingestItem is one ingest-queue entry: an event to plan, or — when flush
+// is non-nil — a punctuation barrier from Drain/Close.
+type ingestItem struct {
+	op Operator
+	ev *Event
+	// flush, when non-nil, is closed by the executor stage once every batch
+	// sealed before this marker has been executed and delivered.
+	flush chan struct{}
+	// stop additionally asks the planner to shut the pipeline down after
+	// flushing (Close's marker).
+	stop bool
 }
 
 // pipeMsg crosses the plan/execute stage boundary: a sealed batch, a flush
@@ -112,7 +140,7 @@ func (e *Engine) Start(ctx context.Context) error {
 	p := &pipeline{
 		e:        e,
 		ctx:      ctx,
-		ring:     newIngestRing(e.cfg.IngestBuffer),
+		in:       make(chan ingestItem, ingestCapacity),
 		execCh:   make(chan pipeMsg, 1),
 		natural:  e.cfg.PunctuateInterval > 0,
 		execIdle: make(chan struct{}, 1),
@@ -124,8 +152,8 @@ func (e *Engine) Start(ctx context.Context) error {
 	return nil
 }
 
-// Ingest enqueues one event onto the submission ring, blocking while the
-// ring is full (backpressure), and stamps its Arrival if unset. The planner
+// Ingest enqueues one event onto the ingest queue, blocking while the queue
+// is full (backpressure), and stamps its Arrival if unset. The planner
 // stage runs PreProcess and StateAccess; a failure in either is reported
 // through BatchResult.Dropped rather than an Ingest error. Safe for
 // concurrent use from any number of goroutines; events from a single
@@ -135,13 +163,36 @@ func (e *Engine) Ingest(op Operator, ev *Event) error {
 	if p == nil {
 		return e.neverStartedErr()
 	}
-	if p.ingestClosed.Load() || p.ctx.Err() != nil {
+	if p.ctx.Err() != nil {
 		return ErrClosed
 	}
 	if ev.Arrival.IsZero() {
 		ev.Arrival = time.Now()
 	}
-	return p.ring.push(ingestItem{op: op, ev: ev})
+	return p.send(ingestItem{op: op, ev: ev})
+}
+
+// send enqueues it, blocking while the queue is full. It returns ErrClosed
+// once Close has begun or the pipeline was cancelled; a nil return means the
+// item is queued ahead of Close's stop marker.
+func (p *pipeline) send(it ingestItem) error {
+	p.inMu.RLock()
+	defer p.inMu.RUnlock()
+	if p.inClosed {
+		return ErrClosed
+	}
+	select {
+	case p.in <- it:
+		return nil
+	default:
+	}
+	p.stalls.Add(1)
+	select {
+	case p.in <- it:
+		return nil
+	case <-p.ctx.Done():
+		return ErrClosed
+	}
 }
 
 // Drain flushes the pipeline: it seals the partially accumulated batch (if
@@ -156,8 +207,8 @@ func (e *Engine) Drain() error {
 		return e.neverStartedErr()
 	}
 	ch := make(chan struct{})
-	if err := p.ring.push(ingestItem{flush: ch}); err != nil {
-		// The ring only rejects once teardown began. After a *clean* Close
+	if err := p.send(ingestItem{flush: ch}); err != nil {
+		// The queue only rejects once teardown began. After a *clean* Close
 		// closeErr is nil by design (Close itself succeeded), but a Drain
 		// arriving afterwards must still report the closed lifecycle.
 		if cerr := p.closeErr(); cerr != nil {
@@ -225,11 +276,17 @@ func (e *Engine) Close() error {
 	e.lifeMu.Unlock()
 
 	p.closeOnce.Do(func() {
-		p.ingestClosed.Store(true)
-		ch := make(chan struct{})
-		// Best effort: on a cancelled pipeline the ring may already be
-		// closed and the marker is unnecessary.
-		_ = p.ring.push(ingestItem{flush: ch, stop: true})
+		// Every send that got the read lock first is queued before the
+		// marker; every later one sees inClosed.
+		p.inMu.Lock()
+		p.inClosed = true
+		p.inMu.Unlock()
+		// On a cancelled pipeline the planner may be gone and the marker
+		// is unnecessary.
+		select {
+		case p.in <- ingestItem{flush: make(chan struct{}), stop: true}:
+		case <-p.ctx.Done():
+		}
 	})
 	<-p.execDone
 	err := p.closeErr()
@@ -267,17 +324,16 @@ func (p *pipeline) closeErr() error {
 
 // ---- planner stage ----
 
-// plannerLoop drains the submission ring, plans events into the pending
+// plannerLoop drains the ingest queue, plans events into the pending
 // batch, and seals a batch whenever the punctuation policy fires — the count
 // cap, the interval bound, or (interval engines only) the executor stage
-// going idle with the ring drained — or a flush barrier arrives. Sealed
+// going idle with the queue drained — or a flush barrier arrives. Sealed
 // batches block on execCh until the executor stage frees up — the pipeline's
 // plan-ahead depth of one batch.
 func (p *pipeline) plannerLoop() {
 	e := p.e
 	pending := newPendingBatch()
 	defer close(p.execCh)
-	defer p.ring.close() // idempotent; releases producers on the cancel path
 
 	// One interval timer serves every batch. It is armed only while the
 	// planner parks on a non-empty batch of an interval engine, so batches
@@ -331,31 +387,16 @@ func (p *pipeline) plannerLoop() {
 		}
 	}
 
-	// handle plans one ring item; the bool result means "keep running".
+	// handle plans one queued item; the bool result means "keep running".
 	handle := func(it ingestItem) bool {
-		if it.flush != nil || it.stop {
+		e.overlap.SetPlan(true)
+		if it.flush != nil {
 			if !sealAndSend(it.flush, sealFlush) {
 				return false
 			}
 			if it.stop {
-				// Close: flush the Ingest calls that raced the closing
-				// flag, then shut down. The pre-seal drain is best
-				// effort; sealing the tail (ring.close) then draining
-				// again is exhaustive — after the seal no claim can
-				// succeed, and claims that won before it are observed
-				// by drainPending (see ring.go's teardown contract), so
-				// an Ingest that returned nil is never dropped.
-				late := func(s ingestItem) {
-					if s.flush != nil {
-						sealAndSend(s.flush, sealFlush)
-						return
-					}
-					e.planEvent(pending, s.op, s.ev)
-				}
-				p.ring.drainPending(late)
-				p.ring.close()
-				p.ring.drainPending(late)
-				sealAndSend(nil, sealFlush)
+				// Close's marker is the last item ever queued, so every
+				// Ingest that returned nil has just been flushed.
 				p.clean.Store(true)
 				return false
 			}
@@ -370,14 +411,15 @@ func (p *pipeline) plannerLoop() {
 
 	for {
 		// Burst-drain everything queued.
+	drain:
 		for {
-			it, ok := p.ring.pop()
-			if !ok {
-				break
-			}
-			e.overlap.SetPlan(true)
-			if !handle(it) {
-				return
+			select {
+			case it := <-p.in:
+				if !handle(it) {
+					return
+				}
+			default:
+				break drain
 			}
 		}
 		e.overlap.SetPlan(false)
@@ -385,8 +427,8 @@ func (p *pipeline) plannerLoop() {
 		// timer or idle cases below: only the count (or a flush) seals.
 		if p.natural && batchLoad() > 0 {
 			if p.inflight.Load() == 0 {
-				// Ring drained, executor idle: holding the batch back buys
-				// nothing. Seal it, then look at the ring again.
+				// Queue drained, executor idle: holding the batch back buys
+				// nothing. Seal it, then look at the queue again.
 				if !sealAndSend(nil, sealIdle) {
 					return
 				}
@@ -400,9 +442,12 @@ func (p *pipeline) plannerLoop() {
 			}
 		}
 		select {
-		case <-p.ring.notEmpty:
+		case it := <-p.in:
+			if !handle(it) {
+				return
+			}
 		case <-p.execIdle:
-			// The executor went idle: re-drain the ring, re-check above.
+			// The executor went idle: re-drain the queue, re-check above.
 		case <-timer.C:
 			armed = false
 			if !sealAndSend(nil, sealInterval) {

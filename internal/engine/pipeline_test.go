@@ -111,7 +111,7 @@ func TestDrainIsAWindowBarrier(t *testing.T) {
 // checks the punctuation-count policy, result delivery, and final state.
 func TestPipelineBasicFlow(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	e := New(Config{Threads: 2, Cleanup: true}, WithPunctuationCount(10), WithIngestBuffer(16), WithTelemetry(reg))
+	e := New(Config{Threads: 2, Cleanup: true}, WithPunctuationCount(10), WithTelemetry(reg))
 	e.Table().Preload("acct", int64(0))
 	if err := e.Start(context.Background()); err != nil {
 		t.Fatal(err)
@@ -277,36 +277,125 @@ func TestDoubleDrain(t *testing.T) {
 	}
 }
 
-// TestBackpressureTinyRing forces constant submission-ring backpressure and
-// verifies every event still flows through exactly once.
-func TestBackpressureTinyRing(t *testing.T) {
-	e := New(Config{Threads: 2, Cleanup: true}, WithPunctuationCount(16), WithIngestBuffer(4),
+// TestBackpressureFullQueue stalls the executor until producers have filled
+// the ingest queue and blocked on it, then releases it: the stalls are
+// counted, and every event still executes exactly once.
+func TestBackpressureFullQueue(t *testing.T) {
+	e := New(Config{Threads: 2, Cleanup: true}, WithPunctuationCount(16),
 		WithResultSink(func(*BatchResult) {}))
-	e.Table().Preload("acct", int64(0))
+	e.Table().Preload("k", int64(0))
+	blockOp, executing, release := newBlockOp()
 	if err := e.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	op := depositOp()
-	const producers, perProducer = 4, 100
+	const producers = 4
+	perProducer := ingestCapacity/producers + 64 // past the capacity together
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				if err := e.Ingest(op, &Event{Data: [2]any{txn.Key("acct"), int64(1)}}); err != nil {
+				if err := e.Ingest(blockOp, &Event{}); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 		}()
 	}
+	<-executing
+	for deadline := time.Now().Add(10 * time.Second); e.PipelineStats().IngestStalls == 0; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("no Ingest stalled on the full queue")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
 	wg.Wait()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := e.Table().Latest("acct"); v.(int64) != producers*perProducer {
-		t.Fatalf("acct = %v; want %d", v, producers*perProducer)
+	if v, _ := e.Table().Latest("k"); v.(int64) != int64(producers*perProducer) {
+		t.Fatalf("k = %v; want %d", v, producers*perProducer)
+	}
+}
+
+// TestIngestRacingCloseLosesNothing runs producers into Close: every Ingest
+// that returned nil is executed and post-processed, in its producer's order,
+// and every refusal is ErrClosed.
+func TestIngestRacingCloseLosesNothing(t *testing.T) {
+	const producers = 4
+	for round := 0; round < 20; round++ {
+		var post [producers][]int // written by the executor stage only
+		op := OperatorFuncs{
+			Pre: func(ev *Event) (*txn.EventBlotter, error) {
+				eb := txn.NewEventBlotter()
+				eb.Params["key"] = txn.Key(fmt.Sprintf("p%d", ev.Data.([2]int)[0]))
+				return eb, nil
+			},
+			Access: func(eb *txn.EventBlotter, b *txn.Builder) error {
+				k := eb.Params["key"].(txn.Key)
+				b.Write(k, []txn.Key{k}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) {
+					return src[0].(int64) + 1, nil
+				})
+				return nil
+			},
+			Post: func(ev *Event, _ *txn.EventBlotter, _ bool) error {
+				d := ev.Data.([2]int)
+				post[d[0]] = append(post[d[0]], d[1])
+				return nil
+			},
+		}
+		delivered := 0
+		e := New(Config{Threads: 2}, WithPunctuationCount(8),
+			WithResultSink(func(r *BatchResult) { delivered += r.Events }))
+		for p := 0; p < producers; p++ {
+			e.Table().Preload(txn.Key(fmt.Sprintf("p%d", p)), int64(0))
+		}
+		if err := e.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var accepted [producers]int
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					if err := e.Ingest(op, &Event{Data: [2]int{p, i}}); err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("producer %d: Ingest = %v; want ErrClosed", p, err)
+						}
+						return
+					}
+					accepted[p]++
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		total := 0
+		for p := 0; p < producers; p++ {
+			total += accepted[p]
+			if len(post[p]) != accepted[p] {
+				t.Fatalf("round %d producer %d: %d post-processed; %d accepted", round, p, len(post[p]), accepted[p])
+			}
+			for i, v := range post[p] {
+				if v != i {
+					t.Fatalf("round %d producer %d: post-process %d saw event %d", round, p, i, v)
+				}
+			}
+			if v, _ := e.Table().Latest(txn.Key(fmt.Sprintf("p%d", p))); v.(int64) != int64(accepted[p]) {
+				t.Fatalf("round %d producer %d: state %v; want %d", round, p, v, accepted[p])
+			}
+		}
+		if delivered != total {
+			t.Fatalf("round %d: %d events delivered; %d accepted", round, delivered, total)
+		}
 	}
 }
 
@@ -411,7 +500,7 @@ func newBlockOp() (op Operator, executing, release chan struct{}) {
 // mid-transaction), later batches are discarded without a trace, and every
 // lifecycle call unblocks with the cancellation error.
 func TestContextCancellationMidBatch(t *testing.T) {
-	e := New(Config{Threads: 1}, WithPunctuationCount(1), WithIngestBuffer(4))
+	e := New(Config{Threads: 1}, WithPunctuationCount(1))
 	e.Table().Preload("k", int64(0))
 	blockOp, executing, release := newBlockOp()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -449,6 +538,45 @@ func TestContextCancellationMidBatch(t *testing.T) {
 	// Batch 1 committed before the abort; batches 2 and 3 left no trace.
 	if v, _ := e.Table().Latest("k"); v.(int64) != 1 {
 		t.Fatalf("k = %v; want 1 (only the in-flight batch executed)", v)
+	}
+}
+
+// TestContextCancellationReleasesBlockedIngest: a producer blocked on the
+// full ingest queue returns ErrClosed once the pipeline is cancelled.
+func TestContextCancellationReleasesBlockedIngest(t *testing.T) {
+	e := New(Config{Threads: 1}, WithPunctuationCount(16))
+	e.Table().Preload("k", int64(0))
+	blockOp, executing, release := newBlockOp()
+	defer close(release)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := e.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	refused := make(chan error, 1)
+	go func() {
+		for {
+			if err := e.Ingest(blockOp, &Event{}); err != nil {
+				refused <- err
+				return
+			}
+		}
+	}()
+	<-executing
+	for deadline := time.Now().Add(10 * time.Second); e.PipelineStats().IngestStalls == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the producer never found the queue full")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+	select {
+	case err := <-refused:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("blocked Ingest = %v; want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocked Ingest did not return after cancellation")
 	}
 }
 

@@ -20,25 +20,25 @@ type PipelineStats struct {
 	// Batches is the number of punctuations processed (== Engine.Batches).
 	Batches int64
 	// Events counts input events planned across all batches; Dropped those
-	// discarded by PreProcess failures instead.
+	// discarded by PreProcess or StateAccess failures instead.
 	Events  int64
-	Dropped int64
+	Dropped int64 // events PreProcess or StateAccess refused
 	// Committed and Aborted count state transactions.
 	Committed int64
-	Aborted   int64
+	Aborted   int64 // transactions that aborted
 	// AbortRounds, Redos, ResetTxns and OpsExecuted aggregate the executor's
 	// abort machinery and operation counts (exec.Result, summed over
 	// batches). ResetTxns splits a rising redo ratio into its two causes:
 	// per AbortRounds it is the width of a rollback closure, per Aborted the
 	// collateral of one abort.
 	AbortRounds int64
-	Redos       int64
-	ResetTxns   int64
-	OpsExecuted int64
+	Redos       int64 // operation re-executions caused by rollback
+	ResetTxns   int64 // transactions sent back for redo by abort rounds
+	OpsExecuted int64 // successful operation executions, redos included
 	// Steals and Parks aggregate the executor's work-stealing and
 	// spin-then-park activity (exec.Result.Steals/Parks, summed).
 	Steals int64
-	Parks  int64
+	Parks  int64 // spin-budget expiries that put a worker to sleep
 	// FusedOps counts operations executed as members of fused vertices
 	// (tpg.Props.FusedOps, summed).
 	FusedOps int64
@@ -47,7 +47,7 @@ type PipelineStats struct {
 	// execution-phase times (BatchResult.PlanElapsed/Elapsed, summed); in
 	// the pipeline they overlap, which is what OverlapStats quantifies.
 	PlanElapsed time.Duration
-	ExecElapsed time.Duration
+	ExecElapsed time.Duration // BatchResult.Elapsed, summed
 	// CommitElapsed is the cumulative WAL commit-hook time (dirty-set sweep
 	// + record encode + append + fsync); zero with durability off.
 	CommitElapsed time.Duration
@@ -59,23 +59,23 @@ type PipelineStats struct {
 	// Durable=true; WALLastSeq and WALDiffChain mirror the log's sequence
 	// watermark and incremental-snapshot chain length.
 	DurableBatches int64
-	WALLastSeq     int64
-	WALDiffChain   int
+	WALLastSeq     int64 // the log's sequence watermark
+	WALDiffChain   int   // diffs stacked on the current snapshot base
 
 	// LastTrigger names what sealed the most recent batch — "count" (the
-	// cap), "interval" (the bound), "idle" (ring drained and executor idle;
+	// cap), "interval" (the bound), "idle" (queue drained and executor idle;
 	// interval engines only) or "flush" (Drain/Close) — and
 	// LastBatchEvents its size; empty and zero before the first batch.
 	LastTrigger     string
-	LastBatchEvents int
+	LastBatchEvents int // size of the most recent batch
 
-	// IngestDepth and IngestCapacity are the submission ring's approximate
-	// occupancy and size (zero when the pipeline never ran); IngestStalls
-	// counts producer blocks on a full ring — the pipeline's backpressure
-	// made visible.
+	// IngestDepth and IngestCapacity are the ingest queue's occupancy and
+	// size (zero when the pipeline never ran); IngestStalls counts Ingest
+	// calls that found the queue full — the pipeline's backpressure made
+	// visible.
 	IngestDepth    int
-	IngestCapacity int
-	IngestStalls   int64
+	IngestCapacity int   // the ingest queue's capacity
+	IngestStalls   int64 // Ingest calls that found the queue full
 }
 
 // pipeTotals is the single store for the engine's per-batch numbers: written
@@ -118,7 +118,7 @@ type engineInstruments struct {
 }
 
 // setupTelemetry registers the engine's series on cfg.Telemetry: the
-// histograms in e.inst, and scrape-time views over the totals, the ring, the
+// histograms in e.inst, and scrape-time views over the totals, the ingest queue, the
 // overlap meter and the WAL watermarks. Safe on a nil registry: every
 // constructor returns a nil no-op instrument.
 func (e *Engine) setupTelemetry() {
@@ -156,21 +156,21 @@ func (e *Engine) setupTelemetry() {
 	} {
 		reg.CounterFunc(v.name, v.help, v.total.Load)
 	}
-	reg.GaugeFunc("morph_ingest_ring_depth", "Approximate submission-ring occupancy.", func() int64 {
+	reg.GaugeFunc("morph_ingest_ring_depth", "Ingest-queue occupancy.", func() int64 {
 		if p := e.pipe.Load(); p != nil {
-			return int64(p.ring.len())
+			return int64(len(p.in))
 		}
 		return 0
 	})
-	reg.GaugeFunc("morph_ingest_ring_capacity", "Submission-ring capacity.", func() int64 {
+	reg.GaugeFunc("morph_ingest_ring_capacity", "Ingest-queue capacity.", func() int64 {
 		if p := e.pipe.Load(); p != nil {
-			return int64(len(p.ring.slots))
+			return int64(cap(p.in))
 		}
 		return 0
 	})
-	reg.CounterFunc("morph_ingest_stalls_total", "Producer blocks on a full submission ring (backpressure).", func() int64 {
+	reg.CounterFunc("morph_ingest_stalls_total", "Ingest calls that found the queue full (backpressure).", func() int64 {
 		if p := e.pipe.Load(); p != nil {
-			return p.ring.stalls.Load()
+			return p.stalls.Load()
 		}
 		return 0
 	})
@@ -265,9 +265,9 @@ func (e *Engine) PipelineStats() PipelineStats {
 		s.LastBatchEvents = int(last >> 8)
 	}
 	if p := e.pipe.Load(); p != nil {
-		s.IngestDepth = p.ring.len()
-		s.IngestCapacity = len(p.ring.slots)
-		s.IngestStalls = p.ring.stalls.Load()
+		s.IngestDepth = len(p.in)
+		s.IngestCapacity = cap(p.in)
+		s.IngestStalls = p.stalls.Load()
 	}
 	return s
 }

@@ -515,8 +515,6 @@ func (ex *executor) apply(op *txn.Operation, sc *scratch) error {
 			if !ok {
 				return txn.ErrAbort
 			}
-			// Record the resolved state in the S-TPG (Section 6.5.2).
-			op.SetResolvedID(id)
 			v, ok := t.ReadID(id, ts)
 			if !ok {
 				return txn.ErrAbort
@@ -528,9 +526,7 @@ func (ex *executor) apply(op *txn.Operation, sc *scratch) error {
 			return nil
 		}
 		// ND write: the key is being created, so interning is the point.
-		// Record the resolved state for deterministic rollback.
 		id := store.Intern(k)
-		op.SetResolvedID(id)
 		src, err := ex.readSrcs(op, ts, sc)
 		if err != nil {
 			return err

@@ -49,7 +49,7 @@ const sessionOutbound = 64
 
 // Server is the framed-RPC front door: it owns an engine, accepts TCP
 // connections, maps each onto an ingest session multiplexed over the
-// engine's submission ring, and fans BatchResults out as per-connection
+// engine's bounded ingest queue, and fans BatchResults out as per-connection
 // receipt frames. Construct with New, register operators with Register,
 // then Serve a listener; Shutdown drains gracefully.
 type Server struct {
@@ -596,8 +596,8 @@ func (ss *session) writeLoop() {
 
 // readLoop decodes and dispatches inbound frames: the Hello handshake,
 // then Submit/Drain/Goodbye until the connection ends or the server
-// drains. Ingest blocks while the submission ring is full, which stops
-// this loop from reading — the ring's backpressure propagated to the
+// drains. Ingest blocks while the ingest queue is full, which stops
+// this loop from reading — the queue's backpressure propagated to the
 // socket, with no drops.
 func (ss *session) readLoop() {
 	defer ss.srv.wg.Done()

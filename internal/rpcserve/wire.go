@@ -1,9 +1,9 @@
 // Package rpcserve is the engine's network front door: a length-prefixed
 // framed request/receipt protocol carried over TCP (docs/PROTOCOL.md is the
 // normative wire specification). Each accepted connection becomes an ingest
-// session multiplexed onto the engine's MPSC submission ring; per-batch
+// session multiplexed onto the engine's bounded ingest queue; per-batch
 // BatchResults fan out as per-connection receipt frames correlated by the
-// connection-scoped transaction ID, and the ring's blocking backpressure
+// connection-scoped transaction ID, and the queue's blocking backpressure
 // propagates to the socket — a session that cannot ingest simply stops
 // reading, it never drops.
 //

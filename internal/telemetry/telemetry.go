@@ -280,7 +280,7 @@ func (s HistSnapshot) octaves() (out [numOctaves]int64) {
 }
 
 // CounterFunc is a scrape-time counter backed by a callback (a total some
-// other subsystem already maintains, e.g. the ingest ring's stall count).
+// other subsystem already maintains, e.g. the ingest queue's stall count).
 type CounterFunc struct {
 	d  desc
 	fn func() int64

@@ -44,7 +44,7 @@ func Build(t *Transaction) *Builder { return &Builder{t: t} }
 func (b *Builder) Read(d Key, fn ReadFn) *Operation {
 	op := &Operation{
 		ID: NextOpID(), Kind: OpRead, Key: d, KeyID: store.Intern(d),
-		ReadFn: fn, resolvedID: store.NoKeyID,
+		ReadFn: fn,
 	}
 	b.t.AddOp(op)
 	return op
@@ -58,7 +58,6 @@ func (b *Builder) Write(d Key, srcs []Key, f WriteFn) *Operation {
 	op := &Operation{
 		ID: NextOpID(), Kind: OpWrite, Key: d, KeyID: store.Intern(d),
 		SrcKeys: srcs, SrcIDs: internKeys(srcs), WriteFn: f,
-		resolvedID: store.NoKeyID,
 	}
 	b.t.AddOp(op)
 	return op
@@ -73,7 +72,7 @@ func (b *Builder) WindowRead(d Key, size uint64, winf WindowFn) *Operation {
 	op := &Operation{
 		ID: NextOpID(), Kind: OpWindowRead, Key: d, KeyID: id,
 		SrcKeys: []Key{d}, SrcIDs: []store.KeyID{id},
-		Window: size, WindowFn: winf, resolvedID: store.NoKeyID,
+		Window: size, WindowFn: winf,
 	}
 	b.t.AddOp(op)
 	return op
@@ -87,7 +86,7 @@ func (b *Builder) WindowWrite(d Key, srcs []Key, size uint64, winf WindowFn) *Op
 	op := &Operation{
 		ID: NextOpID(), Kind: OpWindowWrite, Key: d, KeyID: store.Intern(d),
 		SrcKeys: srcs, SrcIDs: internKeys(srcs),
-		Window: size, WindowFn: winf, resolvedID: store.NoKeyID,
+		Window: size, WindowFn: winf,
 	}
 	b.t.AddOp(op)
 	return op
@@ -99,7 +98,7 @@ func (b *Builder) WindowWrite(d Key, srcs []Key, size uint64, winf WindowFn) *Op
 func (b *Builder) NDRead(keyf KeyFn, fn ReadFn) *Operation {
 	op := &Operation{
 		ID: NextOpID(), Kind: OpNDRead, KeyID: store.NoKeyID,
-		KeyFn: keyf, ReadFn: fn, resolvedID: store.NoKeyID,
+		KeyFn: keyf, ReadFn: fn,
 	}
 	b.t.AddOp(op)
 	return op
@@ -133,7 +132,6 @@ func (b *Builder) NDWrite(keyf KeyFn, srcs []Key, valf WriteFn) *Operation {
 	op := &Operation{
 		ID: NextOpID(), Kind: OpNDWrite, KeyID: store.NoKeyID,
 		KeyFn: keyf, SrcKeys: srcs, SrcIDs: internKeys(srcs), WriteFn: valf,
-		resolvedID: store.NoKeyID,
 	}
 	b.t.AddOp(op)
 	return op

@@ -217,10 +217,6 @@ type Operation struct {
 	written   atomic.Bool
 	writtenID store.KeyID
 
-	// resolvedID caches the ND key resolution for deterministic rollback
-	// (paper Section 6.5.2: accessed states are recorded in the S-TPG).
-	resolvedID store.KeyID
-
 	// Fan, when non-nil, marks this operation as a plan-time fused vertex
 	// standing in for a run of same-key fusible operations, listed in
 	// (ts, id) order. The fused vertex is a planner construct: it belongs
@@ -264,14 +260,13 @@ func (o *Operation) Fusible() bool {
 func NewFused(fan []*Operation) *Operation {
 	first := fan[0]
 	op := &Operation{
-		ID:         first.ID,
-		Kind:       OpWrite,
-		Txn:        first.Txn, // timestamp carrier only; not in Txn.Ops
-		Index:      -1,
-		Key:        first.Key,
-		KeyID:      first.KeyID,
-		Fan:        slices.Clone(fan),
-		resolvedID: store.NoKeyID,
+		ID:    first.ID,
+		Kind:  OpWrite,
+		Txn:   first.Txn, // timestamp carrier only; not in Txn.Ops
+		Index: -1,
+		Key:   first.Key,
+		KeyID: first.KeyID,
+		Fan:   slices.Clone(fan),
 	}
 	for i, c := range fan {
 		c.FusedInto = op
@@ -390,12 +385,6 @@ func (o *Operation) Written() (Key, bool) {
 
 // ClearWritten resets the write record after rollback.
 func (o *Operation) ClearWritten() { o.written.Store(false) }
-
-// SetResolvedID records the run-time key id of an ND operation.
-func (o *Operation) SetResolvedID(id store.KeyID) { o.resolvedID = id }
-
-// ResolvedKey returns the recorded ND key.
-func (o *Operation) ResolvedKey() Key { return store.KeyOf(o.resolvedID) }
 
 // Transaction is one state transaction: the operations triggered by a single
 // input event, sharing its timestamp (Section 2.1.1). Its identity also

@@ -87,9 +87,6 @@ const (
 	// group fsync covers the whole batch, so an observed batch result
 	// implies a durable batch.
 	SyncPunctuation SyncPolicy = iota
-	// SyncInterval fsyncs every Options.SyncEvery records; a crash may lose
-	// up to SyncEvery-1 punctuations.
-	SyncInterval
 	// SyncNone never fsyncs explicitly; durability rides on the OS cache.
 	SyncNone
 )
@@ -98,8 +95,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncPunctuation:
 		return "punctuation"
-	case SyncInterval:
-		return "interval"
 	case SyncNone:
 		return "none"
 	}
@@ -119,8 +114,6 @@ const DefaultMaxDiffChain = 16
 // Options tune a Log opened over a Sink.
 type Options struct {
 	Policy SyncPolicy
-	// SyncEvery is the fsync stride under SyncInterval (min 1).
-	SyncEvery int
 	// DiffBudget rotates the snapshot chain (rewrites the base) once the
 	// accumulated diff payload bytes reach DiffBudget × the base payload
 	// size. 0 uses DefaultDiffBudget; negative disables incremental diffs
@@ -158,15 +151,13 @@ var ErrNoBase = errors.New("wal: incremental snapshot without a base")
 // at punctuation boundaries; Close may be called afterwards from another
 // goroutine once the executor has quiesced. Log does not lock.
 type Log struct {
-	sink      Sink
-	policy    SyncPolicy
-	syncEvery int
-	unsynced  int
-	ready     bool
-	lastSeq   int64
-	snapSeq   int64
-	maxTS     uint64
-	encBuf    bytes.Buffer
+	sink    Sink
+	policy  SyncPolicy
+	ready   bool
+	lastSeq int64
+	snapSeq int64
+	maxTS   uint64
+	encBuf  bytes.Buffer
 
 	// Snapshot-chain accounting: the current base's seq and payload size,
 	// and the diff payload bytes and link count accumulated on top of it.
@@ -456,9 +447,6 @@ func loadChain(sink Sink, tip int64) ([][]byte, []snapHeader, error) {
 // repairs a torn tail and starts the post-recovery segment, so appends never
 // interleave with history.
 func Open(sink Sink, opts Options) (*Log, *Recovery, error) {
-	if opts.SyncEvery < 1 {
-		opts.SyncEvery = 1
-	}
 	budget := opts.DiffBudget
 	if budget == 0 {
 		budget = DefaultDiffBudget
@@ -470,7 +458,6 @@ func Open(sink Sink, opts Options) (*Log, *Recovery, error) {
 	l := &Log{
 		sink:       sink,
 		policy:     opts.Policy,
-		syncEvery:  opts.SyncEvery,
 		diffBudget: budget,
 		maxChain:   maxChain,
 		baseSeq:    -1,
@@ -689,15 +676,8 @@ func (l *Log) Append(r Record) error {
 	if r.MaxTS > l.maxTS {
 		l.maxTS = r.MaxTS
 	}
-	switch l.policy {
-	case SyncPunctuation:
+	if l.policy == SyncPunctuation {
 		return l.syncTimed()
-	case SyncInterval:
-		l.unsynced++
-		if l.unsynced >= l.syncEvery {
-			l.unsynced = 0
-			return l.syncTimed()
-		}
 	}
 	return nil
 }

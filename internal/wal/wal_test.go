@@ -499,41 +499,21 @@ func TestMidLogCorruption(t *testing.T) {
 	}
 }
 
-func TestSyncIntervalPolicy(t *testing.T) {
-	s := &countingSink{Sink: NewMemSink()}
-	l, _, _ := openFresh(t, s, Options{Policy: SyncInterval, SyncEvery: 3})
-	base := s.syncs
-	for i := int64(1); i <= 7; i++ {
-		if err := l.Append(rec(i, uint64(i))); err != nil {
-			t.Fatal(err)
+// TestSyncPolicy pins the fsync count per policy: one per appended record
+// under SyncPunctuation, none under SyncNone.
+func TestSyncPolicy(t *testing.T) {
+	for policy, want := range map[SyncPolicy]int{SyncPunctuation: 7, SyncNone: 0} {
+		s := &countingSink{Sink: NewMemSink()}
+		l, _, _ := openFresh(t, s, Options{Policy: policy})
+		base := s.syncs
+		for i := int64(1); i <= 7; i++ {
+			if err := l.Append(rec(i, uint64(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := s.syncs - base; got != 2 {
-		t.Fatalf("interval syncs = %d; want 2 (after records 3 and 6)", got)
-	}
-
-	s2 := &countingSink{Sink: NewMemSink()}
-	l2, _, _ := openFresh(t, s2, Options{Policy: SyncNone})
-	base2 := s2.syncs
-	for i := int64(1); i <= 7; i++ {
-		if err := l2.Append(rec(i, uint64(i))); err != nil {
-			t.Fatal(err)
+		if got := s.syncs - base; got != want {
+			t.Fatalf("%v syncs = %d; want %d", policy, got, want)
 		}
-	}
-	if got := s2.syncs - base2; got != 0 {
-		t.Fatalf("SyncNone issued %d syncs", got)
-	}
-
-	s3 := &countingSink{Sink: NewMemSink()}
-	l3, _, _ := openFresh(t, s3, Options{Policy: SyncPunctuation})
-	base3 := s3.syncs
-	for i := int64(1); i <= 7; i++ {
-		if err := l3.Append(rec(i, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s3.syncs - base3; got != 7 {
-		t.Fatalf("punctuation syncs = %d; want 7", got)
 	}
 }
 

@@ -31,9 +31,9 @@
 //	eng.Drain() // flush in-flight batches (engine keeps running)
 //	eng.Close() // flush + tear the pipeline down; Results closes
 //
-// Ingest enqueues onto a bounded lock-free submission ring and blocks when
-// it is full — the pipeline's backpressure. A planner stage drains the
-// ring, running PreProcess, StateAccess and TPG construction for batch N+1
+// Ingest enqueues onto a bounded ingest queue (a buffered channel) and
+// blocks when it is full — the pipeline's backpressure. A planner stage
+// drains the queue, running PreProcess, StateAccess and TPG construction for batch N+1
 // *concurrently* with the execution of batch N: planning touches no table
 // state, so the state-table alignment and the lock-free sharded execution
 // stay inside the punctuation quiescent point at the stage boundary.
@@ -241,7 +241,7 @@ func WithPunctuationCount(n int) Option { return engine.WithPunctuationCount(n) 
 // WithPunctuationInterval additionally seals a non-empty pipelined batch at
 // most d after its first event was ingested. d is a bound, not a wait: an
 // engine given an interval also seals the moment the batch is non-empty, the
-// submission ring is drained and the executor is idle (natural batching), so
+// ingest queue is drained and the executor is idle (natural batching), so
 // a lightly loaded stream sees its results after one batch's service time,
 // while under saturation batches still fill to the punctuation count. Without
 // an interval the count alone cuts batches, at exactly n events whatever the
@@ -249,10 +249,6 @@ func WithPunctuationCount(n int) Option { return engine.WithPunctuationCount(n) 
 func WithPunctuationInterval(d time.Duration) Option {
 	return engine.WithPunctuationInterval(d)
 }
-
-// WithIngestBuffer sets the submission-ring capacity (rounded up to a power
-// of two); Ingest blocks while it is full.
-func WithIngestBuffer(n int) Option { return engine.WithIngestBuffer(n) }
 
 // WithResultSink delivers batch results through fn — called on the
 // pipeline's executor goroutine, in punctuation order — instead of the
@@ -282,8 +278,6 @@ type (
 const (
 	// SyncPunctuation (default): one group fsync per punctuation.
 	SyncPunctuation = wal.SyncPunctuation
-	// SyncInterval: fsync every Durability.SyncEvery punctuations.
-	SyncInterval = wal.SyncInterval
 	// SyncNone: never fsync explicitly; durability rides on the OS cache.
 	SyncNone = wal.SyncNone
 )
