@@ -399,6 +399,130 @@ func TestIngestRacingCloseLosesNothing(t *testing.T) {
 	}
 }
 
+// TestIngestSingleProducerFIFO: one producer's events are post-processed in
+// the order it ingested them, across many punctuations and through a queue
+// that filled while the executor was stalled.
+func TestIngestSingleProducerFIFO(t *testing.T) {
+	release := make(chan struct{})
+	var post []int // written by the executor stage only
+	op := OperatorFuncs{
+		Access: func(_ *txn.EventBlotter, b *txn.Builder) error {
+			b.Write("k", []txn.Key{"k"}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) {
+				<-release
+				return src[0].(int64) + 1, nil
+			})
+			return nil
+		},
+		Post: func(ev *Event, _ *txn.EventBlotter, _ bool) error {
+			post = append(post, ev.Data.(int))
+			return nil
+		},
+	}
+	e := New(Config{Threads: 2}, WithPunctuationCount(8),
+		WithResultSink(func(*BatchResult) {}))
+	e.Table().Preload("k", int64(0))
+	if err := e.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	n := ingestCapacity + 256
+	produced := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := e.Ingest(op, &Event{Data: i}); err != nil {
+				produced <- err
+				return
+			}
+		}
+		produced <- nil
+	}()
+	for deadline := time.Now().Add(10 * time.Second); e.PipelineStats().IngestStalls == 0; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the producer never found the queue full")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	if err := <-produced; err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(post) != n {
+		t.Fatalf("%d events post-processed; want %d", len(post), n)
+	}
+	for i, v := range post {
+		if v != i {
+			t.Fatalf("post-process %d saw event %d", i, v)
+		}
+	}
+	if v, _ := e.Table().Latest("k"); v.(int64) != int64(n) {
+		t.Fatalf("k = %v; want %d", v, n)
+	}
+}
+
+// TestCloseAdmitsBlockedProducers calls Close while producers are blocked
+// on a full queue behind a stalled executor. Close must not deadlock on the
+// producers' blocked sends, each producer ends with ErrClosed, and every
+// event accepted before that, the blocked sends included, executes exactly
+// once.
+func TestCloseAdmitsBlockedProducers(t *testing.T) {
+	e := New(Config{Threads: 2}, WithPunctuationCount(16),
+		WithResultSink(func(*BatchResult) {}))
+	e.Table().Preload("k", int64(0))
+	blockOp, executing, release := newBlockOp()
+	if err := e.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	const producers = 4
+	var accepted [producers]int
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := e.Ingest(blockOp, &Event{}); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("producer %d: Ingest = %v; want ErrClosed", p, err)
+					}
+					return
+				}
+				accepted[p]++
+			}
+		}()
+	}
+	<-executing
+	for deadline := time.Now().Add(10 * time.Second); e.PipelineStats().IngestStalls < producers; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the producers never found the queue full")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+	time.Sleep(5 * time.Millisecond) // let Close wait behind the blocked sends
+	close(release)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return once the executor was released")
+	}
+	wg.Wait()
+	total := 0
+	for _, a := range accepted {
+		total += a
+	}
+	if v, _ := e.Table().Latest("k"); v.(int64) != int64(total) {
+		t.Fatalf("k = %v; want %d (the accepted events)", v, total)
+	}
+}
+
 // TestPunctuationInterval: with an interval policy, partial batches seal
 // without any Drain call. How the three events split into batches is up to
 // the idle trigger (the executor may or may not be idle when each arrives);
