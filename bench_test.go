@@ -859,26 +859,6 @@ func BenchmarkBreakdownOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkTPGConstructionWorkers ablates Finalize's per-list-shard workers
-// (design D1); list insertion (AddTxns) is serial at every width.
-func BenchmarkTPGConstructionWorkers(b *testing.B) {
-	cfg := workload.DefaultGS()
-	cfg.Txns = 4096
-	cfg.StateSize = 1024
-	cfg.ComplexityUS = 0
-	batch := workload.GS(cfg)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				txns, table := batch.Materialize()
-				builder := tpg.NewBuilderIDs(table.KeyIDs)
-				builder.AddTxns(txns, workers)
-				builder.Finalize(workers)
-			}
-		})
-	}
-}
-
 // BenchmarkNDFanOut ablates the pessimistic all-key virtual-operation
 // fan-out of non-deterministic planning (design D2, the cost behind
 // Fig. 15's MorphStream curve).
@@ -921,8 +901,8 @@ func BenchmarkWindowReadCost(b *testing.B) {
 // end on the θ=1.2 hot-key workload: TPG construction plus execution, with
 // fusion off and on. The hot set concentrates the batch onto a few keys, so
 // without fusion the planner emits one vertex per write and the executor
-// walks ~20k-node dependency chains; with fusion runs collapse (MaxFuseRun
-// caps the fan) and both stages shrink. tpg-nodes reports the planned
+// walks ~20k-node dependency chains; with fusion runs collapse (the
+// planner caps each fan at 32 constituents) and both stages shrink. tpg-nodes reports the planned
 // vertex count per variant.
 func BenchmarkHotKeyFusion(b *testing.B) {
 	batch := workload.HK(workload.Config{

@@ -93,8 +93,8 @@ func (sc *abortScratch) taint(op *txn.Operation) {
 // redo re-runs every non-aborted one of them, so the executed ones' whole
 // transactions reset (blotters included) to keep the redo idempotent.
 // Constituents before the earliest affected index keep their versions and
-// results; that bound, plus the planner's MaxFuseRun cap, keeps fusion
-// profitable under abort-heavy hot-key workloads.
+// results; that bound, plus the planner's 32-constituent cap on a fan, keeps
+// fusion profitable under abort-heavy hot-key workloads.
 func (sc *abortScratch) redoFrom(f *txn.Operation, k int) {
 	if from, seen := sc.fused[f]; seen && from <= k {
 		return

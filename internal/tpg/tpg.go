@@ -15,7 +15,8 @@
 // every key list, paper Section 4.3 and 4.4).
 //
 // Keys are handled as interned dense ids throughout (store.KeyID): the
-// per-key lists are sharded by id, so planning never hashes a string.
+// per-key lists are keyed by id, so planning never hashes a string. Both
+// phases run on the builder's owning goroutine — the engine's planner.
 // Finalize also assigns each operation its dense per-batch Index, which the
 // scheduler and executor use to replace pointer-keyed maps with flat slices.
 package tpg
@@ -23,14 +24,10 @@ package tpg
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"morphstream/internal/store"
 	"morphstream/internal/txn"
 )
-
-// Key aliases the store key type.
-type Key = txn.Key
 
 // entryKind distinguishes the three flavours of key-list entries.
 type entryKind int8
@@ -56,46 +53,36 @@ type entry struct {
 }
 
 type keyList struct {
+	id      store.KeyID
 	entries []entry
 	// fusibles counts the fusible real entries appended this batch — the
 	// stream-phase pending-run tracker. The fuse pass only scans lists
 	// where at least two fusible operations could form a run.
 	fusibles int32
-	// sorted marks a list the fuse pass has already ordered, so
-	// deriveShard can skip the re-sort.
+	// sorted marks a list the fuse pass has already ordered, so derive can
+	// skip the re-sort.
 	sorted bool
-}
-
-// ListShards is the number of per-key-list shards the builder maintains —
-// the planner's parallelism bound. The executor's KeyID-range shard map is
-// independent of it (sized by worker count over Graph.KeySpan).
-const ListShards = 64
-
-type listShard struct {
-	m map[store.KeyID]*keyList
-	// touched lists the keys whose list received its first entry of the
-	// batch, in arrival order: AppendDirtyKeys reads the batch's key set off
-	// it instead of walking m, which still holds the previous batch's
-	// emptied lists.
-	touched []store.KeyID
-
-	// edges and writes are Finalize scratch, owned by deriveShard and
-	// retained across Reset so steady-state construction stays
-	// allocation-free once warm. edges is consumed by linkEdges before the
-	// next Finalize can run.
-	edges  []edgePair
-	writes []writeAt
 }
 
 // Builder accumulates one batch of state transactions and constructs its TPG:
 // AddTxn is the stream processing phase, Finalize the transaction processing
-// phase. A builder takes no lock, because one goroutine owns it at a time:
-// the planner while it adds transactions and finalizes, then the batch's
-// clean-up (Recycle, Reset). The engine's builder pool is the hand-off
-// between them. Inside Finalize, each per-shard goroutine owns one list
-// shard.
+// phase. A builder takes no lock and starts no goroutine, because one
+// goroutine owns it at a time: the planner while it adds transactions and
+// finalizes, then the batch's clean-up (Recycle, Reset). The engine's
+// builder pool is the hand-off between them.
 type Builder struct {
-	shards [ListShards]listShard
+	lists map[store.KeyID]*keyList
+	// touched holds the lists that received their first entry of the batch,
+	// in arrival order. Every Finalize pass and AppendDirtyKeys walk it
+	// instead of lists, which still holds the previous batch's emptied
+	// lists; it also makes the graph's chain order deterministic.
+	touched []*keyList
+
+	// edges and writes are Finalize scratch, filled by derive and retained
+	// across Reset so steady-state construction stays allocation-free once
+	// warm. edges is consumed by linkEdges before the next Finalize can run.
+	edges  []edgePair
+	writes []writeAt
 
 	// fusion enables plan-time same-key operation fusion (SetFusion). It
 	// must be set before transactions are added: AddTxn maintains the
@@ -134,10 +121,6 @@ func NewBuilderIDs(allKeyIDs func() []store.KeyID) *Builder {
 	return &Builder{allKeyIDs: allKeyIDs}
 }
 
-func (b *Builder) shardOf(id store.KeyID) *listShard {
-	return &b.shards[uint32(id)%ListShards]
-}
-
 // SetFusion toggles plan-time same-key operation fusion for every batch the
 // builder plans. Call it before adding transactions; it returns the builder
 // for chaining. With fusion on, Finalize collapses runs of fusible same-key
@@ -163,43 +146,39 @@ func clearCap[T any](s []T) []T {
 // (the Graph, its Ops/Chains, and the operations' edge arrays) are fresh
 // allocations and stay valid after Reset.
 func (b *Builder) Reset() {
-	for i := range b.shards {
-		s := &b.shards[i]
-		for id, l := range s.m {
-			if len(l.entries) == 0 {
-				// Cold for a full batch: evict, so builder memory tracks
-				// the live working set rather than every key ever seen.
-				delete(s.m, id)
-			} else {
-				l.entries = clearCap(l.entries)
-				l.fusibles = 0
-				l.sorted = false
-			}
+	for id, l := range b.lists {
+		if len(l.entries) == 0 {
+			// Cold for a full batch: evict, so builder memory tracks the
+			// live working set rather than every key ever seen.
+			delete(b.lists, id)
+		} else {
+			l.entries = clearCap(l.entries)
+			l.fusibles = 0
+			l.sorted = false
 		}
-		// The scratch buffers hold operation pointers of the previous
-		// batch in their capacity regions; zero them so the batch's graph
-		// is collectable once its consumers drop it.
-		s.edges = clearCap(s.edges)
-		s.writes = clearCap(s.writes)
-		s.touched = s.touched[:0]
 	}
+	// The scratch buffers hold operation pointers of the previous batch in
+	// their capacity regions; zero them so the batch's graph is collectable
+	// once its consumers drop it.
+	b.edges = clearCap(b.edges)
+	b.writes = clearCap(b.writes)
+	b.touched = clearCap(b.touched)
 	b.txns = nil // the previous Graph aliases the backing array
 	b.ndOps = nil
 	b.numOps, b.numLD, b.multi = 0, 0, 0
 }
 
 func (b *Builder) appendEntry(id store.KeyID, e entry) {
-	s := b.shardOf(id)
-	l := s.m[id]
+	l := b.lists[id]
 	if l == nil {
-		if s.m == nil {
-			s.m = make(map[store.KeyID]*keyList)
+		if b.lists == nil {
+			b.lists = make(map[store.KeyID]*keyList)
 		}
-		l = &keyList{}
-		s.m[id] = l
+		l = &keyList{id: id}
+		b.lists[id] = l
 	}
 	if len(l.entries) == 0 {
-		s.touched = append(s.touched, id)
+		b.touched = append(b.touched, l)
 	}
 	l.entries = append(l.entries, e)
 	if e.kind == real && b.fusion && e.op.Fusible() {
@@ -239,8 +218,8 @@ func (b *Builder) AddTxn(t *txn.Transaction) {
 	}
 }
 
-// AddTxns adds txns in order. workers is unused: list insertion stays on
-// the builder's owning goroutine.
+// AddTxns adds txns in order on the calling goroutine. workers is unused;
+// it stays until ROADMAP item 4(c) lifts the benchmark probe that calls it.
 func (b *Builder) AddTxns(txns []*txn.Transaction, workers int) {
 	for _, t := range txns {
 		b.AddTxn(t)
@@ -250,6 +229,7 @@ func (b *Builder) AddTxns(txns []*txn.Transaction, workers int) {
 // Graph is the constructed TPG for one batch: vertices are operations, edges
 // are the TD/PD dependencies (LDs stay implicit in the transactions).
 type Graph struct {
+	// Txns are the batch's transactions in the order they were added.
 	Txns []*txn.Transaction
 	// Ops are all operations of the batch; op.Index is its position here.
 	Ops []*txn.Operation
@@ -261,7 +241,8 @@ type Graph struct {
 	// contiguous per-shard ranges; keys interned after planning (ND
 	// writes) clamp into the last range.
 	KeySpan store.KeyID
-	Props   Props
+	// Props are the graph's decision-model properties.
+	Props Props
 
 	// NDOps are the batch's non-deterministic operations. Their target
 	// keys are unknown at plan time (an ND write may even create a fresh
@@ -278,18 +259,24 @@ type Graph struct {
 
 // Props are the TPG properties feeding the decision model (paper Table 2).
 type Props struct {
+	// NumTxns counts the batch's transactions.
 	NumTxns int
-	NumOps  int
-	NumLD   int
-	NumTD   int
-	NumPD   int
-	// NumND / NumWindow count special operations.
-	NumND     int
+	// NumOps counts their operations, fused constituents included.
+	NumOps int
+	// NumLD counts logical dependencies: n-1 per n-operation transaction.
+	NumLD int
+	// NumTD counts temporal-dependency edges between different transactions.
+	NumTD int
+	// NumPD counts parametric-dependency edges.
+	NumPD int
+	// NumND counts non-deterministic operations.
+	NumND int
+	// NumWindow counts window operations.
 	NumWindow int
-	// FusedOps counts the fused vertices planned this batch; FusedAway
-	// counts the constituent operations they replaced, so the graph holds
-	// NumOps - FusedAway + FusedOps vertices.
-	FusedOps  int
+	// FusedOps counts the fused vertices planned this batch.
+	FusedOps int
+	// FusedAway counts the constituent operations the fused vertices
+	// replaced, so the graph holds NumOps - FusedAway + FusedOps vertices.
 	FusedAway int
 	// DegreeSkew is max key-list length over mean length: 1 for perfectly
 	// uniform access, large for hot keys (θ in the paper).
@@ -304,25 +291,26 @@ type Props struct {
 // operation target and every parametric source — and returns the extended
 // slice. The engine uses it as the batch's dirty set: the WAL commit sweep
 // and the batch-boundary clean-up visit only these chains instead of the
-// whole table. Each key appears once, in first-touch order. The set
-// is a superset of the keys actually written (read-only targets and sources
-// are included; the sweep's timestamp filter drops them), and it misses
-// only keys resolved at execution time by ND operations, which the engine
-// harvests separately from Graph.NDOps.
+// whole table. Each key appears once, in the order the batch first touched
+// it. The set is a superset of the keys actually written (read-only targets
+// and sources are included; the sweep's timestamp filter drops them), and
+// it misses only keys resolved at execution time by ND operations, which
+// the engine harvests separately from Graph.NDOps.
 //
 // Call it after the batch's transactions are added and before Finalize: the
 // ND fan-out inserts a virtual entry into every known key list, which would
 // inflate the dirty set back to the whole key universe.
 func (b *Builder) AppendDirtyKeys(dst []store.KeyID) []store.KeyID {
-	for i := range b.shards {
-		dst = append(dst, b.shards[i].touched...)
+	for _, l := range b.touched {
+		dst = append(dst, l.id)
 	}
 	return dst
 }
 
 // Finalize sorts the key lists and derives TD and PD edges (transaction
-// processing phase), returning the completed graph. workers bounds the
-// parallelism of per-shard edge derivation.
+// processing phase) on the calling goroutine, returning the completed graph.
+// workers is unused; it stays until ROADMAP item 4(c) lifts the benchmark
+// probe that calls it.
 func (b *Builder) Finalize(workers int) *Graph {
 	// Non-deterministic fan-out: a pessimistic virtual operation of every
 	// ND op goes into every known key list (paper Section 4.4). The
@@ -340,15 +328,11 @@ func (b *Builder) Finalize(workers int) *Graph {
 				universe[id] = struct{}{}
 			}
 		}
-		for i := range b.shards {
-			for id, l := range b.shards[i].m {
-				// Only lists touched this batch: a reused builder keeps
-				// empty lists of earlier batches, which are not part of
-				// the current key universe.
-				if len(l.entries) > 0 {
-					universe[id] = struct{}{}
-				}
-			}
+		// Only lists touched this batch: a reused builder keeps empty
+		// lists of earlier batches, which are not part of the current key
+		// universe.
+		for _, l := range b.touched {
+			universe[l.id] = struct{}{}
 		}
 		for id := range universe {
 			if id != store.NoKeyID && id+1 > ndSpan {
@@ -365,9 +349,8 @@ func (b *Builder) Finalize(workers int) *Graph {
 	// after the ND fan-out so ndvo entries (which chain bidirectionally)
 	// are visible as run breakers.
 	var fusedOps []*txn.Operation
-	var fusedAway int
 	if b.fusion {
-		fusedOps, fusedAway = b.fuseShards(workers)
+		fusedOps = b.fuse()
 	}
 
 	g := &Graph{Txns: b.txns, NDOps: b.ndOps}
@@ -375,7 +358,6 @@ func (b *Builder) Finalize(workers int) *Graph {
 	g.Props.NumOps = b.numOps
 	g.Props.NumLD = b.numLD
 	g.Props.FusedOps = len(fusedOps)
-	g.Props.FusedAway = fusedAway
 	if b.numOps > 0 {
 		g.Props.MultiAccessRatio = float64(b.multi) / float64(b.numOps)
 	}
@@ -412,55 +394,20 @@ func (b *Builder) Finalize(workers int) *Graph {
 		}
 	}
 	if len(fusedOps) > 0 {
-		// Deterministic graph layout: fused vertices in (ts, id) order
-		// regardless of shard iteration order.
+		// Fused vertices follow the plain operations in (ts, id) order.
 		slices.SortFunc(fusedOps, txn.CompareOps)
 		for _, op := range fusedOps {
 			op.Index = int32(len(g.Ops))
 			g.Ops = append(g.Ops, op)
+			g.Props.FusedAway += len(op.Fan)
 		}
 	}
 	if ndSpan > g.KeySpan {
 		g.KeySpan = ndSpan
 	}
 
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	results := make([]shardStats, ListShards)
-	sem := make(chan struct{}, workers)
-	for i := range b.shards {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			results[i] = b.deriveShard(&b.shards[i])
-			<-sem
-		}(i)
-	}
-	wg.Wait()
-
-	var maxList, totList, nLists, numEdges int
-	for _, r := range results {
-		g.Props.NumTD += r.td
-		g.Props.NumPD += r.pd
-		if r.maxList > maxList {
-			maxList = r.maxList
-		}
-		totList += r.totList
-		nLists += r.nLists
-	}
-	for i := range b.shards {
-		numEdges += len(b.shards[i].edges)
-	}
-	if nLists > 0 && totList > 0 {
-		g.Props.DegreeSkew = float64(maxList) / (float64(totList) / float64(nLists))
-	} else {
-		g.Props.DegreeSkew = 1
-	}
-
-	b.linkEdges(g, numEdges)
+	b.derive(g)
+	b.linkEdges(g)
 
 	// Coarse-grained chains: the real operations per key, in timestamp
 	// order; ND ops form singleton chains of their own.
@@ -468,30 +415,28 @@ func (b *Builder) Finalize(workers int) *Graph {
 		g.Chains = b.poolChains[:0]
 		b.poolChains = nil
 	}
-	for i := range b.shards {
-		s := &b.shards[i]
-		for _, l := range s.m {
-			var chain []*txn.Operation
-			for _, e := range l.entries {
-				if e.kind == real {
-					chain = append(chain, e.op)
-				}
-			}
-			if len(chain) > 0 {
-				g.Chains = append(g.Chains, chain)
+	for _, l := range b.touched {
+		n := 0
+		for _, e := range l.entries {
+			if e.kind == real {
+				n++
 			}
 		}
+		if n == 0 {
+			continue
+		}
+		chain := make([]*txn.Operation, 0, n)
+		for _, e := range l.entries {
+			if e.kind == real {
+				chain = append(chain, e.op)
+			}
+		}
+		g.Chains = append(g.Chains, chain)
 	}
 	for _, op := range b.ndOps {
 		g.Chains = append(g.Chains, []*txn.Operation{op})
 	}
 	return g
-}
-
-type shardStats struct {
-	td, pd           int
-	maxList, totList int
-	nLists           int
 }
 
 // fuseRun records one detected run: the entry index of its first member and
@@ -501,46 +446,16 @@ type fuseRun struct {
 	op    *txn.Operation
 }
 
-// MaxFuseRun caps the fan of one fused vertex. Aborts redo a fused vertex
+// maxFuseRun caps the fan of one fused vertex. Aborts redo a fused vertex
 // wholesale — every fan transaction resets — so an unbounded fan would turn
 // one forced violation on a hot key into a batch-wide redo storm. Chunking
 // runs at this size bounds the blast radius while keeping the planner-side
 // reduction within a few percent of unbounded fusion.
-const MaxFuseRun = 32
+const maxFuseRun = 32
 
-// fuseShards runs the fuse pass over every list shard in parallel and
-// returns the fused vertices plus the number of constituents they absorbed.
-func (b *Builder) fuseShards(workers int) ([]*txn.Operation, int) {
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	results := make([][]*txn.Operation, ListShards)
-	sem := make(chan struct{}, workers)
-	for i := range b.shards {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			results[i] = fuseShard(&b.shards[i])
-			<-sem
-		}(i)
-	}
-	wg.Wait()
-	var fused []*txn.Operation
-	away := 0
-	for _, r := range results {
-		for _, op := range r {
-			away += len(op.Fan)
-		}
-		fused = append(fused, r...)
-	}
-	return fused, away
-}
-
-// fuseShard scans each candidate key list of one shard for runs of fusible
-// operations in strictly increasing timestamp order and compacts each run
-// into a single fused vertex placed at its first member's slot.
+// fuse scans each candidate key list for runs of fusible operations in
+// strictly increasing timestamp order, compacts each run into a single fused
+// vertex placed at its first member's slot, and returns the fused vertices.
 //
 // Run breakers: ndvo entries (they chain bidirectionally, so fusing across
 // one could cycle), non-fusible writes (window or cross-key parametric — the
@@ -549,13 +464,13 @@ func (b *Builder) fuseShards(workers int) ([]*txn.Operation, int) {
 // so chaining would feed it the wrong input). Plain reads and vo source
 // placeholders do NOT break runs: execution installs every constituent's
 // version, and those accesses are timestamp-addressed.
-func fuseShard(s *listShard) []*txn.Operation {
+func (b *Builder) fuse() []*txn.Operation {
 	var out []*txn.Operation
 	var members []int
 	var runs []fuseRun
 	var fan []*txn.Operation
-	for _, l := range s.m {
-		if l.fusibles < 2 || len(l.entries) == 0 {
+	for _, l := range b.touched {
+		if l.fusibles < 2 {
 			continue
 		}
 		entries := l.entries
@@ -587,7 +502,7 @@ func fuseShard(s *listShard) []*txn.Operation {
 					if len(members) > 0 && e.op.TS() <= lastTS {
 						closeRun()
 					}
-					if len(members) == MaxFuseRun {
+					if len(members) == maxFuseRun {
 						closeRun()
 					}
 					members = append(members, i)
@@ -644,40 +559,36 @@ func grownPos(buf []int32, n int) []int32 {
 }
 
 // linkEdges materialises every operation's parent/child lists from the
-// per-shard edge buffers: a counting pass sizes two shared backing arrays
+// edge buffer: a counting pass sizes two shared backing arrays
 // exactly, a fill pass places each edge, and a final pass sorts and
 // deduplicates per operation. Lock-free and allocation-exact, unlike the
 // txn.AddEdge path (which remains for runtime edge bridging during aborts).
 // The edge buffers and position arrays are builder scratch; the backing
 // arrays the operations end up pointing into are fresh per batch.
-func (b *Builder) linkEdges(g *Graph, numEdges int) {
+func (b *Builder) linkEdges(g *Graph) {
 	nOps := len(g.Ops)
 	// Count, then convert to running start offsets in place.
 	b.childPos = grownPos(b.childPos, nOps)
 	b.parentPos = grownPos(b.parentPos, nOps)
 	childPos, parentPos := b.childPos, b.parentPos
-	for si := range b.shards {
-		for _, e := range b.shards[si].edges {
-			childPos[e.p.Index]++
-			parentPos[e.c.Index]++
-		}
+	for _, e := range b.edges {
+		childPos[e.p.Index]++
+		parentPos[e.c.Index]++
 	}
 	var co, po int32
 	for i := 0; i < nOps; i++ {
 		co, childPos[i] = co+childPos[i], co
 		po, parentPos[i] = po+parentPos[i], po
 	}
-	childBuf := grownEdgeBuf(b.poolChild, numEdges)
-	parentBuf := grownEdgeBuf(b.poolParent, numEdges)
+	childBuf := grownEdgeBuf(b.poolChild, len(b.edges))
+	parentBuf := grownEdgeBuf(b.poolParent, len(b.edges))
 	b.poolChild, b.poolParent = nil, nil
-	for si := range b.shards {
-		for _, e := range b.shards[si].edges {
-			pi, ci := e.p.Index, e.c.Index
-			childBuf[childPos[pi]] = e.c
-			childPos[pi]++
-			parentBuf[parentPos[ci]] = e.p
-			parentPos[ci]++
-		}
+	for _, e := range b.edges {
+		pi, ci := e.p.Index, e.c.Index
+		childBuf[childPos[pi]] = e.c
+		childPos[pi]++
+		parentBuf[parentPos[ci]] = e.p
+		parentPos[ci]++
 	}
 	// After the fill, childPos[i]/parentPos[i] hold the end of region i;
 	// region i starts where region i-1 ends.
@@ -746,28 +657,22 @@ type writeAt struct {
 	owner *txn.Transaction
 }
 
-// deriveShard sorts every list of one shard and derives its TD/PD edges
-// into the shard's edge buffer. Lists left empty by Reset are skipped.
-func (b *Builder) deriveShard(s *listShard) shardStats {
-	var st shardStats
-	s.edges = s.edges[:0]
+// derive sorts every list touched this batch, derives its TD/PD edges into
+// the builder's edge buffer, and records the edge counts and the degree
+// skew in g.Props.
+func (b *Builder) derive(g *Graph) {
+	b.edges = b.edges[:0]
 	// writes retains (ts, op) of every real write of the current list; the
-	// buffer is reused across the shard's lists.
-	writes := s.writes
-	defer func() { s.writes = writes[:0] }()
-	for _, l := range s.m {
+	// buffer is reused across lists.
+	writes := b.writes
+	maxList, totList := 0, 0
+	for _, l := range b.touched {
 		entries := l.entries
-		if len(entries) == 0 {
-			continue
-		}
 		if !l.sorted {
 			slices.SortStableFunc(entries, entryBefore)
 		}
-		st.nLists++
-		st.totList += len(entries)
-		if len(entries) > st.maxList {
-			st.maxList = len(entries)
-		}
+		totList += len(entries)
+		maxList = max(maxList, len(entries))
 
 		var lastChain *txn.Operation // last TD-chain participant (real or ndvo)
 		writes = writes[:0]
@@ -776,9 +681,9 @@ func (b *Builder) deriveShard(s *listShard) shardStats {
 			switch e.kind {
 			case real, ndvo:
 				if lastChain != nil && lastChain != e.op {
-					s.edges = append(s.edges, edgePair{p: lastChain, c: e.op})
+					b.edges = append(b.edges, edgePair{p: lastChain, c: e.op})
 					if lastChain.Txn != e.op.Txn {
-						st.td++
+						g.Props.NumTD++
 					}
 				}
 				lastChain = e.op
@@ -802,21 +707,25 @@ func (b *Builder) deriveShard(s *listShard) shardStats {
 					}
 					for i := searchWrites(writes, lo); i < len(writes) && writes[i].ts < e.op.TS(); i++ {
 						if writes[i].owner != e.op.Txn {
-							s.edges = append(s.edges, edgePair{p: writes[i].op, c: e.op})
-							st.pd++
+							b.edges = append(b.edges, edgePair{p: writes[i].op, c: e.op})
+							g.Props.NumPD++
 						}
 					}
 				} else if i := searchWrites(writes, e.op.TS()); i > 0 {
 					// Latest write strictly below the vo's timestamp; writes
 					// of the same transaction share its timestamp, so they
 					// are naturally excluded.
-					s.edges = append(s.edges, edgePair{p: writes[i-1].op, c: e.op})
-					st.pd++
+					b.edges = append(b.edges, edgePair{p: writes[i-1].op, c: e.op})
+					g.Props.NumPD++
 				}
 			}
 		}
 	}
-	return st
+	b.writes = writes[:0]
+	g.Props.DegreeSkew = 1
+	if totList > 0 {
+		g.Props.DegreeSkew = float64(maxList) / (float64(totList) / float64(len(b.touched)))
+	}
 }
 
 // String summarises the graph.

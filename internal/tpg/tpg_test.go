@@ -3,6 +3,7 @@ package tpg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // mkWrite builds a write op "key = f(srcs)" for tests.
-func mkWrite(t *txn.Transaction, key Key, srcs ...Key) *txn.Operation {
+func mkWrite(t *txn.Transaction, key txn.Key, srcs ...txn.Key) *txn.Operation {
 	return txn.Build(t).Write(key, srcs, nil)
 }
 
@@ -121,7 +122,7 @@ func TestWindowDependencies(t *testing.T) {
 		all = append(all, tx)
 	}
 	wtx := txn.NewTransaction(9, 12)
-	wop := txn.Build(wtx).WindowWrite("A", []Key{"C"}, 10, nil)
+	wop := txn.Build(wtx).WindowWrite("A", []txn.Key{"C"}, 10, nil)
 	all = append(all, wtx)
 
 	b := NewBuilderIDs(nil)
@@ -137,7 +138,7 @@ func TestWindowDependencies(t *testing.T) {
 
 	// A second, narrower window [9,12) catches only the last write.
 	wtx2 := txn.NewTransaction(10, 12)
-	wop2 := txn.Build(wtx2).WindowWrite("A", []Key{"C"}, 3, nil)
+	wop2 := txn.Build(wtx2).WindowWrite("A", []txn.Key{"C"}, 3, nil)
 	b2 := NewBuilderIDs(nil)
 	for i := 1; i <= 3; i++ {
 		tx := txn.NewTransaction(int64(i), uint64(i*3))
@@ -165,7 +166,7 @@ func TestNonDeterministicFanOut(t *testing.T) {
 	oc := mkWrite(t3, "C")
 
 	nd := txn.NewTransaction(4, 4)
-	ond := txn.Build(nd).NDWrite(func(*txn.Ctx) (Key, error) { return "B", nil }, nil, nil)
+	ond := txn.Build(nd).NDWrite(func(*txn.Ctx) (txn.Key, error) { return "B", nil }, nil, nil)
 
 	// Key D exists in the table but is untouched by this batch; the
 	// pessimistic fan-out must still order the ND op within D's list.
@@ -224,10 +225,10 @@ func TestSelfSourcedWriteHasNoSelfEdge(t *testing.T) {
 
 func TestChainsGroupByKey(t *testing.T) {
 	var all []*txn.Transaction
-	perKey := map[Key]int{}
+	perKey := map[txn.Key]int{}
 	for i := 1; i <= 12; i++ {
 		tx := txn.NewTransaction(int64(i), uint64(i))
-		k := Key(fmt.Sprintf("k%d", i%3))
+		k := txn.Key(fmt.Sprintf("k%d", i%3))
 		mkWrite(tx, k)
 		perKey[k]++
 		all = append(all, tx)
@@ -263,7 +264,7 @@ func TestDegreeSkewProps(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		tx := txn.NewTransaction(id, uint64(id))
-		mkWrite(tx, Key(fmt.Sprintf("cold%d", i)))
+		mkWrite(tx, txn.Key(fmt.Sprintf("cold%d", i)))
 		b.AddTxn(tx)
 		id++
 	}
@@ -274,53 +275,104 @@ func TestDegreeSkewProps(t *testing.T) {
 	}
 }
 
-// TestFinalizeWorkersEquivalence checks that Finalize(8), with its
-// per-list-shard goroutines, yields exactly the Finalize(1) dependency
-// structure.
-func TestFinalizeWorkersEquivalence(t *testing.T) {
+// TestFinalizeDeterministic: two fresh builders given the same transactions
+// produce the same graph — edges, chain order and Props, DegreeSkew
+// included — and AppendDirtyKeys lists the batch's keys in the order the
+// batch first touched them.
+func TestFinalizeDeterministic(t *testing.T) {
+	// Intern the keys in reverse, so id order is not first-touch order.
+	for i := 23; i >= 0; i-- {
+		store.Intern(txn.Key(fmt.Sprintf("det/k%d", i)))
+	}
 	gen := func() []*txn.Transaction {
 		rng := rand.New(rand.NewSource(7))
 		var all []*txn.Transaction
 		for i := 1; i <= 200; i++ {
 			tx := txn.NewTransaction(int64(i), uint64(i))
-			k := Key(fmt.Sprintf("k%d", rng.Intn(8)))
-			src := Key(fmt.Sprintf("k%d", rng.Intn(8)))
-			mkWrite(tx, k, src)
+			for j := 0; j < 1+rng.Intn(3); j++ {
+				k := txn.Key(fmt.Sprintf("det/k%d", rng.Intn(24)))
+				src := txn.Key(fmt.Sprintf("det/k%d", rng.Intn(24)))
+				mkWrite(tx, k, src)
+			}
 			all = append(all, tx)
 		}
 		return all
 	}
-	edgeSet := func(txns []*txn.Transaction) map[string]bool {
-		out := map[string]bool{}
+	plan := func() (*Graph, []store.KeyID, []store.KeyID) {
+		txns := gen()
+		var want []store.KeyID
+		seen := map[store.KeyID]bool{}
+		touch := func(id store.KeyID) {
+			if !seen[id] {
+				seen[id] = true
+				want = append(want, id)
+			}
+		}
 		for _, tx := range txns {
 			for _, op := range tx.Ops {
-				for _, c := range op.Children() {
-					out[fmt.Sprintf("%d->%d", op.Txn.TS, c.Txn.TS)] = true
+				touch(op.KeyID)
+				for _, src := range op.SrcIDs {
+					if src != op.KeyID {
+						touch(src)
+					}
 				}
 			}
 		}
-		return out
+		b := NewBuilderIDs(nil)
+		b.AddTxns(txns, 1)
+		dirty := b.AppendDirtyKeys(nil)
+		return b.Finalize(1), dirty, want
 	}
-
-	seq := gen()
-	b1 := NewBuilderIDs(nil)
-	b1.AddTxns(seq, 1)
-	b1.Finalize(1)
-	want := edgeSet(seq)
-
-	par := gen()
-	b2 := NewBuilderIDs(nil)
-	b2.AddTxns(par, 1)
-	b2.Finalize(8)
-	got := edgeSet(par)
-
-	if len(want) != len(got) {
-		t.Fatalf("edge count: Finalize(1) %d vs Finalize(8) %d", len(want), len(got))
-	}
-	for e := range want {
-		if !got[e] {
-			t.Errorf("edge %s missing under Finalize(8)", e)
+	chainKeys := func(g *Graph) []store.KeyID {
+		var ids []store.KeyID
+		for _, c := range g.Chains {
+			ids = append(ids, c[0].KeyID)
 		}
+		return ids
+	}
+
+	g1, dirty1, want := plan()
+	g2, dirty2, _ := plan()
+	if fp1, fp2 := graphFingerprint(g1), graphFingerprint(g2); fp1 != fp2 {
+		t.Fatalf("same transactions, different graphs:\n%s\n%s", fp1, fp2)
+	}
+	if g1.Props.NumTD == 0 || g1.Props.NumPD == 0 {
+		t.Fatalf("batch derives no TD or PD edges: %+v", g1.Props)
+	}
+	if c1, c2 := chainKeys(g1), chainKeys(g2); !slices.Equal(c1, c2) {
+		t.Fatalf("chain order differs:\n%v\n%v", c1, c2)
+	}
+	if !slices.Equal(dirty1, want) || !slices.Equal(dirty2, want) {
+		t.Fatalf("dirty keys not in first-touch order:\n got %v\n got %v\nwant %v", dirty1, dirty2, want)
+	}
+}
+
+// TestFinalizeWarmAllocs: a warm builder re-planning a small batch
+// allocates the graph header, the transaction slice's growth and one slice
+// per chain, and nothing that scales with the builder's history.
+func TestFinalizeWarmAllocs(t *testing.T) {
+	keys := [][2]txn.Key{{"wa/A", "wa/B"}, {"wa/C", "wa/D"}, {"wa/A", "wa/E"}, {"wa/C", "wa/F"}}
+	txns := make([]*txn.Transaction, len(keys))
+	for i, k := range keys {
+		tx := txn.NewTransaction(int64(i+1), uint64(i+1))
+		mkWrite(tx, k[0], k[0])
+		mkWrite(tx, k[1], k[0], k[1])
+		txns[i] = tx
+	}
+	b := NewBuilderIDs(nil)
+	var g *Graph
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Reset()
+		b.Recycle(g)
+		b.AddTxns(txns, 1)
+		g = b.Finalize(1)
+	})
+	if len(g.Chains) != 6 || g.Props.NumTD == 0 {
+		t.Fatalf("unexpected graph: %d chains, %+v", len(g.Chains), g.Props)
+	}
+	t.Logf("%.0f allocs for %d chains", allocs, len(g.Chains))
+	if limit := float64(len(g.Chains) + 8); allocs > limit {
+		t.Fatalf("warm plan + Finalize: %.0f allocs; want <= %.0f", allocs, limit)
 	}
 }
 
@@ -333,11 +385,11 @@ func TestEdgesRespectTimestampOrder(t *testing.T) {
 		tx := txn.NewTransaction(int64(i), uint64(i))
 		b := txn.Build(tx)
 		for j := 0; j < 1+rng.Intn(3); j++ {
-			k := Key(fmt.Sprintf("k%d", rng.Intn(5)))
+			k := txn.Key(fmt.Sprintf("k%d", rng.Intn(5)))
 			if rng.Intn(2) == 0 {
 				b.Read(k, nil)
 			} else {
-				b.Write(k, []Key{Key(fmt.Sprintf("k%d", rng.Intn(5)))}, nil)
+				b.Write(k, []txn.Key{txn.Key(fmt.Sprintf("k%d", rng.Intn(5)))}, nil)
 			}
 		}
 		all = append(all, tx)
@@ -368,7 +420,7 @@ func TestKeySpanCoversBatchKeys(t *testing.T) {
 	g := b.Finalize(1)
 
 	var want store.KeyID
-	for _, k := range []Key{"span-a", "span-b", "span-c"} {
+	for _, k := range []txn.Key{"span-a", "span-b", "span-c"} {
 		if id := store.Intern(k); id >= want {
 			want = id + 1
 		}
@@ -395,7 +447,7 @@ func TestKeySpanCoversNDUniverse(t *testing.T) {
 	}
 
 	t1 := txn.NewTransaction(1, 1)
-	txn.Build(t1).NDRead(func(*txn.Ctx) (Key, error) { return "ndspan-0", nil }, nil)
+	txn.Build(t1).NDRead(func(*txn.Ctx) (txn.Key, error) { return "ndspan-0", nil }, nil)
 
 	b := NewBuilderIDs(func() []store.KeyID { return universe })
 	b.AddTxns([]*txn.Transaction{t1}, 1)
@@ -447,7 +499,7 @@ func TestRecycleSteadyStateEquivalence(t *testing.T) {
 		for i := 1; i <= 80; i++ {
 			tx := txn.NewTransaction(int64(i), uint64(i))
 			for j := 0; j < 1+rng.Intn(2); j++ {
-				mkWrite(tx, Key(fmt.Sprintf("rk%d", rng.Intn(10))), Key(fmt.Sprintf("rk%d", rng.Intn(10))))
+				mkWrite(tx, txn.Key(fmt.Sprintf("rk%d", rng.Intn(10))), txn.Key(fmt.Sprintf("rk%d", rng.Intn(10))))
 			}
 			txns = append(txns, tx)
 		}
@@ -492,7 +544,7 @@ func TestRecycleNilGraphIsNoop(t *testing.T) {
 // builder, which still holds the previous batch's emptied lists, and
 // regardless of how many operations hit a key.
 func TestAppendDirtyKeysIsTheBatchKeySet(t *testing.T) {
-	want := func(keys ...Key) []store.KeyID {
+	want := func(keys ...txn.Key) []store.KeyID {
 		ids := make([]store.KeyID, len(keys))
 		for i, k := range keys {
 			ids[i] = store.Intern(k)
@@ -500,7 +552,7 @@ func TestAppendDirtyKeysIsTheBatchKeySet(t *testing.T) {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return ids
 	}
-	check := func(label string, b *Builder, keys ...Key) {
+	check := func(label string, b *Builder, keys ...txn.Key) {
 		t.Helper()
 		got := b.AppendDirtyKeys(nil)
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
