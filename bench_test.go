@@ -13,6 +13,7 @@ package morphstream_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -117,42 +118,46 @@ func BenchmarkFig25SEA(b *testing.B) {
 
 func BenchmarkStoreWrite(b *testing.B) {
 	t := store.NewTable()
-	t.Preload("k", int64(0))
+	k := store.Intern("k")
+	t.PreloadID(k, int64(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Write("k", uint64(i+1), int64(i))
+		t.View().WriteID(k, uint64(i+1), int64(i))
 	}
 }
 
 func BenchmarkStoreRead(b *testing.B) {
 	t := store.NewTable()
+	k := store.Intern("k")
 	for ts := uint64(1); ts <= 1024; ts++ {
-		t.Write("k", ts, int64(ts))
+		t.View().WriteID(k, ts, int64(ts))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Read("k", uint64(i%1024)+1)
+		t.View().ReadID(k, uint64(i%1024)+1)
 	}
 }
 
 func BenchmarkStoreWindowRead(b *testing.B) {
 	t := store.NewTable()
+	k := store.Intern("k")
 	for ts := uint64(1); ts <= 4096; ts++ {
-		t.Write("k", ts, int64(ts))
+		t.View().WriteID(k, ts, int64(ts))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.ReadRange("k", 1024, 2048)
+		t.View().ReadRangeID(k, 1024, 2048)
 	}
 }
 
 // BenchmarkStoreReadWrite interleaves one write and one read per iteration
 // over a 64k-key working set — the datastore call pattern of the Fig. 11
 // hot path (every operation resolves its key, then touches the table).
-// "string" is a dictionary intern/lookup plus the dense-ID path (the string
-// adapters are one-line wrappers), "interned" the dense-ID path alone with
-// keys resolved once up front (as the engine does at transaction build time). The "populate" variants measure first-touch
-// writes (per-batch temporal-object churn): a fresh table every 64k ops.
+// "string" resolves the key through the dictionary before each dense-ID
+// call, "interned" is the dense-ID path alone with keys resolved once up
+// front (as the engine does at transaction build time). The "populate"
+// variants measure first-touch writes (per-batch temporal-object churn): a
+// fresh table every 64k ops.
 func BenchmarkStoreReadWrite(b *testing.B) {
 	const nKeys = 1 << 16
 	keys := make([]store.Key, nKeys)
@@ -168,8 +173,8 @@ func BenchmarkStoreReadWrite(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k := keys[i&(nKeys-1)]
-			t.Write(k, uint64(i+1), v)
-			t.Read(k, uint64(i+2))
+			t.View().WriteID(store.Intern(k), uint64(i+1), v)
+			t.View().ReadID(store.Intern(k), uint64(i+2))
 		}
 	})
 	b.Run("interned", func(b *testing.B) {
@@ -177,8 +182,8 @@ func BenchmarkStoreReadWrite(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			id := ids[i&(nKeys-1)]
-			t.WriteID(id, uint64(i+1), v)
-			t.ReadID(id, uint64(i+2))
+			t.View().WriteID(id, uint64(i+1), v)
+			t.View().ReadID(id, uint64(i+2))
 		}
 	})
 	b.Run("populate", func(b *testing.B) {
@@ -189,8 +194,8 @@ func BenchmarkStoreReadWrite(b *testing.B) {
 			if j == 0 {
 				t = store.NewTable()
 			}
-			t.Write(keys[j], 1, v)
-			t.Read(keys[j], 2)
+			t.View().WriteID(store.Intern(keys[j]), 1, v)
+			t.View().ReadID(store.Intern(keys[j]), 2)
 		}
 	})
 	b.Run("populate-interned", func(b *testing.B) {
@@ -201,8 +206,8 @@ func BenchmarkStoreReadWrite(b *testing.B) {
 			if j == 0 {
 				t = store.NewTable()
 			}
-			t.WriteID(ids[j], 1, v)
-			t.ReadID(ids[j], 2)
+			t.View().WriteID(ids[j], 1, v)
+			t.View().ReadID(ids[j], 2)
 		}
 	})
 }
@@ -247,7 +252,7 @@ func BenchmarkStoreContended(b *testing.B) {
 			base := (w * 1024) % nKeys
 			i := 0
 			for pb.Next() {
-				t.ReadID(ids[base+(i&1023)], 2)
+				t.View().ReadID(ids[base+(i&1023)], 2)
 				i++
 			}
 		})
@@ -265,8 +270,8 @@ func BenchmarkStoreContended(b *testing.B) {
 			for pb.Next() {
 				id := ids[base+(i&1023)]
 				ts++
-				t.WriteID(id, ts, v)
-				t.ReadID(id, ts+1)
+				t.View().WriteID(id, ts, v)
+				t.View().ReadID(id, ts+1)
 				t.RemoveID(id, ts) // rollback, as an abort round would
 				i++
 			}
@@ -738,8 +743,14 @@ func BenchmarkWALAppend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rec.Drain(); err != nil {
-			b.Fatal(err)
+		// A fresh sink holds no snapshot chain; Next's io.EOF makes the log
+		// writable.
+		for {
+			if _, err := rec.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
 		}
 		defer l.Close()
 		b.ReportAllocs()
@@ -797,7 +808,7 @@ func BenchmarkWALCommitSparse(b *testing.B) {
 	dirty := make([]store.KeyID, touched)
 	for i := range dirty {
 		id := ids[i*(nKeys/touched)]
-		tb.WriteID(id, uint64(i+1), int64(i))
+		tb.View().WriteID(id, uint64(i+1), int64(i))
 		dirty[i] = id
 	}
 	count := func(shards [][]store.Entry) int {
@@ -885,13 +896,14 @@ func BenchmarkNDFanOut(b *testing.B) {
 // (design D3), the mechanism behind Fig. 14a.
 func BenchmarkWindowReadCost(b *testing.B) {
 	t := store.NewTable()
+	k := store.Intern("k")
 	for ts := uint64(1); ts <= 100000; ts++ {
-		t.Write("k", ts, int64(ts))
+		t.View().WriteID(k, ts, int64(ts))
 	}
 	for _, w := range []uint64{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				t.ReadRange("k", 100000-w, 100000)
+				t.View().ReadRangeID(k, 100000-w, 100000)
 			}
 		})
 	}
@@ -934,13 +946,45 @@ func BenchmarkHotKeyFusion(b *testing.B) {
 	}
 }
 
+// BenchmarkFusionUnderAborts is a reading row, outside the CI gate: the
+// hot-key stream of BenchmarkHotKeyFusion with 10 % forced aborts, at θ 0.6
+// and 1.2, fusion off and on, under e-abort — the decision model's pick
+// whenever the abort ratio is below 0.25 — and under l-abort. It shows
+// where fusion stops paying: with e-abort an aborting stream loses the
+// hot-key gain several times over.
+func BenchmarkFusionUnderAborts(b *testing.B) {
+	for _, theta := range []float64{0.6, 1.2} {
+		batch := workload.HK(workload.Config{
+			Txns: 8192, StateSize: 1024, Theta: theta, Length: 2, AbortRatio: 0.1,
+			MultiRatio: 0.05, HotSetFraction: 0.25, Seed: 7,
+		})
+		for _, abort := range []sched.AbortMode{sched.EAbort, sched.LAbort} {
+			d := sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: abort}
+			for _, fusion := range []bool{false, true} {
+				name := fmt.Sprintf("theta=%.1f/%v/fusion=%v", theta, abort, fusion)
+				b.Run(name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						txns, table := batch.Materialize()
+						b.StartTimer()
+						builder := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
+						builder.AddTxns(txns, 2)
+						exec.Run(builder.Finalize(2), exec.Config{Decision: d, Threads: 2, Table: table})
+					}
+					b.ReportMetric(float64(len(batch.Specs)*b.N)/b.Elapsed().Seconds(), "events/s")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkTelemetryOverhead runs the identical pipelined lifecycle with
 // telemetry off (no registry — every instrument update is a single
 // predictable nil branch) and on (a live registry absorbing every batch's
 // counters, latency histograms and ingest-queue occupancy reads), so the
 // CI gate keeps the instrumentation tax on the streaming hot path provably
-// negligible: instruments update at batch granularity plus one sharded
-// atomic per scrape-visible gauge, so off and on must stay within noise of
+// negligible: instruments update at batch granularity plus one atomic per
+// scrape-visible gauge, so off and on must stay within noise of
 // each other (the gate's 20% bound is generous; locally the delta measures
 // under 5%). The "on" variant reuses one registry across iterations — the
 // production shape, where series live for the process lifetime.

@@ -76,26 +76,9 @@ func TestImportBoundaries(t *testing.T) {
 		}
 	}
 
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if dir != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir // benchmark/ is its own module
-		}
-		if _, err := build.ImportDir(dir, 0); err != nil {
-			return nil // no non-test Go files here
-		}
-		path := module
-		if dir != "." {
-			path += "/" + filepath.ToSlash(dir)
-		}
+	for _, path := range modulePackages(t) {
 		if path == module+"/internal/harness" || strings.HasPrefix(path, module+"/examples/") {
-			return nil
+			continue
 		}
 		for _, imp := range moduleImports(t, path) {
 			caseStudyOrBaseline := imp == module+"/internal/osed" || imp == module+"/internal/sea" ||
@@ -105,9 +88,37 @@ func TestImportBoundaries(t *testing.T) {
 				t.Errorf("%s imports %s: only the harness and the examples may", path, imp)
 			}
 		}
+	}
+}
+
+// modulePackages lists the import paths of the main module's packages that
+// have non-test Go files. benchmark/ is a module of its own and is left out.
+func modulePackages(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if dir != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(dir, 0); err != nil {
+			return nil // no non-test Go files here
+		}
+		path := module
+		if dir != "." {
+			path += "/" + filepath.ToSlash(dir)
+		}
+		out = append(out, path)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out
 }

@@ -32,16 +32,12 @@ type Durability struct {
 	// are incremental diffs — a dirty-set sweep of the keys changed since
 	// the previous checkpoint — so their cost is proportional to churn;
 	// the WAL rewrites the full-table base only when the accumulated diff
-	// chain crosses SnapshotDiffBudget.
+	// chain reaches half the base's size or 16 links.
 	SnapshotEvery int
-	// SnapshotDiffBudget rotates the snapshot chain (rewrites the base)
-	// once accumulated diff bytes reach this fraction of the base's size.
-	// 0 uses wal.DefaultDiffBudget; negative makes every checkpoint a full
-	// base (the pre-chain behaviour).
-	SnapshotDiffBudget float64
-	// SnapshotMaxDiffs caps the diffs stacked on one base regardless of
-	// size. 0 uses wal.DefaultMaxDiffChain.
-	SnapshotMaxDiffs int
+
+	// wantBase, when set, replaces the WAL's own base-or-diff choice at a
+	// checkpoint, so recovery tests can force a chain shape.
+	wantBase func() bool
 }
 
 // DefaultSnapshotEvery is the snapshot stride when Durability leaves
@@ -59,11 +55,6 @@ func WithDurability(d *Durability) Option {
 // after that punctuation; batch sequences continue from RecoveredSeq+1, so
 // recovered results are never re-delivered — exactly-once across the crash.
 func (e *Engine) RecoveredSeq() int64 { return e.recoveredSeq }
-
-// RecoveredDiffs reports how many incremental snapshot diffs the last
-// recovery applied on top of the base image (0 when the chain was a lone
-// base, recovery found no snapshot, or durability is off).
-func (e *Engine) RecoveredDiffs() int { return e.recoveredDiffs }
 
 func (e *Engine) snapshotEvery() int {
 	d := e.cfg.Durability
@@ -98,12 +89,7 @@ func (e *Engine) openDurability() error {
 		}
 		sink = fs
 	}
-	l, rec, err := wal.Open(sink, wal.Options{
-		Policy:       d.Sync,
-		DiffBudget:   d.SnapshotDiffBudget,
-		MaxDiffChain: d.SnapshotMaxDiffs,
-		Registry:     e.cfg.Telemetry,
-	})
+	l, rec, err := wal.Open(sink, wal.Options{Policy: d.Sync, Registry: e.cfg.Telemetry})
 	if err != nil {
 		return fmt.Errorf("engine: durability: %w", err)
 	}
@@ -159,7 +145,6 @@ func (e *Engine) openDurability() error {
 	if rec.HasSnapshot || rec.LastSeq > 0 {
 		e.batches.Store(rec.LastSeq)
 		e.recoveredSeq = rec.LastSeq
-		e.recoveredDiffs = rec.Diffs
 		e.walWatermark = rec.MaxTS
 		e.snapWatermark = rec.SnapshotMaxTS
 		if every := e.snapshotEvery(); every > 0 {
@@ -228,8 +213,12 @@ func (e *Engine) commitWAL(res *BatchResult, batchMaxTS uint64, dirty []store.Ke
 	}
 	if e.snapCredit >= every*e.cfg.PunctuateEvery {
 		e.snapCredit = 0
+		base := e.wal.WantBase()
+		if f := e.cfg.Durability.wantBase; f != nil {
+			base = f()
+		}
 		var err error
-		if e.wal.WantBase() {
+		if base {
 			err = e.wal.Snapshot(res.Seq, maxTS, e.table.LatestSince(0))
 		} else {
 			acc := make([]store.KeyID, 0, len(e.snapDirty))

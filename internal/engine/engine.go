@@ -344,9 +344,8 @@ type Engine struct {
 	// (LatestFor over the accumulated set) instead of a full-table sweep.
 	// Nil, and never written, when periodic snapshots are off: nothing would
 	// drain it.
-	snapDirty      map[store.KeyID]struct{}
-	snapWatermark  uint64
-	recoveredDiffs int
+	snapDirty     map[store.KeyID]struct{}
+	snapWatermark uint64
 	// snapCredit is the checkpoint stride's progress in events of logged
 	// volume since the last checkpoint (commitWAL).
 	snapCredit int
@@ -370,6 +369,9 @@ func WithShards(n int) Option {
 }
 
 // WithFusion toggles plan-time same-key operation fusion (Config.Fusion).
+// Keep it off for streams that abort: under e-abort, the decision model's
+// pick below an abort ratio of 0.25, fusion turns the hot-key gain into a
+// several-fold loss (BenchmarkFusionUnderAborts).
 func WithFusion(on bool) Option {
 	return func(c *Config) { c.Fusion = on }
 }
@@ -426,9 +428,6 @@ func New(cfg Config, opts ...Option) *Engine {
 // quiescent points: before Start, or after a Drain or Close with nothing
 // ingested since.
 func (e *Engine) Table() *store.Table { return e.table }
-
-// Batches reports how many punctuations have been processed.
-func (e *Engine) Batches() int { return int(e.batches.Load()) }
 
 // universeSnapshot supplies the ND fan-out key universe to TPG builders: the
 // table's key set as of the last quiescent refresh. Keys interned after the

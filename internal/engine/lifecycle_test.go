@@ -24,7 +24,7 @@ func TestVersionGrowthWithoutCleanup(t *testing.T) {
 			}
 			e.drain()
 		}
-		got := e.Table().VersionCount("k")
+		got := len(e.Table().View().ReadRangeID(store.Intern("k"), 0, ^uint64(0)))
 		if cleanup && got != 1 {
 			t.Errorf("cleanup=true: versions = %d; want 1", got)
 		}
@@ -53,7 +53,7 @@ func TestTimestampsMonotonicAcrossBatches(t *testing.T) {
 		e.drain()
 	}
 	// 15 writes -> versions at ts 1..15 plus the preload.
-	vs := e.Table().ReadRange("k", 0, ^uint64(0))
+	vs := e.Table().View().ReadRangeID(store.Intern("k"), 0, ^uint64(0))
 	if len(vs) != 16 {
 		t.Fatalf("versions = %d; want 16", len(vs))
 	}

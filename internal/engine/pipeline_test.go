@@ -157,8 +157,8 @@ func TestPipelineBasicFlow(t *testing.T) {
 	if v, _ := e.Table().Latest("acct"); v.(int64) != events {
 		t.Fatalf("acct = %v; want %d", v, events)
 	}
-	if e.Batches() != len(results) {
-		t.Fatalf("Batches() = %d; want %d", e.Batches(), len(results))
+	if n := e.PipelineStats().Batches; n != int64(len(results)) {
+		t.Fatalf("Batches = %d; want %d", n, len(results))
 	}
 	if n := eventLatencyCount(reg); n != events {
 		t.Fatalf("latency samples = %d; want %d", n, events)
@@ -272,7 +272,7 @@ func TestDoubleDrain(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if batches := e.Batches(); batches < 3 {
+	if batches := e.PipelineStats().Batches; batches < 3 {
 		t.Fatalf("batches = %d; want >= 3 (two full + drained tail)", batches)
 	}
 }

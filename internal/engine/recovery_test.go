@@ -199,6 +199,23 @@ func TestCrashRecoveryMatchesOracle(t *testing.T) {
 	}
 }
 
+// chainDiffs reports how many incremental diffs the snapshot chain a
+// recovery of dir would walk holds on top of its base. It only reads: the
+// torn-tail repair happens while a recovery drains its records.
+func chainDiffs(t *testing.T, dir string) int {
+	t.Helper()
+	sink, err := wal.NewFileSink(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	_, rec, err := wal.Open(sink, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Diffs
+}
+
 // countSnapshotFiles counts the snap-*.snap files a file-backed sink holds.
 func countSnapshotFiles(t *testing.T, dir string) int {
 	t.Helper()
@@ -210,14 +227,14 @@ func countSnapshotFiles(t *testing.T, dir string) int {
 }
 
 // TestCrashRecoveryAcrossDiffChain extends the kill-and-restart property to
-// log-structured snapshot chains: with a checkpoint every punctuation and a
-// diff budget too large to ever rotate, the directory holds a base image plus
+// log-structured snapshot chains: with a checkpoint every punctuation and
+// rotation switched off, the directory holds a base image plus
 // one incremental diff per batch when the crash hits — and the crash also
 // leaves a torn record after the newest diff. Recovery must walk the whole
 // chain (base via Restore, diffs layered on top), truncate the torn tail to
 // the last durable punctuation, and finish byte-equivalent to the serial
-// oracle's uninterrupted run. The rotate-always control (negative budget)
-// pins the opposite path: every checkpoint a full base, zero diffs replayed.
+// oracle's uninterrupted run. The rotate-always control pins the opposite
+// path: every checkpoint a full base, zero diffs replayed.
 func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 	workloads := []struct {
 		name  string
@@ -238,11 +255,10 @@ func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 	}
 	cases := []struct {
 		name      string
-		budget    float64
 		wantDiffs bool
 	}{
-		{"diff-chain", 1e9, true}, // never rotates: base + one diff per batch
-		{"base-only", -1, false},  // always rotates: every checkpoint a base
+		{"diff-chain", true}, // never rotates: base + one diff per batch
+		{"base-only", false}, // always rotates: every checkpoint a base
 	}
 	const batchSize = 40
 	for _, w := range workloads {
@@ -251,7 +267,7 @@ func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 			t.Run(w.name+"/"+tc.name, func(t *testing.T) {
 				dir := t.TempDir()
 				dur := func() *Durability {
-					return &Durability{Dir: dir, SnapshotEvery: 1, SnapshotDiffBudget: tc.budget}
+					return &Durability{Dir: dir, SnapshotEvery: 1, wantBase: func() bool { return !tc.wantDiffs }}
 				}
 				specs := w.batch.Specs
 				crashBatches := len(specs) / batchSize / 2
@@ -280,14 +296,14 @@ func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 					t.Fatalf("snapshot files = %d; want 1 (rotation drops superseded bases)", snaps)
 				}
 
+				if diffs := chainDiffs(t, dir); tc.wantDiffs && diffs != crashBatches {
+					t.Fatalf("recovered chain holds %d diffs; want %d (one per durable batch)", diffs, crashBatches)
+				} else if !tc.wantDiffs && diffs != 0 {
+					t.Fatalf("recovered chain holds %d diffs; want 0 (base-only recovery)", diffs)
+				}
 				p2 := startDurablePhase(t, w.batch, nil, batchSize, dur(), context.Background())
 				if got := p2.e.RecoveredSeq(); got != int64(crashBatches) {
 					t.Fatalf("RecoveredSeq = %d; want %d", got, crashBatches)
-				}
-				if diffs := p2.e.RecoveredDiffs(); tc.wantDiffs && diffs != crashBatches {
-					t.Fatalf("RecoveredDiffs = %d; want %d (one per durable batch)", diffs, crashBatches)
-				} else if !tc.wantDiffs && diffs != 0 {
-					t.Fatalf("RecoveredDiffs = %d; want 0 (base-only recovery)", diffs)
 				}
 				p2.ingest(t, specs[crashEvents:])
 				if err := p2.e.Close(); err != nil {
@@ -564,7 +580,7 @@ func TestSnapDirtyOnlyKeptForCheckpoints(t *testing.T) {
 	// Checkpoints back on: one diff after the second new batch, cut against
 	// the sequence-0 baseline, so it must name every key phase 1 changed.
 	p2 := startDurablePhase(t, b, nil, batchSize,
-		&Durability{Dir: dir, SnapshotEvery: onBatches, SnapshotDiffBudget: 1e9}, context.Background())
+		&Durability{Dir: dir, SnapshotEvery: onBatches}, context.Background())
 	if got := p2.e.RecoveredSeq(); got != offBatches {
 		t.Fatalf("RecoveredSeq = %d; want %d", got, offBatches)
 	}
@@ -581,10 +597,10 @@ func TestSnapDirtyOnlyKeptForCheckpoints(t *testing.T) {
 
 	// A third life recovers from baseline + diff alone and must land on the
 	// oracle's state for the whole stream.
-	p3 := startDurablePhase(t, b, nil, batchSize, &Durability{Dir: dir, SnapshotEvery: -1}, context.Background())
-	if got := p3.e.RecoveredDiffs(); got != 1 {
-		t.Fatalf("RecoveredDiffs = %d; want 1", got)
+	if got := chainDiffs(t, dir); got != 1 {
+		t.Fatalf("recovered chain holds %d diffs; want 1", got)
 	}
+	p3 := startDurablePhase(t, b, nil, batchSize, &Durability{Dir: dir, SnapshotEvery: -1}, context.Background())
 	if got := p3.e.RecoveredSeq(); got != offBatches+onBatches {
 		t.Fatalf("RecoveredSeq = %d; want %d", got, offBatches+onBatches)
 	}

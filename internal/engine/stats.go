@@ -17,7 +17,7 @@ import (
 type PipelineStats struct {
 	OverlapStats
 
-	// Batches is the number of punctuations processed (== Engine.Batches).
+	// Batches is the number of punctuations processed.
 	Batches int64
 	// Events counts input events planned across all batches; Dropped those
 	// discarded by PreProcess or StateAccess failures instead.

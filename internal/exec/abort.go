@@ -231,8 +231,12 @@ func (ex *executor) handleAborts(failed []*txn.Operation, local bool) {
 		if n := len(sc.txnWork); n > 0 {
 			t := sc.txnWork[n-1]
 			sc.txnWork = sc.txnWork[:n-1]
+			// Only the executed operations carry taint. A reset
+			// transaction's BLK operation — ND or not — has no executed
+			// descendant: it runs only after its parents settle, and the
+			// round that sent it back to BLK tainted its children then.
 			for _, op := range t.Ops {
-				if op.State() == txn.EXE || op.IsND() {
+				if op.State() == txn.EXE {
 					sc.taint(op)
 				}
 			}

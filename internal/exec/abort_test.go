@@ -286,7 +286,9 @@ func (r *ruleRun) round() (redos, resets int) {
 	return int(r.ex.redos.Load() - redos0), r.ex.resets - resets0
 }
 
-func (r *ruleRun) versions(k txn.Key) int { return len(r.table.ReadRange(k, 0, ^uint64(0))) }
+func (r *ruleRun) versions(k txn.Key) int {
+	return len(r.table.View().ReadRangeID(store.Intern(k), 0, ^uint64(0)))
+}
 
 // finish completes the batch and checks it against the serial oracle; the
 // hand-played prefix must not have cost a single further redo.

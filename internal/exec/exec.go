@@ -43,6 +43,7 @@ import (
 
 // Config parameterises one batch execution.
 type Config struct {
+	// Decision is the scheduling strategy the batch runs under.
 	Decision sched.Decision
 	// Threads is the number of executor threads (TxnExecutors).
 	Threads int
@@ -50,7 +51,8 @@ type Config struct {
 	// layer (per-shard ready rings, unit slices, parking lots); 0 picks
 	// the smallest power of two >= Threads.
 	Shards int
-	Table  *store.Table
+	// Table is the state table the operations read and write.
+	Table *store.Table
 	// Breakdown, when non-nil, accumulates the time breakdown of
 	// Section 8.3.1 (useful / sync / explore / abort).
 	Breakdown *metrics.Breakdown
@@ -63,9 +65,10 @@ type Config struct {
 
 // Result summarises one batch execution.
 type Result struct {
-	// Committed and Aborted count state transactions.
+	// Committed counts state transactions that committed.
 	Committed int
-	Aborted   int
+	// Aborted counts state transactions that aborted.
+	Aborted int
 	// AbortRounds counts invocations of the abort/rollback machinery.
 	AbortRounds int
 	// Redos counts operation re-executions caused by rollback.
@@ -360,7 +363,7 @@ func (ex *executor) runOp(op *txn.Operation, sc *scratch) bool {
 		// could leave while the abort round is still to reset its chunk.
 		ex.recordFailure(op)
 		op.SetState(txn.ABT) // T4
-		op.Txn.MarkAborted(true)
+		op.Txn.MarkAborted()
 		return false
 	}
 	op.SetState(txn.EXE) // T2
@@ -407,7 +410,7 @@ func (ex *executor) runFused(op *txn.Operation, sc *scratch) bool {
 			if !curOK {
 				ex.recordFailure(c) // before ABT is visible, as in runOp
 				c.SetState(txn.ABT)
-				c.Txn.MarkAborted(true)
+				c.Txn.MarkAborted()
 				failed++
 				continue
 			}
@@ -425,7 +428,7 @@ func (ex *executor) runFused(op *txn.Operation, sc *scratch) bool {
 		if err != nil {
 			ex.recordFailure(c) // before ABT is visible, as in runOp
 			c.SetState(txn.ABT) // T4
-			c.Txn.MarkAborted(true)
+			c.Txn.MarkAborted()
 			failed++
 			continue
 		}

@@ -25,10 +25,9 @@ import (
 // newly ready units back once each. Both run only under the abort fence (or
 // with all workers joined), never concurrently with a push or pop.
 type workQueue struct {
-	head   paddedInt64 // next slot to pop
-	tail   paddedInt64 // next slot to push
-	closed paddedInt64 // non-zero once every unit is settled
-	buf    []atomic.Pointer[sched.Unit]
+	head paddedInt64 // next slot to pop
+	tail paddedInt64 // next slot to push
+	buf  []atomic.Pointer[sched.Unit]
 }
 
 func newWorkQueue(capacity int) *workQueue {
@@ -65,22 +64,11 @@ func (q *workQueue) tryPop() *sched.Unit {
 	}
 }
 
-// close marks the queue finished; pops drain remaining items, then callers
-// observing isClosed stop.
-func (q *workQueue) close() {
-	q.closed.v.Store(1)
-}
-
-// isClosed reports whether the queue has been closed.
-func (q *workQueue) isClosed() bool {
-	return q.closed.v.Load() != 0
-}
-
-// reset clears all queued items and reopens the queue (abort rebuild). The
-// caller must guarantee quiescence; slots are nilled so a pop after reset
-// can never observe a unit published before it. The cost is the number of
-// pushes since the previous reset, so an incremental round pays for the work
-// done since the last round, not for the unit table.
+// reset clears all queued items (abort rebuild). The caller must guarantee
+// quiescence; slots are nilled so a pop after reset can never observe a unit
+// published before it. The cost is the number of pushes since the previous
+// reset, so an incremental round pays for the work done since the last
+// round, not for the unit table.
 func (q *workQueue) reset() {
 	t := q.tail.v.Load()
 	for i := int64(0); i < t && i < int64(len(q.buf)); i++ {
@@ -88,5 +76,4 @@ func (q *workQueue) reset() {
 	}
 	q.head.v.Store(0)
 	q.tail.v.Store(0)
-	q.closed.v.Store(0)
 }

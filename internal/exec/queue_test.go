@@ -57,17 +57,13 @@ func TestWorkQueueConcurrentPop(t *testing.T) {
 	}
 }
 
-// TestWorkQueueDrainAfterClose pins the close semantics: pending items
-// drain, then tryPop reports empty and isClosed is observable.
-func TestWorkQueueDrainAfterClose(t *testing.T) {
+// TestWorkQueueDrain pins the pop order: pending items drain in push
+// order, then tryPop reports empty.
+func TestWorkQueueDrain(t *testing.T) {
 	q := newWorkQueue(3)
 	a, b := &sched.Unit{ID: 0}, &sched.Unit{ID: 1}
 	q.push(a)
 	q.push(b)
-	q.close()
-	if !q.isClosed() {
-		t.Fatal("queue not closed")
-	}
 	if got := q.tryPop(); got != a {
 		t.Fatalf("first pop = %v; want unit 0", got)
 	}
@@ -80,8 +76,8 @@ func TestWorkQueueDrainAfterClose(t *testing.T) {
 }
 
 // TestWorkQueueResetDiscardsStale verifies the abort-rebuild contract: a
-// reset (performed under quiescence) clears pending items and reopens the
-// ring, and no pre-reset unit can surface afterwards.
+// reset (performed under quiescence) clears pending items, and no pre-reset
+// unit can surface afterwards.
 func TestWorkQueueResetDiscardsStale(t *testing.T) {
 	const n = 64
 	q := newWorkQueue(n)
@@ -91,17 +87,13 @@ func TestWorkQueueResetDiscardsStale(t *testing.T) {
 		stale[u] = true
 		q.push(u)
 	}
-	// Drain a few, leave the rest queued, then close and reset.
+	// Drain a few, leave the rest queued, then reset.
 	for i := 0; i < 10; i++ {
 		if q.tryPop() == nil {
 			t.Fatal("premature empty")
 		}
 	}
-	q.close()
 	q.reset()
-	if q.isClosed() {
-		t.Fatal("reset did not reopen the queue")
-	}
 	if got := q.tryPop(); got != nil {
 		t.Fatalf("pop after reset = %v; want empty", got)
 	}

@@ -43,7 +43,7 @@ func Serial(txns []*txn.Transaction, table *store.Table) Result {
 				}
 				op.SetState(txn.ABT)
 			}
-			t.MarkAborted(true)
+			t.MarkAborted()
 			t.Blotter.Reset()
 			res.Aborted++
 		} else {

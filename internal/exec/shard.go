@@ -144,7 +144,7 @@ func (ex *executor) setupShards() {
 		sh.ring = newWorkQueue(len(sh.units))
 		sh.lot.cond.L = &sh.lot.mu
 		ex.shardOrder = append(ex.shardOrder, sh.units...)
-		occupancy.RecordW(s, int64(len(sh.units)))
+		occupancy.Record(int64(len(sh.units)))
 	}
 }
 

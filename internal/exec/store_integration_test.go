@@ -70,22 +70,25 @@ func TestNDWritesCreateLateKeysAcrossShards(t *testing.T) {
 		if got := table.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: ND late-key state diverges", d)
 		}
-		// The fresh keys exceeded the aligned span and must have clamped
-		// into the table's last shard — exactly like the executor's map.
-		num, span := table.Shards()
-		if g.KeySpan > span {
-			t.Fatalf("%v: aligned span %d below KeySpan %d", d, span, g.KeySpan)
+		// The table must partition every key like the executor's map over
+		// the planned span, and the fresh keys, beyond it, must have clamped
+		// into the last shard of both.
+		num, tableShard := tableShards(table)
+		smap := newShardMap(num, g.KeySpan)
+		for id, got := range tableShard {
+			if want := smap.of(id); got != want {
+				t.Errorf("%v: key %d in table shard %d; exec shard %d", d, id, got, want)
+			}
 		}
-		smap := newShardMap(num, span)
 		for i := 2; i <= 120; i += 2 {
 			id, ok := store.LookupID(freshKey(i))
 			if !ok {
 				t.Fatalf("%v: fresh key %d never interned", d, i)
 			}
-			if id < span {
+			if id < g.KeySpan {
 				continue // interned by an earlier decision's run
 			}
-			if got, want := table.ShardOf(id), num-1; got != want {
+			if got, want := tableShard[id], num-1; got != want {
 				t.Errorf("%v: late key %d in table shard %d; want last shard %d", d, id, got, want)
 			}
 			if got, want := smap.of(id), num-1; got != want {
@@ -95,9 +98,9 @@ func TestNDWritesCreateLateKeysAcrossShards(t *testing.T) {
 	}
 }
 
-// TestTableAlignMatchesExecShardMap pins the congruence the whole PR builds
-// on: an aligned table partitions the KeyID space exactly like the
-// executor's shard map over the same (num, span).
+// TestTableAlignMatchesExecShardMap pins the congruence shard-local
+// execution builds on: an aligned table partitions the KeyID space exactly
+// like the executor's shard map over the same (num, span).
 func TestTableAlignMatchesExecShardMap(t *testing.T) {
 	for _, tc := range []struct {
 		num  int
@@ -106,17 +109,39 @@ func TestTableAlignMatchesExecShardMap(t *testing.T) {
 		{1, 1}, {2, 10}, {4, 1000}, {8, 1000}, {16, 37}, {3, 64}, {64, 64}, {7, 5},
 	} {
 		table := store.NewTable()
+		// Every id up to span+100 must name a key for the table to hold it.
+		for n := table.DictLen(); n < int(tc.span)+100; n = table.DictLen() {
+			store.Intern(store.Key(fmt.Sprintf("align-pad-%d", n)))
+		}
 		table.Align(tc.num, tc.span)
-		num, span := table.Shards()
-		if num != tc.num || span != tc.span {
-			t.Fatalf("Align(%d,%d) -> Shards() = (%d,%d)", tc.num, tc.span, num, span)
+		for id := store.KeyID(0); id < tc.span+100; id++ {
+			table.PreloadID(id, int64(0))
+		}
+		num, tableShard := tableShards(table)
+		if num != tc.num {
+			t.Fatalf("Align(%d,%d) -> %d shards", tc.num, tc.span, num)
 		}
 		smap := newShardMap(tc.num, tc.span)
 		for id := store.KeyID(0); id < tc.span+100; id++ {
-			if got, want := table.ShardOf(id), smap.of(id); got != want {
+			if got, want := tableShard[id], smap.of(id); got != want {
 				t.Fatalf("num=%d span=%d: table shard %d != exec shard %d for id %d",
 					tc.num, tc.span, got, want, id)
 			}
 		}
 	}
+}
+
+// tableShards reads how table partitions its keys off LatestSince's
+// per-shard buckets: the shard count, and the shard of every key holding a
+// version.
+func tableShards(table *store.Table) (int, map[store.KeyID]int) {
+	buckets := table.LatestSince(0)
+	of := make(map[store.KeyID]int)
+	for s, es := range buckets {
+		for _, e := range es {
+			id, _ := store.LookupID(e.Key)
+			of[id] = s
+		}
+	}
+	return len(buckets), of
 }

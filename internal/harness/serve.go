@@ -86,7 +86,7 @@ func ServeFloodNetwork(conns, events, span int, balance int64, threads int) (*Se
 		go func(c int) {
 			defer wg.Done()
 			var err error
-			committed[c], aborted[c], err = serveFloodClient(lis.Addr().String(), ops[c], c, res.RTT)
+			committed[c], aborted[c], err = serveFloodClient(lis.Addr().String(), ops[c], res.RTT)
 			if err != nil {
 				errs <- fmt.Errorf("conn %d: %w", c, err)
 			}
@@ -114,12 +114,12 @@ func ServeFloodNetwork(conns, events, span int, balance int64, threads int) (*Se
 	return res, nil
 }
 
-// serveFloodClient streams connection conn's ops, records each receipt's
-// round trip on the connection's stripe of rtt, and returns the receipt
+// serveFloodClient streams one connection's ops, records each receipt's
+// round trip in rtt, and returns the receipt
 // outcome counts. The submit window (how many receipts may be outstanding,
 // enforced by the sem channel) is sized to cover a punctuation batch so the
 // server pipeline stays fed without unbounded client-side queueing.
-func serveFloodClient(addr string, ops []any, conn int, rtt *telemetry.Histogram) (int, int, error) {
+func serveFloodClient(addr string, ops []any, rtt *telemetry.Histogram) (int, int, error) {
 	// With 4 connections this keeps one punctuation batch (4096 events)
 	// in flight in aggregate: enough to saturate the pipeline, small
 	// enough that RTT is not dominated by client-side queueing.
@@ -155,7 +155,7 @@ func serveFloodClient(addr string, ops []any, conn int, rtt *telemetry.Histogram
 			smu.Lock()
 			t := sent[r.TxnID]
 			smu.Unlock()
-			rtt.RecordW(conn, int64(now.Sub(t)))
+			rtt.Record(int64(now.Sub(t)))
 			select { // release one window slot
 			case <-sem:
 			default:

@@ -143,12 +143,6 @@ func (s *Server) Register(name string, op engine.Operator) {
 	s.ops[name] = op
 }
 
-// RegisterCodec offers an additional payload codec beside the two every
-// server speaks: "binary" (the client default) and "gob". Call before Serve.
-func (s *Server) RegisterCodec(c Codec) {
-	s.codecs[c.Name()] = c
-}
-
 // Engine exposes the embedded engine for preloading state (before Serve)
 // and reading stats (PipelineStats, RecoveredSeq).
 func (s *Server) Engine() *engine.Engine { return s.eng }

@@ -80,9 +80,12 @@ func (a AbortMode) String() string {
 
 // Decision is one point in the three-dimensional scheduling space.
 type Decision struct {
+	// Explore is the exploration strategy.
 	Explore Explore
-	Gran    Granularity
-	Abort   AbortMode
+	// Gran is the scheduling-unit granularity.
+	Gran Granularity
+	// Abort is the abort-handling mode.
+	Abort AbortMode
 }
 
 // String renders e.g. "ns-explore/f-schedule/e-abort".
@@ -94,8 +97,12 @@ func (d Decision) String() string {
 // group of operations (a per-key chain, with unit-level cycles merged) under
 // c-schedule. The executor owns the runtime fields.
 type Unit struct {
-	ID   int
-	Ops  []*txn.Operation // in (ts, id) order
+	// ID is the unit's dense index, 0..len-1, as BuildUnits assigns it.
+	ID int
+	// Ops are the unit's operations, in (ts, id) order.
+	Ops []*txn.Operation
+	// Rank is the length of the longest dependency path reaching the unit,
+	// as Stratify computes it.
 	Rank int
 
 	parents  []*Unit
@@ -106,8 +113,6 @@ type Unit struct {
 	Pending atomic.Int32
 	// Claimed guards against double-enqueueing during ns-explore.
 	Claimed atomic.Bool
-	// DoneOps counts operations of the unit that reached EXE or ABT.
-	DoneOps atomic.Int32
 }
 
 // Parents returns the units this unit depends on.
@@ -413,6 +418,7 @@ func StratifySharded(units []*Unit, shardOf []int32, numShards int) [][]*Unit {
 // characteristics the model needs (paper Table 2): UDF complexity C is
 // measured from execution, the aborting ratio a from the previous batch.
 type ModelInputs struct {
+	// Props are the measured properties of the batch's TPG.
 	Props      tpg.Props
 	Complexity time.Duration // avg UDF cost (C)
 	AbortRatio float64       // ratio of aborting transactions (a)

@@ -226,6 +226,3 @@ func Intern(k Key) KeyID { return defaultDict.Intern(k) }
 
 // LookupID resolves k through the default dictionary without interning.
 func LookupID(k Key) (KeyID, bool) { return defaultDict.Lookup(k) }
-
-// KeyOf returns the string key of an id interned in the default dictionary.
-func KeyOf(id KeyID) Key { return defaultDict.Name(id) }

@@ -15,9 +15,9 @@
 // open-addressing index with lock-free reads, append-only, one mutex for
 // inserts): planning and execution resolve keys at transaction build time
 // and carry KeyIDs through the TPG, so the hot path (*ID methods) never
-// hashes a string. The string-keyed methods are adapters that resolve
-// through the process-wide dictionary; examples, tests and set-up code use
-// them, the engine's hot path does not.
+// hashes a string. Only two string-keyed methods remain, Preload and
+// Latest, for set-up code and for reading results; they resolve through the
+// process-wide dictionary.
 //
 // # Shard-aligned arena layout
 //
@@ -56,7 +56,7 @@
 // has under the executor's abort fence.
 //
 // Everything else runs only at a quiescent point, where no other goroutine
-// touches the table: the string-keyed adapters and the whole-table
+// touches the table: Preload, Latest and the whole-table
 // operations (Align, Truncate, TruncateFor, KeyIDs, Len, Snapshot,
 // TotalVersions, LatestSince, LatestFor, Restore, RestoreDelta). The engine
 // runs them before its pipeline starts or at a batch boundary, behind the
@@ -381,17 +381,6 @@ func (t *Table) Align(num int, span KeyID) {
 // by reusing an id interned long ago moves births but not DictLen).
 func (t *Table) KeyBirths() int64 { return t.births.Load() }
 
-// Shards reports the current (num shards, span) partition, mostly for
-// tests asserting executor/table alignment.
-func (t *Table) Shards() (int, KeyID) {
-	ly := t.layout.Load()
-	return ly.num, KeyID(ly.span)
-}
-
-// ShardOf reports the shard index id currently maps to; tests use it to
-// assert congruence with the executor's shard map.
-func (t *Table) ShardOf(id KeyID) int { return t.layout.Load().indexOf(id) }
-
 // --- Dense-ID hot path (see the package's synchronisation rule) ---
 
 // PreloadID seeds id with an initial version at timestamp 0, replacing any
@@ -411,12 +400,8 @@ func (t *Table) PreloadID(id KeyID, v Value) {
 	sh.noteBirth(idx)
 }
 
-// ReadID returns the value of the latest version with TS < ts.
-// ok is false when the key does not exist or has no version older than ts.
-func (t *Table) ReadID(id KeyID, ts uint64) (Value, bool) {
-	return t.layout.Load().readID(id, ts)
-}
-
+// readID returns the value of the latest version with TS < ts. ok is false
+// when the key does not exist or has no version older than ts.
 func (ly *layout) readID(id KeyID, ts uint64) (Value, bool) {
 	vs := ly.chainAt(id)
 	j := locate(vs, ts)
@@ -426,13 +411,9 @@ func (ly *layout) readID(id KeyID, ts uint64) (Value, bool) {
 	return vs[j-1].Value, true
 }
 
-// ReadRangeID returns a copy of all versions with lo <= TS < hi, ascending.
+// readRangeID returns a copy of all versions with lo <= TS < hi, ascending.
 // It serves window operations: a window read at ts with size w asks for
 // [ts-w, ts).
-func (t *Table) ReadRangeID(id KeyID, lo, hi uint64) []Version {
-	return t.layout.Load().readRangeID(id, lo, hi)
-}
-
 func (ly *layout) readRangeID(id KeyID, lo, hi uint64) []Version {
 	vs := ly.chainAt(id)
 	a, b := locate(vs, lo), locate(vs, hi)
@@ -444,25 +425,20 @@ func (ly *layout) readRangeID(id KeyID, lo, hi uint64) []Version {
 	return out
 }
 
-// WriteID installs a new version of id at ts. Versions are almost always
-// appended in timestamp order during in-order execution — the in-place fast
-// path writing the run's next reserved element — but speculative execution
-// may install them out of order, so WriteID inserts at the sorted position
-// (copying the run: published snapshots stay immutable). Writing twice at
-// the same (id, ts) replaces the value.
-func (t *Table) WriteID(id KeyID, ts uint64, v Value) {
-	t.noteUntracked()
-	t.layout.Load().writeID(id, ts, v)
-}
-
 // noteUntracked marks a write no batch dirty set will name. Load-then-store
-// keeps the flag's cache line shared among concurrent direct writers.
+// keeps the flag's cache line shared among concurrent writers.
 func (t *Table) noteUntracked() {
 	if !t.untracked.Load() {
 		t.untracked.Store(true)
 	}
 }
 
+// writeID installs a new version of id at ts. Versions are almost always
+// appended in timestamp order during in-order execution — the in-place fast
+// path writing the run's next reserved element — but speculative execution
+// may install them out of order, so writeID inserts at the sorted position
+// (copying the run: published snapshots stay immutable). Writing twice at
+// the same (id, ts) replaces the value.
 func (ly *layout) writeID(id KeyID, ts uint64, v Value) {
 	sh := ly.of(id)
 	idx := uint64(id) - sh.lo
@@ -553,11 +529,6 @@ func (t *Table) LatestID(id KeyID) (Value, bool) {
 	return vs[len(vs)-1].Value, true
 }
 
-// VersionCountID reports how many versions id currently holds.
-func (t *Table) VersionCountID(id KeyID) int {
-	return len(t.layout.Load().chainAt(id))
-}
-
 // View is a per-run table handle: it pins the table's current layout so the
 // executor's per-operation path is pure array indexing with no repeated
 // layout resolution. A View is valid until the next Align — the engine
@@ -572,21 +543,26 @@ type View struct {
 // View returns a handle pinned to the current layout.
 func (t *Table) View() View { return View{ly: t.layout.Load()} }
 
-// ReadID is Table.ReadID on the pinned layout.
+// ReadID returns the value of the latest version of id with TS < ts. ok is
+// false when the key does not exist or has no version older than ts.
 func (v View) ReadID(id KeyID, ts uint64) (Value, bool) { return v.ly.readID(id, ts) }
 
-// ReadRangeID is Table.ReadRangeID on the pinned layout.
+// ReadRangeID returns a copy of id's versions with lo <= TS < hi, ascending:
+// a window read at ts with size w asks for [ts-w, ts).
 func (v View) ReadRangeID(id KeyID, lo, hi uint64) []Version {
 	return v.ly.readRangeID(id, lo, hi)
 }
 
-// WriteID is Table.WriteID on the pinned layout.
+// WriteID installs a new version of id at ts, at its sorted position; a
+// second write at the same (id, ts) replaces the value. The batch's dirty
+// set names every key the executor writes, so it leaves the table tracked
+// (see TruncateFor).
 func (v View) WriteID(id KeyID, ts uint64, val Value) { v.ly.writeID(id, ts, val) }
 
 // RemoveID is Table.RemoveID on the pinned layout.
 func (v View) RemoveID(id KeyID, ts uint64) { v.ly.removeID(id, ts) }
 
-// --- String-keyed adapters (quiescent points only) ---
+// --- String-keyed set-up and read-back (quiescent points only) ---
 
 // idOf resolves k without interning; NoKeyID, which names no chain, when k
 // was never interned.
@@ -600,23 +576,8 @@ func (t *Table) idOf(k Key) KeyID {
 // Preload is PreloadID on k's interned id.
 func (t *Table) Preload(k Key, v Value) { t.PreloadID(t.dict.Intern(k), v) }
 
-// Read is ReadID on k's id.
-func (t *Table) Read(k Key, ts uint64) (Value, bool) { return t.ReadID(t.idOf(k), ts) }
-
-// ReadRange is ReadRangeID on k's id.
-func (t *Table) ReadRange(k Key, lo, hi uint64) []Version { return t.ReadRangeID(t.idOf(k), lo, hi) }
-
-// Write is WriteID on k's interned id.
-func (t *Table) Write(k Key, ts uint64, v Value) { t.WriteID(t.dict.Intern(k), ts, v) }
-
-// Remove is RemoveID on k's id.
-func (t *Table) Remove(k Key, ts uint64) { t.RemoveID(t.idOf(k), ts) }
-
 // Latest is LatestID on k's id.
 func (t *Table) Latest(k Key) (Value, bool) { return t.LatestID(t.idOf(k)) }
-
-// VersionCount is VersionCountID on k's id.
-func (t *Table) VersionCount(k Key) int { return t.VersionCountID(t.idOf(k)) }
 
 // --- Whole-table operations (quiescent points only) ---
 
@@ -654,9 +615,9 @@ func (t *Table) Truncate(ts uint64) {
 // every one of them at a key the sealed batch exported in its dirty set
 // (planner per-key lists plus the ND keys resolved during execution); and
 // collapsing exactly those chains restores it. Writers the dirty set cannot
-// know about — the string-keyed Write, a direct Table.WriteID, Restore and
-// RestoreDelta — mark the table untracked, and the next TruncateFor then
-// falls back to the full sweep, which re-establishes the invariant.
+// know about — Restore and RestoreDelta — mark the table untracked, and the
+// next TruncateFor then falls back to the full sweep, which re-establishes
+// the invariant.
 //
 // dirty may hold duplicates, ids that were only read, ids whose writes were
 // rolled back and ids the table never saw: collapsing a chain of at most one
@@ -794,16 +755,6 @@ func (t *Table) KeyIDs() []KeyID {
 // staleness signal for its quiescent-point key-universe snapshot (the
 // dictionary is append-only, so an unchanged length means no new keys).
 func (t *Table) DictLen() int { return t.dict.Len() }
-
-// Keys returns every key currently present, in ascending id order.
-func (t *Table) Keys() []Key {
-	ids := t.KeyIDs()
-	out := make([]Key, len(ids))
-	for i, id := range ids {
-		out[i] = t.dict.Name(id)
-	}
-	return out
-}
 
 // Len reports the number of keys.
 func (t *Table) Len() int {
@@ -976,22 +927,7 @@ func (t *Table) Restore(shards [][]Entry) {
 	// become garbage wholesale. Restored keys count as births (the key set
 	// is rebuilt), keeping the engine's universe staleness signal honest.
 	t.layout.Store(newLayout(1, 1, &t.births))
-	t.noteUntracked()
-	var wg sync.WaitGroup
-	for _, es := range shards {
-		if len(es) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(es []Entry) {
-			defer wg.Done()
-			ly := t.layout.Load()
-			for _, en := range es {
-				ly.writeID(t.dict.Intern(en.Key), en.TS, en.Value)
-			}
-		}(es)
-	}
-	wg.Wait()
+	t.RestoreDelta(shards)
 }
 
 // RestoreDelta is Restore's incremental-apply mode: it installs the given

@@ -488,19 +488,23 @@ func TestTruncateForToleratesSloppyDirtySets(t *testing.T) {
 }
 
 // TestTruncateForFallsBackWhenUntracked: a write the dirty set cannot know
-// about (the string API here) must not leak history past the next clean-up —
-// TruncateFor takes the full sweep once, then returns to visiting only what
-// it is told about.
+// about (recovery's Restore and RestoreDelta) must not leak history past the
+// next clean-up — TruncateFor takes the full sweep once, then returns to
+// visiting only what it is told about.
 func TestTruncateForFallsBackWhenUntracked(t *testing.T) {
 	tb := NewTable()
-	tb.Preload("untracked/a", int64(0))
-	tb.Preload("untracked/b", int64(0))
-	for ts := uint64(1); ts <= 3; ts++ {
-		tb.Write("untracked/a", ts, int64(ts))
+	tb.Restore([][]Entry{{
+		{Key: "untracked/a", TS: 1, Value: int64(1)},
+		{Key: "untracked/a", TS: 2, Value: int64(2)},
+		{Key: "untracked/a", TS: 3, Value: int64(3)},
+		{Key: "untracked/b", TS: 0, Value: int64(0)},
+	}})
+	if n := tb.VersionCount("untracked/a"); n != 3 {
+		t.Fatalf("restored %d versions of untracked/a; want 3", n)
 	}
 	tb.TruncateFor(nil)
 	if n := tb.VersionCount("untracked/a"); n != 1 {
-		t.Fatalf("after an untracked write, TruncateFor(nil) left %d versions; want 1 (full sweep)", n)
+		t.Fatalf("after Restore, TruncateFor(nil) left %d versions; want 1 (full sweep)", n)
 	}
 	// Tracked again: a View write outside the dirty set is the caller's bug,
 	// and the proof that only the dirty chains are visited.

@@ -130,12 +130,12 @@ func TestAdminScrapeUnderMutation(t *testing.T) {
 
 	stop := make(chan struct{})
 	go func() {
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
-				c.AddW(i, 1)
+				c.Add(1)
 			}
 		}
 	}()

@@ -41,9 +41,6 @@ func writeSeries(w io.Writer, in instrument) error {
 	case in.cf != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", in.d.name, lbl, in.cf.Value())
 		return err
-	case in.g != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", in.d.name, lbl, in.g.Value())
-		return err
 	case in.gf != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", in.d.name, lbl, in.gf.Value())
 		return err
@@ -138,8 +135,6 @@ func (r *Registry) Snapshot() []Sample {
 			s.Value = in.c.Value()
 		case in.cf != nil:
 			s.Value = in.cf.Value()
-		case in.g != nil:
-			s.Value = in.g.Value()
 		case in.gf != nil:
 			s.Value = in.gf.Value()
 		case in.h != nil:

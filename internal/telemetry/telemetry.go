@@ -5,13 +5,12 @@
 //
 // # Instruments
 //
-// Counter, Gauge and Histogram mutate through padded per-stripe atomics:
-// writers touch one cacheline-padded cell (hot multi-writer sites spread
-// across stripes by worker id via AddW/RecordW), and stripes are summed only
-// at scrape time. A Histogram uses fixed log-linear buckets (eight per power
-// of two, exposed as power-of-two le bounds) — recording is one bit-length
-// computation plus three stripe-local atomic adds, no allocation, no lock, no
-// floating point.
+// Counter and Histogram are plain atomics: a counter is one atomic.Int64, a
+// histogram one array of atomic bucket counts plus a count/sum pair. No
+// instrument has more than one writer on a hot path, so nothing is striped.
+// A Histogram uses fixed log-linear buckets (eight per power of two, exposed
+// as power-of-two le bounds) — recording is one bit-length computation plus
+// three atomic adds, no allocation, no lock, no floating point.
 //
 // CounterFunc and GaugeFunc are read-only instruments evaluated at scrape
 // time, for values something else already maintains (ring depth, overlap
@@ -35,22 +34,6 @@ import (
 	"sync/atomic"
 )
 
-// numStripes is the per-instrument write-sharding factor (power of two).
-// Hot multi-writer call sites pass a worker id to AddW/RecordW and land on
-// stripe id&(numStripes-1); single-writer sites use Add/Record (stripe 0),
-// which is then an uncontended atomic.
-const numStripes = 8
-
-// stripePad keeps adjacent stripes on distinct cache lines (the executor's
-// 128-byte padding granularity, covering adjacent-line prefetchers).
-const stripePad = 128
-
-// cell is one padded counter stripe.
-type cell struct {
-	v atomic.Int64
-	_ [stripePad - 8]byte
-}
-
 // desc is the identity every instrument shares: the metric name (family),
 // an optional single label pair, and the help line.
 type desc struct {
@@ -60,74 +43,29 @@ type desc struct {
 	help  string
 }
 
-// Counter is a monotonically increasing, stripe-sharded counter.
+// Counter is a monotonically increasing counter.
 type Counter struct {
-	d     desc
-	cells [numStripes]cell
-}
-
-// Inc adds one (single-writer stripe).
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add accumulates n onto stripe 0: the right call for single-writer sites,
-// where it is one uncontended atomic add. No-op on a nil receiver.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.cells[0].v.Add(n)
-}
-
-// AddW accumulates n onto worker w's stripe, keeping concurrent hot-path
-// writers off each other's cache lines. No-op on a nil receiver.
-func (c *Counter) AddW(w int, n int64) {
-	if c == nil {
-		return
-	}
-	c.cells[uint(w)%numStripes].v.Add(n)
-}
-
-// Value sums the stripes. Concurrent-safe; monotonic across reads that race
-// writers (each stripe is read once, and stripes only grow).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	var t int64
-	for i := range c.cells {
-		t += c.cells[i].v.Load()
-	}
-	return t
-}
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
 	d desc
 	v atomic.Int64
 }
 
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
+// Inc adds one.
+func (c *Counter) Inc() { c.Add(1) }
+
+// Add accumulates n. No-op on a nil receiver.
+func (c *Counter) Add(n int64) {
+	if c == nil {
 		return
 	}
-	g.v.Store(v)
+	c.v.Add(n)
 }
 
-// Add moves the gauge by n (negative to decrease). No-op on a nil receiver.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
+// Value reads the counter.
+func (c *Counter) Value() int64 {
+	if c == nil {
 		return 0
 	}
-	return g.v.Load()
+	return c.v.Load()
 }
 
 // Bucket layout (HDR-style). Exposition speaks power-of-two octaves: octave o
@@ -144,22 +82,15 @@ const (
 	numBuckets   = (numOctaves-subBits-1)*subPerOctave + 1 // last = overflow
 )
 
-// histStripe is one writer stripe of a Histogram: bucket counts plus the
-// count/sum pair every scrape merges. Padded like the counter cells.
-type histStripe struct {
+// Histogram is a fixed log-linear-bucket histogram: Record costs one
+// bit-length computation and three atomic adds. Values are int64 (record
+// time.Duration nanoseconds directly); negatives clamp to 0. The zero value
+// is ready to use without a registry.
+type Histogram struct {
+	d       desc
 	buckets [numBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64
-	_       [stripePad - 16]byte
-}
-
-// Histogram is a fixed log-linear-bucket histogram: Record costs one
-// bit-length computation and three stripe-local atomic adds. Values are
-// int64 (record time.Duration nanoseconds directly); negatives clamp to 0.
-// The zero value is ready to use without a registry.
-type Histogram struct {
-	d       desc
-	stripes [numStripes]histStripe
 }
 
 // bucketOf maps v to its sub-bucket. With u = v-1 (so upper bounds are
@@ -199,25 +130,20 @@ func octaveOf(b int) int {
 	return b>>subBits + subBits
 }
 
-// Record adds one observation on stripe 0 (single-writer sites). No-op on a
-// nil receiver.
-func (h *Histogram) Record(v int64) { h.RecordW(0, v) }
-
-// RecordW adds one observation on worker w's stripe. No-op on a nil receiver.
-func (h *Histogram) RecordW(w int, v int64) {
+// Record adds one observation. No-op on a nil receiver.
+func (h *Histogram) Record(v int64) {
 	if h == nil {
 		return
 	}
 	if v < 0 {
 		v = 0
 	}
-	s := &h.stripes[uint(w)%numStripes]
-	s.buckets[bucketOf(v)].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
+	h.buckets[bucketOf(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
 }
 
-// HistSnapshot is one merged reading of a Histogram.
+// HistSnapshot is one reading of a Histogram.
 type HistSnapshot struct {
 	// Buckets holds per-sub-bucket (non-cumulative) counts: eight linear
 	// sub-buckets per power of two, the last bucket overflows.
@@ -228,23 +154,20 @@ type HistSnapshot struct {
 	Sum int64
 }
 
-// Snapshot merges the stripes. Writers touch their bucket before count, and
-// the merge reads each stripe's count before its buckets, so a racing
-// snapshot can over-read buckets relative to count but never under-read:
-// sum(Buckets) >= Count always, with equality at quiescence. Every
-// individually read value is monotonic across snapshots.
+// Snapshot reads the histogram. Record touches its bucket before count, and
+// Snapshot reads count before the buckets, so a racing snapshot can
+// over-read buckets relative to count but never under-read: sum(Buckets) >=
+// Count always, with equality at quiescence. Every individually read value
+// is monotonic across snapshots.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var out HistSnapshot
 	if h == nil {
 		return out
 	}
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		out.Count += s.count.Load()
-		out.Sum += s.sum.Load()
-		for b := range s.buckets {
-			out.Buckets[b] += s.buckets[b].Load()
-		}
+	out.Count = h.count.Load()
+	out.Sum = h.sum.Load()
+	for b := range h.buckets {
+		out.Buckets[b] = h.buckets[b].Load()
 	}
 	return out
 }
@@ -313,7 +236,6 @@ func (g *GaugeFunc) Value() int64 {
 type instrument struct {
 	d desc
 	c *Counter
-	g *Gauge
 	h *Histogram
 	// cf/gf are the callback variants.
 	cf *CounterFunc
@@ -324,14 +246,14 @@ func (in instrument) kind() string {
 	switch {
 	case in.c != nil, in.cf != nil:
 		return "counter"
-	case in.g != nil, in.gf != nil:
+	case in.gf != nil:
 		return "gauge"
 	default:
 		return "histogram"
 	}
 }
 
-// Registry holds a process's instruments. Construction (the Counter/Gauge/
+// Registry holds a process's instruments. Construction (the Counter and
 // Histogram lookups) takes a mutex and is meant for setup paths — engines
 // create their instruments once and hold the pointers; only the returned
 // instruments are hot-path safe. Registration is idempotent: asking for an
@@ -389,14 +311,6 @@ func (r *Registry) CounterL(name, help, labelKey, labelVal string) *Counter {
 	return r.lookup(d, func() instrument {
 		return instrument{d: d, c: &Counter{d: d}}
 	}).c
-}
-
-// Gauge returns (registering if needed) the gauge called name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	d := desc{name: name, help: help}
-	return r.lookup(d, func() instrument {
-		return instrument{d: d, g: &Gauge{d: d}}
-	}).g
 }
 
 // Histogram returns (registering if needed) the histogram called name.

@@ -12,22 +12,17 @@ import (
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("c", "h")
-	g := r.Gauge("g", "h")
 	h := r.Histogram("h", "h")
 	cf := r.CounterFunc("cf", "h", func() int64 { return 7 })
 	gf := r.GaugeFunc("gf", "h", func() int64 { return 7 })
-	if c != nil || g != nil || h != nil || cf != nil || gf != nil {
+	if c != nil || h != nil || cf != nil || gf != nil {
 		t.Fatal("nil registry must return nil instruments")
 	}
 	// Every mutation and read on nil instruments must be a no-op, not a panic.
 	c.Inc()
 	c.Add(5)
-	c.AddW(3, 5)
-	g.Set(1)
-	g.Add(1)
 	h.Record(10)
-	h.RecordW(2, 10)
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
+	if c.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	if cf.Value() != 0 || gf.Value() != 0 {
@@ -81,7 +76,7 @@ func TestBucketOf(t *testing.T) {
 	for _, c := range cases {
 		v := c.v
 		if v < 0 {
-			v = 0 // RecordW clamps before bucketing
+			v = 0 // Record clamps before bucketing
 		}
 		if got := bucketOf(v); got != c.want {
 			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
@@ -122,7 +117,7 @@ func TestHistogramExactTotals(t *testing.T) {
 	h := r.Histogram("lat_ns", "h")
 	var wantSum int64
 	for i := int64(1); i <= 1000; i++ {
-		h.RecordW(int(i), i)
+		h.Record(i)
 		wantSum += i
 	}
 	s := h.Snapshot()
@@ -154,7 +149,7 @@ func TestQuantileAccuracy(t *testing.T) {
 	samples := make([]int64, n)
 	for i := range samples {
 		samples[i] = int64(math.Exp(rng.Float64() * math.Log(10e9)))
-		h.RecordW(i, samples[i])
+		h.Record(samples[i])
 	}
 	slices.Sort(samples)
 	s := h.Snapshot()
@@ -198,7 +193,6 @@ func TestConcurrentMutationVsScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "ops")
 	h := r.Histogram("lat_ns", "latency")
-	g := r.Gauge("depth", "depth")
 
 	const workers = 8
 	const perWorker = 5000
@@ -233,12 +227,12 @@ func TestConcurrentMutationVsScrape(t *testing.T) {
 			for _, b := range s.Buckets {
 				bucketTotal += b
 			}
-			// Writers hit their bucket before count, and the merge reads
+			// Writers hit their bucket before count, and Snapshot reads
 			// count before buckets, so a racing snapshot may over-read
 			// buckets but can never show fewer bucketed observations than
-			// counted ones — an under-read would be a torn merge.
+			// counted ones — an under-read would be a torn read.
 			if bucketTotal < s.Count {
-				t.Errorf("bucket total %d < count %d: torn merge", bucketTotal, s.Count)
+				t.Errorf("bucket total %d < count %d: torn read", bucketTotal, s.Count)
 				return
 			}
 			var sb strings.Builder
@@ -249,14 +243,13 @@ func TestConcurrentMutationVsScrape(t *testing.T) {
 
 	for w := 0; w < workers; w++ {
 		mutators.Add(1)
-		go func(w int) {
+		go func() {
 			defer mutators.Done()
 			for i := 0; i < perWorker; i++ {
-				c.AddW(w, 1)
-				h.RecordW(w, int64(i%4096)+1)
-				g.Set(int64(i))
+				c.Add(1)
+				h.Record(int64(i%4096) + 1)
 			}
-		}(w)
+		}()
 	}
 
 	mutators.Wait()
@@ -282,7 +275,7 @@ func TestConcurrentMutationVsScrape(t *testing.T) {
 func TestWritePromFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("morph_ops_total", "Total ops.").Add(42)
-	r.Gauge("morph_depth", "Ring depth.").Set(7)
+	r.GaugeFunc("morph_depth", "Ring depth.", func() int64 { return 7 })
 	r.CounterL("morph_frames_total", "Frames by type.", "type", "submit").Add(3)
 	r.CounterL("morph_frames_total", "Frames by type.", "type", "receipt").Add(9)
 	h := r.Histogram("morph_lat_ns", "Latency.")
@@ -412,14 +405,9 @@ func BenchmarkTelemetryInstruments(b *testing.B) {
 			c.Add(1)
 		}
 	})
-	b.Run("counter-addw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.AddW(i, 1)
-		}
-	})
 	b.Run("histogram-record", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			h.RecordW(i, int64(i))
+			h.Record(int64(i))
 		}
 	})
 	b.Run("nil-counter-inc", func(b *testing.B) {
@@ -429,7 +417,7 @@ func BenchmarkTelemetryInstruments(b *testing.B) {
 	})
 	b.Run("nil-histogram-record", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			nilH.RecordW(i, int64(i))
+			nilH.Record(int64(i))
 		}
 	})
 	b.Run("scrape-merge", func(b *testing.B) {

@@ -134,9 +134,6 @@ func (s *ResultSink) add(b *EventBlotter, v Value) {
 	s.entries = append(s.entries, sinkEntry{b: b, v: v})
 }
 
-// Len reports the number of buffered results.
-func (s *ResultSink) Len() int { return len(s.entries) }
-
 // Flush appends every buffered result to its blotter, in buffer (i.e.
 // per-worker execution) order, and empties the sink. The executor calls it
 // only at quiescent points, where no operation is in flight.
@@ -364,23 +361,10 @@ func (o *Operation) MarkWrittenID(id store.KeyID) {
 	o.written.Store(true)
 }
 
-// MarkWritten records that the operation installed a version at key k.
-func (o *Operation) MarkWritten(k Key) { o.MarkWrittenID(store.Intern(k)) }
-
 // WrittenID reports whether the operation currently has a version
 // installed, and at which key id.
 func (o *Operation) WrittenID() (store.KeyID, bool) {
 	return o.writtenID, o.written.Load()
-}
-
-// Written reports whether the operation currently has a version installed,
-// and at which key.
-func (o *Operation) Written() (Key, bool) {
-	id, ok := o.WrittenID()
-	if !ok {
-		return "", false
-	}
-	return store.KeyOf(id), true
 }
 
 // ClearWritten resets the write record after rollback.
@@ -404,11 +388,8 @@ type Transaction struct {
 	// strategies (paper Section 8.2.3). Zero is the default group.
 	Group int
 
-	// aborted is latched once the transaction fails; selfFailed
-	// distinguishes "my own UDF failed" from cascading logical aborts so
-	// rollback can un-abort cascades and recompute their decision.
-	aborted    atomic.Bool
-	selfFailed atomic.Bool
+	// aborted is latched once the transaction fails.
+	aborted atomic.Bool
 }
 
 // NewTransaction allocates an empty transaction with a fresh blotter.
@@ -425,24 +406,8 @@ func (t *Transaction) AddOp(op *Operation) {
 // Aborted reports the latched abort flag.
 func (t *Transaction) Aborted() bool { return t.aborted.Load() }
 
-// MarkAborted latches the abort flag; self says the transaction's own UDF
-// failed (as opposed to a cascading un-abortable decision).
-func (t *Transaction) MarkAborted(self bool) {
-	t.aborted.Store(true)
-	if self {
-		t.selfFailed.Store(true)
-	}
-}
-
-// SelfFailed reports whether the transaction's own UDF failed.
-func (t *Transaction) SelfFailed() bool { return t.selfFailed.Load() }
-
-// ResetAbort clears the abort latch so a cascade-aborted transaction can be
-// re-decided after upstream rollback.
-func (t *Transaction) ResetAbort() {
-	t.aborted.Store(false)
-	t.selfFailed.Store(false)
-}
+// MarkAborted latches the abort flag.
+func (t *Transaction) MarkAborted() { t.aborted.Store(true) }
 
 // EventBlotter is the auxiliary structure bridging the stream processing
 // phase and the transaction processing phase (paper Section 7.1).

@@ -3,6 +3,8 @@ package txn
 import (
 	"sync"
 	"testing"
+
+	"morphstream/internal/store"
 )
 
 func TestOpKindString(t *testing.T) {
@@ -76,38 +78,30 @@ func TestAddEdgeAndDedup(t *testing.T) {
 	}
 }
 
-func TestAbortLatchAndReset(t *testing.T) {
+func TestAbortLatch(t *testing.T) {
 	tx := NewTransaction(1, 1)
-	if tx.Aborted() || tx.SelfFailed() {
+	if tx.Aborted() {
 		t.Fatal("fresh transaction marked aborted")
 	}
-	tx.MarkAborted(false)
-	if !tx.Aborted() || tx.SelfFailed() {
-		t.Fatal("cascade abort should not set selfFailed")
-	}
-	tx.ResetAbort()
-	tx.MarkAborted(true)
-	if !tx.Aborted() || !tx.SelfFailed() {
-		t.Fatal("self abort should set both flags")
-	}
-	tx.ResetAbort()
-	if tx.Aborted() || tx.SelfFailed() {
-		t.Fatal("ResetAbort did not clear flags")
+	tx.MarkAborted()
+	tx.MarkAborted()
+	if !tx.Aborted() {
+		t.Fatal("MarkAborted did not latch")
 	}
 }
 
 func TestWrittenRecord(t *testing.T) {
 	op := &Operation{ID: 1}
-	if _, ok := op.Written(); ok {
+	if _, ok := op.WrittenID(); ok {
 		t.Fatal("fresh op reports written")
 	}
-	op.MarkWritten("k1")
-	k, ok := op.Written()
-	if !ok || k != "k1" {
-		t.Fatalf("Written = %q, %v", k, ok)
+	id := store.Intern("k1")
+	op.MarkWrittenID(id)
+	if got, ok := op.WrittenID(); !ok || got != id {
+		t.Fatalf("WrittenID = %d, %v; want %d", got, ok, id)
 	}
 	op.ClearWritten()
-	if _, ok := op.Written(); ok {
+	if _, ok := op.WrittenID(); ok {
 		t.Fatal("ClearWritten did not clear")
 	}
 }
@@ -144,12 +138,12 @@ func TestResultSinkRouting(t *testing.T) {
 	if got := len(b1.Results()); got != 0 {
 		t.Fatalf("b1 grew before flush: %d results", got)
 	}
-	if sink.Len() != 2 {
-		t.Fatalf("sink holds %d entries; want 2", sink.Len())
+	if n := len(sink.entries); n != 2 {
+		t.Fatalf("sink holds %d entries; want 2", n)
 	}
 
 	sink.Flush()
-	if sink.Len() != 0 {
+	if len(sink.entries) != 0 {
 		t.Fatalf("sink not emptied by flush")
 	}
 	if got := b1.Results(); len(got) != 1 || got[0].(int64) != 2 {

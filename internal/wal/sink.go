@@ -91,9 +91,6 @@ func NewFileSink(dir string) (*FileSink, error) {
 	return &FileSink{dir: dir}, nil
 }
 
-// Dir returns the backing directory.
-func (s *FileSink) Dir() string { return s.dir }
-
 func (s *FileSink) syncDir() error {
 	d, err := os.Open(s.dir)
 	if err != nil {
@@ -375,22 +372,6 @@ func (s *MemSink) DropSnapshotsBelow(bound int64) error {
 		}
 	}
 	return nil
-}
-
-// Corrupt flips one byte inside a stored segment — crash-test helper.
-func (s *MemSink) Corrupt(firstSeq int64, off int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.segs[firstSeq]; off < len(b) {
-		b[off] ^= 0xff
-	}
-}
-
-// AppendRaw tacks arbitrary bytes onto a stored segment — torn-tail helper.
-func (s *MemSink) AppendRaw(firstSeq int64, raw []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.segs[firstSeq] = append(s.segs[firstSeq], raw...)
 }
 
 func (s *MemSink) Close() error {

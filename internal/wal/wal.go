@@ -28,8 +28,8 @@
 // bytes proportional to churn, not table size, so the engine can checkpoint
 // frequently; the chain is rotated — a fresh base written and everything
 // older dropped — once the accumulated diff payload crosses a fraction
-// (Options.DiffBudget) of the base's size, or the chain grows past
-// Options.MaxDiffChain links. Every snapshot, base or diff, truncates the
+// (diffBudget) of the base's size, or the chain grows past maxDiffChain
+// links. Every snapshot, base or diff, truncates the
 // record log behind it: records at or below the chain tip are covered by
 // base + diffs.
 //
@@ -101,28 +101,18 @@ func (p SyncPolicy) String() string {
 	return "?"
 }
 
-// DefaultDiffBudget is the base-rewrite threshold when Options leaves
-// DiffBudget unset: the chain rotates once its accumulated diff payload
-// reaches half the base snapshot's size (past that point replaying diffs
-// costs more than a fresh base would).
-const DefaultDiffBudget = 0.5
+// diffBudget is the base-rewrite threshold: the chain rotates once its
+// accumulated diff payload reaches half the base snapshot's size (past that
+// point replaying diffs costs more than a fresh base would).
+const diffBudget = 0.5
 
-// DefaultMaxDiffChain caps the number of diffs stacked on one base when
-// Options leaves MaxDiffChain unset, bounding the recovery chain walk.
-const DefaultMaxDiffChain = 16
+// maxDiffChain caps the number of diffs stacked on one base, bounding the
+// recovery chain walk.
+const maxDiffChain = 16
 
 // Options tune a Log opened over a Sink.
 type Options struct {
 	Policy SyncPolicy
-	// DiffBudget rotates the snapshot chain (rewrites the base) once the
-	// accumulated diff payload bytes reach DiffBudget × the base payload
-	// size. 0 uses DefaultDiffBudget; negative disables incremental diffs
-	// entirely (WantBase is always true — every snapshot is a full base,
-	// the pre-chain behaviour).
-	DiffBudget float64
-	// MaxDiffChain caps the diffs stacked on one base regardless of size.
-	// 0 uses DefaultMaxDiffChain.
-	MaxDiffChain int
 	// Registry, when non-nil, receives the log's series: appends and bytes,
 	// fsync latency, snapshot base/diff counts, and replay statistics. All
 	// recordings happen on the single-writer append/snapshot path or during
@@ -156,13 +146,10 @@ type Log struct {
 	ready   bool
 	lastSeq int64
 	snapSeq int64
-	maxTS   uint64
 	encBuf  bytes.Buffer
 
 	// Snapshot-chain accounting: the current base's seq and payload size,
 	// and the diff payload bytes and link count accumulated on top of it.
-	diffBudget float64
-	maxChain   int
 	baseSeq    int64
 	baseBytes  int64
 	chainBytes int64
@@ -447,20 +434,10 @@ func loadChain(sink Sink, tip int64) ([][]byte, []snapHeader, error) {
 // repairs a torn tail and starts the post-recovery segment, so appends never
 // interleave with history.
 func Open(sink Sink, opts Options) (*Log, *Recovery, error) {
-	budget := opts.DiffBudget
-	if budget == 0 {
-		budget = DefaultDiffBudget
-	}
-	maxChain := opts.MaxDiffChain
-	if maxChain <= 0 {
-		maxChain = DefaultMaxDiffChain
-	}
 	l := &Log{
-		sink:       sink,
-		policy:     opts.Policy,
-		diffBudget: budget,
-		maxChain:   maxChain,
-		baseSeq:    -1,
+		sink:    sink,
+		policy:  opts.Policy,
+		baseSeq: -1,
 	}
 	if reg := opts.Registry; reg != nil {
 		l.inst = walInstruments{
@@ -511,7 +488,6 @@ func Open(sink Sink, opts Options) (*Log, *Recovery, error) {
 		return nil, nil, err
 	}
 	l.snapSeq = rec.SnapshotSeq
-	l.maxTS = rec.MaxTS
 	return l, rec, nil
 }
 
@@ -594,28 +570,6 @@ func (r *Recovery) Next() (Record, error) {
 	}
 }
 
-// Drain consumes whatever remains of the recovery — snapshot links and
-// replay records alike — without handing them to the caller, leaving the Log
-// writable. For callers that open a sink they know is fresh (benchmarks,
-// tests) or that intentionally discard history; recovery proper applies the
-// chain and records through NextSnapshot and Next instead.
-func (r *Recovery) Drain() error {
-	for {
-		if _, err := r.NextSnapshot(); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-	}
-	for {
-		if _, err := r.Next(); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return err
-		}
-	}
-}
-
 // tornOrCorrupt resolves a frame failure: in the last segment it is a torn
 // tail (truncate, finish), anywhere earlier it is corruption.
 func (r *Recovery) tornOrCorrupt(cause error) (Record, error) {
@@ -645,9 +599,6 @@ func (r *Recovery) finish(closedCur bool) error {
 		return err
 	}
 	r.log.lastSeq = r.LastSeq
-	if r.MaxTS > r.log.maxTS {
-		r.log.maxTS = r.MaxTS
-	}
 	r.log.ready = true
 	return io.EOF
 }
@@ -673,9 +624,6 @@ func (l *Log) Append(r Record) error {
 	l.inst.appends.Inc()
 	l.inst.bytes.Add(int64(l.encBuf.Len()))
 	l.lastSeq = r.Seq
-	if r.MaxTS > l.maxTS {
-		l.maxTS = r.MaxTS
-	}
 	if l.policy == SyncPunctuation {
 		return l.syncTimed()
 	}
@@ -688,13 +636,10 @@ func (l *Log) Append(r Record) error {
 // is at its length cap. The caller materialises accordingly — a full-table
 // sweep for Snapshot, a dirty-set sweep for SnapshotDiff.
 func (l *Log) WantBase() bool {
-	if l.baseSeq < 0 || l.chainLen >= l.maxChain {
+	if l.baseSeq < 0 || l.chainLen >= maxDiffChain {
 		return true
 	}
-	if l.diffBudget < 0 {
-		return true
-	}
-	return float64(l.chainBytes) >= l.diffBudget*float64(l.baseBytes)
+	return float64(l.chainBytes) >= diffBudget*float64(l.baseBytes)
 }
 
 // Snapshot persists a full-table base image covering everything through seq,
@@ -774,24 +719,11 @@ func (l *Log) writeAndRotate(seq int64, payload []byte, keepSnaps int64) error {
 	return l.sink.DropSnapshotsBelow(keepSnaps)
 }
 
-// Sync forces an fsync regardless of policy.
-func (l *Log) Sync() error { return l.syncTimed() }
-
 // LastSeq returns the highest batch sequence appended or recovered.
 func (l *Log) LastSeq() int64 { return l.lastSeq }
 
-// SnapshotSeq returns the current snapshot watermark — the chain tip's
-// sequence (-1 if none).
-func (l *Log) SnapshotSeq() int64 { return l.snapSeq }
-
-// BaseSeq returns the current base snapshot's sequence (-1 if none).
-func (l *Log) BaseSeq() int64 { return l.baseSeq }
-
 // ChainLen returns the number of incremental diffs stacked on the base.
 func (l *Log) ChainLen() int { return l.chainLen }
-
-// MaxTS returns the highest timestamp appended or recovered.
-func (l *Log) MaxTS() uint64 { return l.maxTS }
 
 // Close flushes and closes the sink.
 func (l *Log) Close() error { return l.sink.Close() }

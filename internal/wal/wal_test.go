@@ -91,7 +91,7 @@ func sinks(t *testing.T, f func(t *testing.T, mk func(t *testing.T) Sink)) {
 func reopen(t *testing.T, s Sink, opts Options) (*Log, *Recovery, drained) {
 	t.Helper()
 	if fs, ok := s.(*FileSink); ok {
-		ns, err := NewFileSink(fs.Dir())
+		ns, err := NewFileSink(fs.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 		if l.LastSeq() != 5 {
 			t.Fatalf("LastSeq = %d", l.LastSeq())
 		}
-		if err := l.Sync(); err != nil {
+		if err := l.syncTimed(); err != nil {
 			t.Fatal(err)
 		}
 
@@ -189,7 +189,7 @@ func TestSnapshotRotationAndReplaySkip(t *testing.T) {
 		if err := l.Append(rec(5, 9, entry("k", 9, 5))); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Sync(); err != nil {
+		if err := l.syncTimed(); err != nil {
 			t.Fatal(err)
 		}
 
@@ -228,8 +228,7 @@ func TestSnapshotRotationAndReplaySkip(t *testing.T) {
 func TestSnapshotDiffChain(t *testing.T) {
 	sinks(t, func(t *testing.T, mk func(t *testing.T) Sink) {
 		s := mk(t)
-		// Huge budget: diffs never trigger a base rewrite in this test.
-		opts := Options{DiffBudget: 1e9}
+		opts := Options{}
 		l, _, _ := openFresh(t, s, opts)
 		if err := l.Append(rec(1, 1, entry("a", 1, 1))); err != nil {
 			t.Fatal(err)
@@ -255,8 +254,8 @@ func TestSnapshotDiffChain(t *testing.T) {
 		if err := l.SnapshotDiff(3, 3, [][]store.Entry{{entry("a", 3, 30)}}); err != nil {
 			t.Fatalf("diff 3: %v", err)
 		}
-		if l.ChainLen() != 2 || l.BaseSeq() != 1 || l.SnapshotSeq() != 3 {
-			t.Fatalf("chain state = len %d base %d tip %d", l.ChainLen(), l.BaseSeq(), l.SnapshotSeq())
+		if l.ChainLen() != 2 || l.baseSeq != 1 || l.snapSeq != 3 {
+			t.Fatalf("chain state = len %d base %d tip %d", l.ChainLen(), l.baseSeq, l.snapSeq)
 		}
 		// Records behind the tip are truncated; the whole chain survives.
 		segs, _ := s.Segments()
@@ -272,7 +271,7 @@ func TestSnapshotDiffChain(t *testing.T) {
 		if err := l.Append(rec(4, 4, entry("c", 4, 4))); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Sync(); err != nil {
+		if err := l.syncTimed(); err != nil {
 			t.Fatal(err)
 		}
 
@@ -302,17 +301,17 @@ func TestSnapshotDiffChain(t *testing.T) {
 			t.Fatalf("replay records = %+v; want only seq 4", d.records)
 		}
 		// The reopened log keeps extending the same chain.
-		if l2.BaseSeq() != 1 || l2.ChainLen() != 2 {
-			t.Fatalf("reopened chain state = base %d len %d", l2.BaseSeq(), l2.ChainLen())
+		if l2.baseSeq != 1 || l2.ChainLen() != 2 {
+			t.Fatalf("reopened chain state = base %d len %d", l2.baseSeq, l2.ChainLen())
 		}
 	})
 }
 
 // TestDiffBudgetRotation: the chain rotates to a fresh base once accumulated
-// diff bytes cross DiffBudget × base size, and old links are dropped.
+// diff bytes cross diffBudget × base size, and old links are dropped.
 func TestDiffBudgetRotation(t *testing.T) {
 	s := NewMemSink()
-	l, _, _ := openFresh(t, s, Options{DiffBudget: 0.5})
+	l, _, _ := openFresh(t, s, Options{})
 	big := make([]store.Entry, 64)
 	for i := range big {
 		big[i] = entry(fmt.Sprintf("k%02d", i), 1, int64(i))
@@ -345,32 +344,36 @@ func TestDiffBudgetRotation(t *testing.T) {
 	if err := l.Snapshot(seq, uint64(seq), [][]store.Entry{full}); err != nil {
 		t.Fatal(err)
 	}
-	if l.ChainLen() != 0 || l.BaseSeq() != seq {
-		t.Fatalf("post-rotation chain = len %d base %d", l.ChainLen(), l.BaseSeq())
+	if l.ChainLen() != 0 || l.baseSeq != seq {
+		t.Fatalf("post-rotation chain = len %d base %d", l.ChainLen(), l.baseSeq)
 	}
 	snaps, _ := s.Snapshots()
 	if len(snaps) != 1 || snaps[0] != seq {
 		t.Fatalf("snapshots after rotation = %v; want [%d]", snaps, seq)
 	}
-	_, r, _ := reopen(t, s, Options{DiffBudget: 0.5})
+	_, r, _ := reopen(t, s, Options{})
 	if r.BaseSeq != seq || r.Diffs != 0 {
 		t.Fatalf("post-rotation recovery = %+v", r)
 	}
 }
 
-// TestMaxDiffChainCap: the length cap forces a base even under a huge byte
-// budget.
+// TestMaxDiffChainCap: the length cap forces a base while the diffs are
+// still far below the byte budget.
 func TestMaxDiffChainCap(t *testing.T) {
-	l, _, _ := openFresh(t, NewMemSink(), Options{DiffBudget: 1e9, MaxDiffChain: 2})
-	if err := l.Append(rec(1, 1, entry("k", 1, 1))); err != nil {
+	l, _, _ := openFresh(t, NewMemSink(), Options{})
+	big := make([]store.Entry, 4096)
+	for i := range big {
+		big[i] = entry(fmt.Sprintf("k%04d", i), 1, int64(i))
+	}
+	if err := l.Append(rec(1, 1, big...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot(1, 1, [][]store.Entry{{entry("k", 1, 1)}}); err != nil {
+	if err := l.Snapshot(1, 1, [][]store.Entry{big}); err != nil {
 		t.Fatal(err)
 	}
-	for seq := int64(2); seq <= 3; seq++ {
+	for seq := int64(2); seq <= maxDiffChain+1; seq++ {
 		if l.WantBase() {
-			t.Fatalf("WantBase at chain len %d, cap 2", l.ChainLen())
+			t.Fatalf("WantBase at chain len %d, cap %d", l.ChainLen(), maxDiffChain)
 		}
 		if err := l.Append(rec(seq, uint64(seq), entry("k", uint64(seq), seq))); err != nil {
 			t.Fatal(err)
@@ -378,6 +381,9 @@ func TestMaxDiffChainCap(t *testing.T) {
 		if err := l.SnapshotDiff(seq, uint64(seq), [][]store.Entry{{entry("k", uint64(seq), seq)}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if float64(l.chainBytes) >= diffBudget*float64(l.baseBytes) {
+		t.Fatalf("diffs (%d bytes) crossed the byte budget of a %d-byte base: the cap is not what is tested", l.chainBytes, l.baseBytes)
 	}
 	if !l.WantBase() {
 		t.Fatal("cap reached but WantBase is false")
@@ -435,7 +441,7 @@ func TestTornTailTruncation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.Sync(); err != nil {
+		if err := l.syncTimed(); err != nil {
 			t.Fatal(err)
 		}
 		// Tear the tail: an in-flight frame whose payload never finished.
@@ -444,7 +450,7 @@ func TestTornTailTruncation(t *testing.T) {
 		case *MemSink:
 			ms.AppendRaw(1, torn)
 		case *FileSink:
-			f, err := os.OpenFile(filepath.Join(ms.Dir(), segName(1)), os.O_APPEND|os.O_WRONLY, 0o644)
+			f, err := os.OpenFile(filepath.Join(ms.dir, segName(1)), os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -580,7 +586,7 @@ func TestFileSinkSurvivesUncleanBufferedTail(t *testing.T) {
 	if err := l.Append(rec(1, 1, entry("k", 1, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.syncTimed(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(rec(2, 2, entry("k", 2, 2))); err != nil {

@@ -231,7 +231,10 @@ func WithShards(n int) Option { return engine.WithShards(n) }
 // their own target) collapse into single fused TPG vertices at planning
 // time, so Zipf-skewed hot-key batches plan graphs orders of magnitude
 // smaller. Per-event results, abort fan-out and the version history are
-// preserved exactly; ND and window operations never fuse.
+// preserved exactly; ND and window operations never fuse. Fusion is for
+// streams that do not abort: under e-abort, which the decision model picks
+// for any abort ratio below 0.25, a hot-key stream with 10 % aborts ran
+// 7–8× slower fused than unfused (BenchmarkFusionUnderAborts).
 func WithFusion(on bool) Option { return engine.WithFusion(on) }
 
 // WithPunctuationCount seals a pipelined batch after n ingested events.
