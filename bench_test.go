@@ -947,32 +947,33 @@ func BenchmarkHotKeyFusion(b *testing.B) {
 }
 
 // BenchmarkFusionUnderAborts is a reading row, outside the CI gate: the
-// hot-key stream of BenchmarkHotKeyFusion with 10 % forced aborts, at θ 0.6
-// and 1.2, fusion off and on, under e-abort — the decision model's pick
-// whenever the abort ratio is below 0.25 — and under l-abort. It shows
-// where fusion stops paying: with e-abort an aborting stream loses the
-// hot-key gain several times over.
+// hot-key stream of BenchmarkHotKeyFusion with 0.1 %, 1 % and 10 % forced
+// aborts, at θ 0.6 and 1.2, fusion off and on, under e-abort — the decision
+// model's pick whenever the abort ratio is below 0.25 — and under l-abort.
+// It shows where fusion stops paying under aborts.
 func BenchmarkFusionUnderAborts(b *testing.B) {
 	for _, theta := range []float64{0.6, 1.2} {
-		batch := workload.HK(workload.Config{
-			Txns: 8192, StateSize: 1024, Theta: theta, Length: 2, AbortRatio: 0.1,
-			MultiRatio: 0.05, HotSetFraction: 0.25, Seed: 7,
-		})
-		for _, abort := range []sched.AbortMode{sched.EAbort, sched.LAbort} {
-			d := sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: abort}
-			for _, fusion := range []bool{false, true} {
-				name := fmt.Sprintf("theta=%.1f/%v/fusion=%v", theta, abort, fusion)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						txns, table := batch.Materialize()
-						b.StartTimer()
-						builder := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
-						builder.AddTxns(txns, 2)
-						exec.Run(builder.Finalize(2), exec.Config{Decision: d, Threads: 2, Table: table})
-					}
-					b.ReportMetric(float64(len(batch.Specs)*b.N)/b.Elapsed().Seconds(), "events/s")
-				})
+		for _, ratio := range []float64{0.001, 0.01, 0.1} {
+			batch := workload.HK(workload.Config{
+				Txns: 8192, StateSize: 1024, Theta: theta, Length: 2, AbortRatio: ratio,
+				MultiRatio: 0.05, HotSetFraction: 0.25, Seed: 7,
+			})
+			for _, abort := range []sched.AbortMode{sched.EAbort, sched.LAbort} {
+				d := sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: abort}
+				for _, fusion := range []bool{false, true} {
+					name := fmt.Sprintf("theta=%.1f/aborts=%g/%v/fusion=%v", theta, ratio, abort, fusion)
+					b.Run(name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							b.StopTimer()
+							txns, table := batch.Materialize()
+							b.StartTimer()
+							builder := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
+							builder.AddTxns(txns, 2)
+							exec.Run(builder.Finalize(2), exec.Config{Decision: d, Threads: 2, Table: table})
+						}
+						b.ReportMetric(float64(len(batch.Specs)*b.N)/b.Elapsed().Seconds(), "events/s")
+					})
+				}
 			}
 		}
 	}

@@ -34,10 +34,6 @@ type Durability struct {
 	// the WAL rewrites the full-table base only when the accumulated diff
 	// chain reaches half the base's size or 16 links.
 	SnapshotEvery int
-
-	// wantBase, when set, replaces the WAL's own base-or-diff choice at a
-	// checkpoint, so recovery tests can force a chain shape.
-	wantBase func() bool
 }
 
 // DefaultSnapshotEvery is the snapshot stride when Durability leaves
@@ -213,12 +209,8 @@ func (e *Engine) commitWAL(res *BatchResult, batchMaxTS uint64, dirty []store.Ke
 	}
 	if e.snapCredit >= every*e.cfg.PunctuateEvery {
 		e.snapCredit = 0
-		base := e.wal.WantBase()
-		if f := e.cfg.Durability.wantBase; f != nil {
-			base = f()
-		}
 		var err error
-		if base {
+		if e.wal.WantBase() {
 			err = e.wal.Snapshot(res.Seq, maxTS, e.table.LatestSince(0))
 		} else {
 			acc := make([]store.KeyID, 0, len(e.snapDirty))

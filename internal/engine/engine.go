@@ -370,8 +370,9 @@ func WithShards(n int) Option {
 
 // WithFusion toggles plan-time same-key operation fusion (Config.Fusion).
 // Keep it off for streams that abort: under e-abort, the decision model's
-// pick below an abort ratio of 0.25, fusion turns the hot-key gain into a
-// several-fold loss (BenchmarkFusionUnderAborts).
+// pick below an abort ratio of 0.25, fusion turned the hot-key gain into a
+// loss at every forced-abort ratio BenchmarkFusionUnderAborts measures
+// (0.1 %, 1 % and 10 %), growing with the ratio.
 func WithFusion(on bool) Option {
 	return func(c *Config) { c.Fusion = on }
 }

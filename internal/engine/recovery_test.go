@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -227,14 +229,16 @@ func countSnapshotFiles(t *testing.T, dir string) int {
 }
 
 // TestCrashRecoveryAcrossDiffChain extends the kill-and-restart property to
-// log-structured snapshot chains: with a checkpoint every punctuation and
-// rotation switched off, the directory holds a base image plus
-// one incremental diff per batch when the crash hits — and the crash also
+// log-structured snapshot chains: with a checkpoint every punctuation and a
+// base padded with keys no transaction touches (so the diffs stay far below
+// the WAL's rotation budget), the directory holds a base image plus one
+// incremental diff per batch when the crash hits — and the crash also
 // leaves a torn record after the newest diff. Recovery must walk the whole
 // chain (base via Restore, diffs layered on top), truncate the torn tail to
 // the last durable punctuation, and finish byte-equivalent to the serial
-// oracle's uninterrupted run. The rotate-always control pins the opposite
-// path: every checkpoint a full base, zero diffs replayed.
+// oracle's uninterrupted run. The rotated control pins the opposite path:
+// it crashes right after the checkpoint that hits the WAL's 16-diff chain
+// cap, so recovery reads a lone fresh base and replays zero diffs.
 func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 	workloads := []struct {
 		name  string
@@ -253,28 +257,41 @@ func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 			NDAccesses: 16,
 		})},
 	}
+	// maxDiffs mirrors the WAL's chain cap: the checkpoint after the 16th
+	// diff on a base writes a fresh base.
+	const maxDiffs = 16
 	cases := []struct {
-		name      string
-		wantDiffs bool
+		name         string
+		batchSize    int
+		crashBatches int
+		wantDiffs    bool
 	}{
-		{"diff-chain", true}, // never rotates: base + one diff per batch
-		{"base-only", false}, // always rotates: every checkpoint a base
+		{"diff-chain", 40, 3, true},           // base + one diff per batch
+		{"base-only", 8, maxDiffs + 1, false}, // the crash follows a rotation
 	}
-	const batchSize = 40
 	for _, w := range workloads {
-		oSnap, oRec, oC, oA := runOracle(w.batch)
+		// Untouched padding makes the base large next to any batch's
+		// churn, so only the chain cap can rotate it.
+		padded := &workload.Batch{Specs: w.batch.Specs, State: maps.Clone(w.batch.State)}
+		for i := 0; i < 1024; i++ {
+			padded.State[workload.Key(fmt.Sprintf("chain-pad-%04d", i))] = int64(i)
+		}
+		oSnap, oRec, oC, oA := runOracle(padded)
 		for _, tc := range cases {
 			t.Run(w.name+"/"+tc.name, func(t *testing.T) {
 				dir := t.TempDir()
 				dur := func() *Durability {
-					return &Durability{Dir: dir, SnapshotEvery: 1, wantBase: func() bool { return !tc.wantDiffs }}
+					return &Durability{Dir: dir, SnapshotEvery: 1}
 				}
-				specs := w.batch.Specs
-				crashBatches := len(specs) / batchSize / 2
+				specs := padded.Specs
+				batchSize, crashBatches := tc.batchSize, tc.crashBatches
 				crashEvents := crashBatches * batchSize
+				if crashEvents >= len(specs) {
+					t.Fatalf("crash after %d events leaves nothing of %d to resume", crashEvents, len(specs))
+				}
 
 				ctx, cancel := context.WithCancel(context.Background())
-				p1 := startDurablePhase(t, w.batch, nil, batchSize, dur(), ctx)
+				p1 := startDurablePhase(t, padded, nil, batchSize, dur(), ctx)
 				p1.ingest(t, specs[:crashEvents])
 				if err := p1.e.Drain(); err != nil {
 					t.Fatalf("phase-1 Drain: %v", err)
@@ -286,8 +303,8 @@ func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 				appendTornFrame(t, dir)
 
 				// The chain's shape on disk is part of the contract: the
-				// baseline base plus one diff per punctuation, or — with
-				// rotation forced — exactly the newest base.
+				// baseline base plus one diff per punctuation, or — right
+				// after a rotation — exactly the newest base.
 				if snaps := countSnapshotFiles(t, dir); tc.wantDiffs {
 					if want := crashBatches + 1; snaps != want {
 						t.Fatalf("snapshot files = %d; want %d (base + %d diffs)", snaps, want, crashBatches)
@@ -301,7 +318,7 @@ func TestCrashRecoveryAcrossDiffChain(t *testing.T) {
 				} else if !tc.wantDiffs && diffs != 0 {
 					t.Fatalf("recovered chain holds %d diffs; want 0 (base-only recovery)", diffs)
 				}
-				p2 := startDurablePhase(t, w.batch, nil, batchSize, dur(), context.Background())
+				p2 := startDurablePhase(t, padded, nil, batchSize, dur(), context.Background())
 				if got := p2.e.RecoveredSeq(); got != int64(crashBatches) {
 					t.Fatalf("RecoveredSeq = %d; want %d", got, crashBatches)
 				}
