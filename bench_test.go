@@ -236,9 +236,9 @@ func BenchmarkStoreContended(b *testing.B) {
 		for _, id := range ids {
 			t.PreloadID(id, v)
 		}
-		// Shard-align to the worker count over the key range, as the
-		// engine does before every batch.
-		t.Align(exec.NumShards(0, 4), ids[nKeys-1]+1)
+		// Partition the key range as the engine does for 4 workers before
+		// every batch.
+		t.Align(4, ids[nKeys-1]+1)
 		return t
 	}
 
@@ -467,11 +467,8 @@ func contendedDecisions() []sched.Decision {
 
 // benchContendedRun times exec.Run alone (materialisation and the serial
 // TPG construction are excluded) with more threads than cores, the worst case
-// for any per-operation synchronisation in the explore hot loop. shards=0
-// means the automatic KeyID-range partition (one shard per worker);
-// shards=1 degenerates to the PR 2 single-ring layout, isolating the
-// sharding delta.
-func benchContendedRun(b *testing.B, batch *workload.Batch, d sched.Decision, shards int) {
+// for any per-operation synchronisation in the explore hot loop.
+func benchContendedRun(b *testing.B, batch *workload.Batch, d sched.Decision) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -481,18 +478,8 @@ func benchContendedRun(b *testing.B, batch *workload.Batch, d sched.Decision, sh
 		builder.AddTxns(txns, 2)
 		graph := builder.Finalize(2)
 		b.StartTimer()
-		exec.Run(graph, exec.Config{Decision: d, Threads: 4, Shards: shards, Table: table})
+		exec.Run(graph, exec.Config{Decision: d, Threads: 4, Table: table})
 	}
-}
-
-// shardVariants names the two layouts every contended benchmark runs.
-type shardVariant struct {
-	name   string
-	shards int
-}
-
-func shardVariants() []shardVariant {
-	return []shardVariant{{"shards=1", 1}, {"shards=auto", 0}}
 }
 
 // BenchmarkExecContendedExplore stresses the gate-guarded explore hot loop:
@@ -505,9 +492,7 @@ func BenchmarkExecContendedExplore(b *testing.B) {
 	cfg.AbortRatio = 0
 	batch := workload.GS(cfg)
 	for _, d := range contendedDecisions() {
-		for _, v := range shardVariants() {
-			b.Run(d.String()+"/"+v.name, func(b *testing.B) { benchContendedRun(b, batch, d, v.shards) })
-		}
+		b.Run(d.String(), func(b *testing.B) { benchContendedRun(b, batch, d) })
 	}
 }
 
@@ -529,12 +514,10 @@ func BenchmarkExecContendedAbort(b *testing.B) {
 		eAbort,
 		{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: sched.LAbort},
 	} {
-		for _, v := range shardVariants() {
-			b.Run(d.String()+"/"+v.name, func(b *testing.B) { benchContendedRun(b, batch, d, v.shards) })
-		}
+		b.Run(d.String(), func(b *testing.B) { benchContendedRun(b, batch, d) })
 	}
 	hot := gsHotAbortBatch()
-	b.Run("gs-hot-abort/"+eAbort.String(), func(b *testing.B) { benchContendedRun(b, hot, eAbort, 0) })
+	b.Run("gs-hot-abort/"+eAbort.String(), func(b *testing.B) { benchContendedRun(b, hot, eAbort) })
 }
 
 // gsHotAbortBatch generates one punctuation of msbench's gs-hot-abort shape:

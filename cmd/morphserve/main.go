@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"morphstream/internal/engine"
-	"morphstream/internal/exec"
 	"morphstream/internal/rpcserve"
 	"morphstream/internal/telemetry"
 )
@@ -36,7 +35,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":7333", "listen address")
 		threads   = flag.Int("threads", 4, "executor threads")
-		shards    = flag.Int("shards", 0, "execution shards (0 = derive from threads)")
 		punctuate = flag.Int("punctuate", 4096, "punctuation batch size (events)")
 		interval  = flag.Duration("interval", 50*time.Millisecond, "bound on how long a batch stays open; batches seal earlier whenever the executor is idle (0 = count-only punctuation: every batch waits for -punctuate events)")
 		fusion    = flag.Bool("fusion", false, "enable plan-time hot-key operation fusion")
@@ -52,7 +50,6 @@ func main() {
 	cfg := rpcserve.Config{
 		Engine: engine.Config{
 			Threads:           *threads,
-			Shards:            *shards,
 			Cleanup:           true,
 			Fusion:            *fusion,
 			PunctuateEvery:    *punctuate,
@@ -94,7 +91,6 @@ func main() {
 			return map[string]any{
 				"pipeline": srv.Engine().PipelineStats(),
 				"sessions": srv.Sessions(),
-				"shards":   exec.NumShards(*shards, *threads),
 				"threads":  *threads,
 			}
 		})

@@ -65,7 +65,6 @@ var transferOp = morphstream.OperatorFuncs{
 
 func main() {
 	eng := morphstream.New(morphstream.Config{Threads: 4, Cleanup: true},
-		morphstream.WithShards(2),
 		morphstream.WithPunctuationCount(4)) // punctuation as policy
 	eng.Table().Preload("alice", int64(100))
 	eng.Table().Preload("bob", int64(50))

@@ -60,10 +60,6 @@ type Operator interface {
 type Config struct {
 	// Threads is the number of executor threads.
 	Threads int
-	// Shards is the number of KeyID-range partitions of the execution
-	// layer (per-shard ready rings and parking lots); 0 picks the
-	// smallest power of two >= Threads. See morphstream.WithShards.
-	Shards int
 	// Strategy pins a scheduling decision; nil enables the adaptive
 	// decision model (Fig. 7).
 	Strategy *sched.Decision
@@ -359,14 +355,8 @@ type Engine struct {
 }
 
 // Option customises an Engine's Config beyond its literal fields; the
-// public morphstream package re-exports the constructors (WithShards, ...).
+// public morphstream package re-exports the constructors (WithFusion, ...).
 type Option func(*Config)
-
-// WithShards pins the number of KeyID-range executor shards; 0 restores
-// the automatic choice (next power of two >= Threads).
-func WithShards(n int) Option {
-	return func(c *Config) { c.Shards = n }
-}
 
 // WithFusion toggles plan-time same-key operation fusion (Config.Fusion).
 // Keep it off for streams that abort: under e-abort, the decision model's
@@ -553,12 +543,12 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 		graphs[i] = pj.graph
 	}
 
-	// Align the state table's KeyID-range shards to the executor's shard
-	// map before any worker starts: this is the punctuation's quiescent
+	// Re-partition the state table's KeyID ranges over the batch's key
+	// span before any worker starts: this is the punctuation's quiescent
 	// point, so the re-partition (a chain-header move, steady-state no-op
 	// once the key space stabilises) cannot race the lock-free hot path.
 	if len(graphs) > 0 {
-		exec.AlignTable(e.table, e.cfg.Shards, e.cfg.Threads, graphs...)
+		exec.AlignTable(e.table, 0, e.cfg.Threads, graphs...)
 	}
 
 	// Execute all groups concurrently, splitting threads between them
@@ -573,10 +563,8 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 			results[i] = exec.Run(g, exec.Config{
 				Decision:  d,
 				Threads:   threads,
-				Shards:    e.cfg.Shards,
 				Table:     e.table,
 				Breakdown: e.Breakdown,
-				Telemetry: e.cfg.Telemetry,
 			})
 		}(i, pj.graph, res.Decisions[pj.id])
 	}
@@ -589,7 +577,6 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 		res.Redos += r.Redos
 		res.ResetTxns += r.ResetTxns
 		res.OpsExecuted += r.OpsExecuted
-		res.Steals += r.Steals
 		res.Parks += r.Parks
 	}
 

@@ -132,15 +132,15 @@ func TestEngineBasicBatch(t *testing.T) {
 }
 
 // TestPunctuateAlignsTableToExecutorShards: every punctuation must leave the
-// state table partitioned like the executor (exec.NumShards over the batch's
-// KeySpan), so workers' state accesses stay inside shard-local table memory.
+// state table partitioned into nextPow2(Threads) contiguous KeyID ranges
+// over the batch's KeySpan, the ranges its shard-parallel sweeps run over.
 // The batch blind-writes keys the table has never held, so only the batch's
 // graph can size the span: aligning without it would leave the empty
 // table's one-id span and clamp every key into shard 0. Padding interned
 // between the keys spreads them over most of the id space, so several
 // shard boundaries fall inside the batch's key range.
 func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
-	e := newBarrierEngine(t, Config{Threads: 4, Shards: 8, Cleanup: true})
+	e := newBarrierEngine(t, Config{Threads: 8, Cleanup: true})
 	const n, shards = 32, 8
 	stride := e.Table().DictLen()/8 + 1
 	keys := make([]txn.Key, n)
@@ -170,14 +170,14 @@ func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
 		t.Fatalf("committed = %d; want %d", res.Committed, n)
 	}
 	// The batch's KeySpan is one past its highest key id; Align maps id to
-	// shard id*shards/span, as the executor's shard map does.
+	// shard id*shards/span.
 	span := uint64(0)
 	for _, k := range keys {
 		span = max(span, uint64(store.Intern(k))+1)
 	}
 	buckets := e.Table().LatestSince(0)
 	if len(buckets) != shards {
-		t.Fatalf("table shards = %d; want Config.Shards = %d", len(buckets), shards)
+		t.Fatalf("table shards = %d; want Config.Threads = %d", len(buckets), shards)
 	}
 	seen, used := 0, map[int]bool{}
 	for si, es := range buckets {

@@ -35,10 +35,12 @@ type PipelineStats struct {
 	Redos       int64 // operation re-executions caused by rollback
 	ResetTxns   int64 // transactions sent back for redo by abort rounds
 	OpsExecuted int64 // successful operation executions, redos included
-	// Steals and Parks aggregate the executor's work-stealing and
-	// spin-then-park activity (exec.Result.Steals/Parks, summed).
+	// Steals is always 0: the executor has one ready ring and nothing to
+	// steal from. It stays because msbench reads it (ROADMAP item 4(b)).
 	Steals int64
-	Parks  int64 // spin-budget expiries that put a worker to sleep
+	// Parks counts spin-budget expiries that put a worker to sleep
+	// (exec.Result.Parks, summed).
+	Parks int64
 	// FusedOps counts operations executed as members of fused vertices
 	// (tpg.Props.FusedOps, summed).
 	FusedOps int64
@@ -88,7 +90,7 @@ type pipeTotals struct {
 	abortRounds, redos atomic.Int64
 	resetTxns          atomic.Int64
 	opsExecuted        atomic.Int64
-	steals, parks      atomic.Int64
+	parks              atomic.Int64
 	fusedOps           atomic.Int64
 	planNS, execNS     atomic.Int64
 	commitNS           atomic.Int64
@@ -104,9 +106,8 @@ type pipeTotals struct {
 
 // engineInstruments are the registry series the engine records itself: the
 // histograms, whose distributions the totals cannot supply. All nil when the
-// engine has no registry — every recording is then a nil check. The executor's shard
-// occupancy and the WAL's (appends, fsync, snapshots) series are owned by
-// those packages.
+// engine has no registry — every recording is then a nil check. The WAL's
+// series (appends, fsync, snapshots) are owned by that package.
 type engineInstruments struct {
 	planNS       *telemetry.Histogram
 	execNS       *telemetry.Histogram
@@ -150,7 +151,6 @@ func (e *Engine) setupTelemetry() {
 		{"morph_engine_redos_total", "Operation re-executions caused by rollback.", &t.redos},
 		{"morph_engine_abort_reset_txns_total", "Transactions sent back for redo by abort rounds (closure width, summed).", &t.resetTxns},
 		{"morph_engine_fused_ops_total", "Operations executed inside fused TPG vertices.", &t.fusedOps},
-		{"morph_exec_steals_total", "Units popped from a non-home shard ring.", &t.steals},
 		{"morph_exec_parks_total", "Spin-budget expiries that put a worker to sleep.", &t.parks},
 		{"morph_exec_ops_total", "Successful operation executions, redos included.", &t.opsExecuted},
 	} {
@@ -208,7 +208,6 @@ func (e *Engine) recordBatch(res *BatchResult, trigger sealTrigger, commitTime, 
 	t.redos.Add(int64(res.Redos))
 	t.resetTxns.Add(int64(res.ResetTxns))
 	t.opsExecuted.Add(int64(res.OpsExecuted))
-	t.steals.Add(int64(res.Steals))
 	t.parks.Add(int64(res.Parks))
 	t.fusedOps.Add(int64(res.Props.FusedOps))
 	t.planNS.Add(int64(res.PlanElapsed))
@@ -249,7 +248,6 @@ func (e *Engine) PipelineStats() PipelineStats {
 		Redos:          t.redos.Load(),
 		ResetTxns:      t.resetTxns.Load(),
 		OpsExecuted:    t.opsExecuted.Load(),
-		Steals:         t.steals.Load(),
 		Parks:          t.parks.Load(),
 		FusedOps:       t.fusedOps.Load(),
 		PlanElapsed:    time.Duration(t.planNS.Load()),

@@ -292,7 +292,7 @@ func (ex *executor) handleAborts(failed []*txn.Operation, local bool) {
 	// version they installed, discard any results their earlier operations
 	// blotted, and pin their operations at ABT. The removals go through the
 	// run's table view under the fence; the arena-backed table keeps the
-	// storm inside the aborting keys' shard memory.
+	// storm inside the aborting keys' table shards.
 	for t := range abortTxns {
 		t.Blotter.Reset()
 		for _, op := range t.Ops {
@@ -355,10 +355,8 @@ func (ex *executor) handleAborts(failed []*txn.Operation, local bool) {
 // ns-explore worker is behind (DFS). Same quiescence contract as
 // handleAborts.
 func (ex *executor) rebuild() {
-	if ex.cfg.Decision.Explore == sched.NSExplore {
-		for s := range ex.shards {
-			ex.shards[s].ring.reset()
-		}
+	if ex.ring != nil {
+		ex.ring.reset()
 	}
 	ex.recompute(ex.units)
 }
@@ -368,8 +366,8 @@ func (ex *executor) rebuild() {
 // the units the round touched (operations settled ABT or sent back to BLK,
 // bridge targets that gained a parent), the unit each worker held when the
 // fence caught it, the children of all of those (their pending counts hang
-// off the parents' completion flags), and whatever sat in the ready rings
-// (drained, so the rings restart empty and a unit is still pushed at most
+// off the parents' completion flags), and whatever sat in the ready ring
+// (drained, so the ring restarts empty and a unit is still pushed at most
 // once between two ring resets).
 //
 // Every other unit is exactly as a full rebuild would leave it. Outside the
@@ -377,12 +375,12 @@ func (ex *executor) rebuild() {
 // completed == Done(): a worker flips the flag in the same epoch section
 // that clears its hold. So completion flags, and with them the pending
 // counts of every unit whose parents are all untouched, are already right;
-// and a unit that is ready sits in a ring or in a worker's hand, both of
+// and a unit that is ready sits in the ring or in a worker's hand, both of
 // which were collected above.
 //
 // The held-unit hand-off terminates: a worker publishes the unit it popped
 // inside the epoch section of nsNext and clears it in its completion
-// section, so at the fence every claimed unit is in a ring or in exactly one
+// section, so at the fence every claimed unit is in the ring or in exactly one
 // worker's held slot. The coordinator takes all of them over — a held unit
 // that is Done but unpropagated completes here, the rest re-queue if still
 // ready or are un-claimed — and the epoch bump makes the former holder drop
@@ -396,13 +394,10 @@ func (ex *executor) rebuildLocal() {
 		}
 	}
 	changed := len(sc.touched)
-	for s := range ex.shards {
-		q := ex.shards[s].ring
-		for u := q.tryPop(); u != nil; u = q.tryPop() {
-			sc.touch(u)
-		}
-		q.reset()
+	for u := ex.ring.tryPop(); u != nil; u = ex.ring.tryPop() {
+		sc.touch(u)
 	}
+	ex.ring.reset()
 	for _, u := range sc.touched[:changed] {
 		for _, c := range u.Children() {
 			sc.touch(c)
@@ -418,7 +413,7 @@ func (ex *executor) rebuildLocal() {
 // from the operation states, pending counts from the parents' flags, and —
 // under ns-explore — the claim flag and ring membership of every listed unit
 // that is ready. units must be closed under "child of a unit whose
-// completion may have changed", and the rings must not hold any of them.
+// completion may have changed", and the ring must not hold any of them.
 func (ex *executor) recompute(units []*sched.Unit) {
 	ex.epoch.Add(1)
 	var delta int64
@@ -446,7 +441,7 @@ func (ex *executor) recompute(units []*sched.Unit) {
 			ready := pending == 0 && !ex.completed[u.ID].Load()
 			u.Claimed.Store(ready)
 			if ready {
-				ex.shards[ex.homeOf[u.ID]].ring.push(u)
+				ex.ring.push(u)
 			}
 		}
 	}
@@ -456,7 +451,7 @@ func (ex *executor) recompute(units []*sched.Unit) {
 			done = 1
 		}
 		ex.nsDone.v.Store(done)
-		// Workers parked through the fence see the reseeded rings (or the
+		// Workers parked through the fence see the reseeded ring (or the
 		// completion flag) only after an explicit wake.
 		ex.wakeAll()
 	}

@@ -21,12 +21,11 @@
 // time-breakdown counters, so the ns-scale hot loop touches no shared
 // cacheline.
 //
-// Data layout — KeyID-range shards (shard.go): the execution layer is
-// partitioned into contiguous KeyID ranges, each owning a bounded MPMC
-// ready ring, a slice of the unit table, and a parking lot. Workers pin to
-// a home shard, steal from neighbours when their ring drains, and park
-// after a bounded spin when no shard has ready work; cross-shard
-// dependency hand-off rides the same epoch/fence protocol.
+// Ready ring (queue.go): under ns-explore, units whose dependencies are
+// resolved wait in one bounded MPMC ring per run for any free worker; a
+// worker that finds it empty spins briefly, then sleeps on the run's one
+// parking lot until a push, an abort rebuild or batch completion wakes it.
+// Pushes and pops ride the same epoch/fence protocol.
 package exec
 
 import (
@@ -36,7 +35,6 @@ import (
 	"morphstream/internal/metrics"
 	"morphstream/internal/sched"
 	"morphstream/internal/store"
-	"morphstream/internal/telemetry"
 	"morphstream/internal/tpg"
 	"morphstream/internal/txn"
 )
@@ -47,20 +45,11 @@ type Config struct {
 	Decision sched.Decision
 	// Threads is the number of executor threads (TxnExecutors).
 	Threads int
-	// Shards is the number of KeyID-range partitions of the execution
-	// layer (per-shard ready rings, unit slices, parking lots); 0 picks
-	// the smallest power of two >= Threads.
-	Shards int
 	// Table is the state table the operations read and write.
 	Table *store.Table
 	// Breakdown, when non-nil, accumulates the time breakdown of
 	// Section 8.3.1 (useful / sync / explore / abort).
 	Breakdown *metrics.Breakdown
-	// Telemetry, when non-nil, receives the per-shard unit occupancy
-	// histogram once per Run, before any worker starts; the per-operation
-	// hot loop never touches it. Steals, parks and operation counts travel
-	// in Result and are exported by the caller that totals them.
-	Telemetry *telemetry.Registry
 }
 
 // Result summarises one batch execution.
@@ -79,10 +68,36 @@ type Result struct {
 	ResetTxns int
 	// OpsExecuted counts successful operation executions, redos included.
 	OpsExecuted int
-	// Steals counts units a worker popped from a non-home shard ring.
-	Steals int
 	// Parks counts spin-budget expiries that put a worker to sleep.
 	Parks int
+}
+
+// nextPow2 returns the smallest power of two >= n (minimum 1).
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// AlignTable partitions the state table into nextPow2(threads) contiguous
+// KeyID ranges over the widest graph's KeySpan (store.Table.Align). The
+// partition is the table's own: its quiescent sweeps (LatestSince,
+// LatestFor, Restore, snapshot encode and decode) run one goroutine per
+// range, and compaction runs per range. The executor does not read it. The
+// second argument is unused and every caller passes 0; it stays only
+// because msbench's probe calls this signature (ROADMAP item 4(b)). Must be
+// called at a quiescent point — no executor running against t — as the
+// engine's per-punctuation call site is by construction.
+func AlignTable(t *store.Table, _ int, threads int, graphs ...*tpg.Graph) {
+	span := store.KeyID(0)
+	for _, g := range graphs {
+		if g != nil && g.KeySpan > span {
+			span = g.KeySpan
+		}
+	}
+	t.Align(nextPow2(threads), span)
 }
 
 // executor carries the runtime state of one batch execution.
@@ -110,9 +125,9 @@ type executor struct {
 	epoch atomic.Int64
 
 	// tv is the run's state-table handle: the table layout pinned once at
-	// Run start (the engine aligns the table to the executor's shard map
-	// before any worker exists), so per-operation state access is pure
-	// array indexing with no lock and no repeated layout resolution.
+	// Run start (the engine aligns the table before any worker exists), so
+	// per-operation state access is pure array indexing with no lock and no
+	// repeated layout resolution.
 	// Whole-table operations stay out of the run entirely — they require
 	// the quiescence the epoch fence provides, see the store contract.
 	tv store.View
@@ -128,20 +143,14 @@ type executor struct {
 	failedMu sync.Mutex
 	failed   []*txn.Operation
 
-	// KeyID-range sharding (shard.go): smap partitions the key space,
-	// shards holds the per-shard rings/unit slices/parking lots, homeOf
-	// maps Unit.ID to its home shard, and shardOrder lists all units
-	// grouped by shard (DFS chunk assignment). nsDone flags batch
-	// completion to ns-explore workers; parked counts sleepers for the
-	// wake fast path; parks/steals feed Result.
-	smap       shardMap
-	shards     []execShard
-	homeOf     []int32
-	shardOrder []*sched.Unit
-	nsDone     paddedInt64
-	parked     atomic.Int64
-	parks      atomic.Int64
-	steals     atomic.Int64
+	// ring holds the ready units of ns-explore (nil under structured
+	// exploration), and lot is where idle ns-explore workers sleep
+	// (queue.go). nsDone flags batch completion to ns-explore workers;
+	// parks feeds Result.
+	ring   *workQueue
+	lot    parkLot
+	nsDone paddedInt64
+	parks  atomic.Int64
 
 	// abortSc is the abort handler's reusable scratch; rounds are frequent
 	// under high abort ratios and must not churn maps.
@@ -166,7 +175,8 @@ func Run(g *tpg.Graph, cfg Config) Result {
 }
 
 // newExecutor builds the runtime state of one batch execution: scheduling
-// units, shard map and per-worker scratch. No worker exists yet.
+// units, the ready ring or the strata, and per-worker scratch. No worker
+// exists yet.
 func newExecutor(g *tpg.Graph, cfg Config) *executor {
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
@@ -192,10 +202,14 @@ func newExecutor(g *tpg.Graph, cfg Config) *executor {
 		u.Pending.Store(int32(len(u.Parents())))
 		u.Claimed.Store(false)
 	}
-	ex.setupShards()
-	if cfg.Decision.Explore != sched.NSExplore {
+	if cfg.Decision.Explore == sched.NSExplore {
+		// A unit enqueues at most once between two ring resets, so a ring
+		// of len(units) slots never wraps (queue.go).
+		ex.ring = newWorkQueue(len(units))
+		ex.lot.cond.L = &ex.lot.mu
+	} else {
 		sw := metrics.Start()
-		ex.strata = sched.StratifySharded(units, ex.homeOf, len(ex.shards))
+		ex.strata = sched.Stratify(units)
 		sw.Stop(cfg.Breakdown, metrics.Explore)
 	}
 	return ex
@@ -230,7 +244,6 @@ func (ex *executor) run() Result {
 		Redos:       int(ex.redos.Load()),
 		ResetTxns:   ex.resets,
 		OpsExecuted: int(ex.execs.Load()),
-		Steals:      int(ex.steals.Load()),
 		Parks:       int(ex.parks.Load()),
 	}
 	for _, t := range ex.g.Txns {

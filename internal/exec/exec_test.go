@@ -365,10 +365,12 @@ func TestQuickStrategiesEquivalentToSerial(t *testing.T) {
 	}
 }
 
-// TestRedoCountsReported ensures rollback actually re-executes work.
+// TestRedoCountsReported ensures rollback actually re-executes work: every
+// strategy runs abort rounds on a workload with forced failures, and every
+// l-abort strategy redoes work on a batch built so that a redo cannot be
+// scheduled away.
 func TestRedoCountsReported(t *testing.T) {
 	w := workloadSpec{keys: 4, txns: 200, seed: 5, abortEvery: 6}
-	sawRedo := false
 	for _, d := range allDecisions() {
 		txns, table := w.generate()
 		g := buildGraph(txns, table)
@@ -376,12 +378,36 @@ func TestRedoCountsReported(t *testing.T) {
 		if res.AbortRounds == 0 {
 			t.Errorf("%v: no abort rounds despite forced failures", d)
 		}
-		if res.Redos > 0 {
-			sawRedo = true
-		}
 	}
-	if !sawRedo {
-		t.Error("no strategy reported redos; rollback path untested")
+	// Every transaction increments one key; every sixth then fails a second
+	// write to it. The failing write is ordered behind its own transaction's
+	// increment and ahead of the next transaction's, so under l-abort the
+	// next transaction always reads the doomed version before the lazy round
+	// removes it, whatever order the workers run in.
+	for _, d := range allDecisions() {
+		if d.Abort != sched.LAbort {
+			continue
+		}
+		table := store.NewTable()
+		table.Preload(key(0), int64(0))
+		var txns []*txn.Transaction
+		for i := 1; i <= 60; i++ {
+			tr := txn.NewTransaction(int64(i), uint64(i))
+			b := txn.Build(tr)
+			b.Write(key(0), []txn.Key{key(0)}, func(_ *txn.Ctx, src []txn.Value) (txn.Value, error) {
+				return src[0].(int64) + 1, nil
+			})
+			if i%6 == 0 {
+				b.Write(key(0), []txn.Key{key(0)}, func(*txn.Ctx, []txn.Value) (txn.Value, error) {
+					return nil, txn.ErrAbort
+				})
+			}
+			txns = append(txns, tr)
+		}
+		res := Run(buildGraph(txns, table), Config{Decision: d, Threads: 4, Table: table})
+		if res.Redos == 0 {
+			t.Errorf("%v: no redos; rollback path untested", d)
+		}
 	}
 }
 

@@ -222,15 +222,13 @@ func (ex *executor) runDFS() {
 
 func (ex *executor) dfsWorker(id, threads int) {
 	sc := &ex.scratches[id]
-	// Each worker owns a contiguous chunk of the shard-ordered unit list,
-	// so its repeated scan walks whole shard runs (shard-local cache lines)
-	// instead of striding across every shard. Chunks are disjoint and cover
-	// all units: every operation still has exactly one owner.
-	lo := id * len(ex.shardOrder) / threads
-	hi := (id + 1) * len(ex.shardOrder) / threads
+	// Each worker owns a contiguous chunk of the unit list. Chunks are
+	// disjoint and cover all units: every operation has exactly one owner.
+	lo := id * len(ex.units) / threads
+	hi := (id + 1) * len(ex.units) / threads
 	for {
 		progressed := false
-		for _, u := range ex.shardOrder[lo:hi] {
+		for _, u := range ex.units[lo:hi] {
 			for _, op := range u.Ops {
 				if settledOp(op) {
 					continue
@@ -276,16 +274,14 @@ func (ex *executor) dfsFinished(wid int) bool {
 	return ex.cfg.Decision.Abort != sched.EAbort || !ex.failurePending()
 }
 
-// runNS is non-structured exploration (paper Section 5.1): per-shard ready
-// rings hold units whose dependencies are resolved; finishing a unit
-// signals its dependents by pushing them onto their home shard's ring.
-// Workers drain their home ring first and steal from neighbours only when
-// it runs dry, maximising available parallelism while keeping the hot loop
-// on shard-local cache lines.
+// runNS is non-structured exploration (paper Section 5.1): the run's ready
+// ring holds units whose dependencies are resolved, and finishing a unit
+// signals its dependents by pushing them onto it. Any free worker pops the
+// next one, which keeps every worker busy as long as ready work exists.
 func (ex *executor) runNS() {
 	// No worker is running yet (first call) or all have joined (resume
 	// after a lazy abort round), so seeding needs no fence.
-	ex.rebuild() // seeds the rings, computes pending and settled counts
+	ex.rebuild() // seeds the ring, computes pending and settled counts
 
 	threads := ex.cfg.Threads
 	var wg sync.WaitGroup
@@ -293,26 +289,24 @@ func (ex *executor) runNS() {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			ex.nsWorker(t, t%len(ex.shards))
+			ex.nsWorker(t)
 		}(t)
 	}
 	wg.Wait()
 }
 
 // nsSpinLimit bounds the empty-ring spin of an ns-explore worker before it
-// parks on its home shard's lot: wide strata never reach it, narrow strata
-// (fewer ready units than workers) stop burning CPU after a short grace
-// period instead of Gosched-spinning until the batch ends.
+// parks: wide strata never reach it, narrow strata (fewer ready units than
+// workers) stop burning CPU after a short grace period instead of
+// Gosched-spinning until the batch ends.
 const nsSpinLimit = 128
 
-// nsNext claims the next ready unit: home ring first, then a steal sweep
-// over the other shards. Claims (pop, hold, epoch read) happen inside one
-// epoch section, so a concurrent abort rebuild either ran entirely before
-// the claim — and the epoch tag is current — or is fenced out until the
-// claim returns, and then finds the unit in the worker's held slot; this
-// covers steals from any victim shard too. ok=false means the batch is
-// complete.
-func (ex *executor) nsNext(wid, home int) (u *sched.Unit, myEpoch int64, ok bool) {
+// nsNext claims the next ready unit. Claims (pop, hold, epoch read) happen
+// inside one epoch section, so a concurrent abort rebuild either ran
+// entirely before the claim — and the epoch tag is current — or is fenced
+// out until the claim returns, and then finds the unit in the worker's held
+// slot. ok=false means the batch is complete.
+func (ex *executor) nsNext(wid int) (u *sched.Unit, myEpoch int64, ok bool) {
 	sc := &ex.scratches[wid]
 	var sw metrics.Stopwatch
 	if ex.timed {
@@ -326,16 +320,11 @@ func (ex *executor) nsNext(wid, home int) (u *sched.Unit, myEpoch int64, ok bool
 	spins := 0
 	for {
 		ex.enterExec(wid)
-		for d := 0; d < len(ex.shards); d++ {
-			if u := ex.shards[(home+d)%len(ex.shards)].ring.tryPop(); u != nil {
-				if d > 0 {
-					ex.steals.Add(1)
-				}
-				sc.held = u
-				e := ex.epoch.Load()
-				ex.exitExec(wid)
-				return u, e, true
-			}
+		if u := ex.ring.tryPop(); u != nil {
+			sc.held = u
+			e := ex.epoch.Load()
+			ex.exitExec(wid)
+			return u, e, true
 		}
 		done := ex.nsDone.v.Load() != 0
 		ex.exitExec(wid)
@@ -347,14 +336,14 @@ func (ex *executor) nsNext(wid, home int) (u *sched.Unit, myEpoch int64, ok bool
 			continue
 		}
 		spins = 0
-		ex.parkAt(home)
+		ex.park()
 	}
 }
 
-func (ex *executor) nsWorker(wid, home int) {
+func (ex *executor) nsWorker(wid int) {
 	sc := &ex.scratches[wid]
 	for {
-		u, myEpoch, ok := ex.nsNext(wid, home)
+		u, myEpoch, ok := ex.nsNext(wid)
 		if !ok {
 			return
 		}
@@ -374,8 +363,7 @@ func (ex *executor) nsWorker(wid, home int) {
 			continue
 		}
 		// Propagate completion inside the epoch so an abort rebuild cannot
-		// interleave with pending-count decrements; children go to their
-		// own home shard's ring (the only cross-shard write on this path).
+		// interleave with pending-count decrements.
 		finished := false
 		ex.enterExec(wid)
 		sc.held = nil
@@ -384,9 +372,8 @@ func (ex *executor) nsWorker(wid, home int) {
 				for _, c := range u.Children() {
 					if c.Pending.Add(-1) == 0 && !ex.completed[c.ID].Load() &&
 						c.Claimed.CompareAndSwap(false, true) {
-						cs := int(ex.homeOf[c.ID])
-						ex.shards[cs].ring.push(c)
-						ex.wakeShard(cs)
+						ex.ring.push(c)
+						ex.wakeOne()
 					}
 				}
 			}

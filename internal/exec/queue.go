@@ -2,6 +2,7 @@ package exec
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"morphstream/internal/sched"
@@ -10,7 +11,8 @@ import (
 // workQueue is the ready queue of non-structured exploration: units whose
 // dependencies are fully resolved wait here for any free thread. It plays
 // the role of the paper's per-thread "signal holders": completing a unit
-// signals dependents by pushing them.
+// signals dependents by pushing them. A run has one ring, shared by every
+// worker.
 //
 // The queue is a bounded MPMC ring in the same padded-atomic style as the
 // executor's epoch counters: a push claims a slot with one fetch-add on
@@ -76,4 +78,66 @@ func (q *workQueue) reset() {
 	}
 	q.head.v.Store(0)
 	q.tail.v.Store(0)
+}
+
+// parkLot is the run's sleep site for the adaptive spin-then-park of
+// ns-explore: a worker whose spin budget expires parks here until a push
+// makes new work visible. waiters counts sleepers for the wakers' fast path;
+// it changes only under mu, which orders parkers against wakers and never
+// the lock-free hot path.
+type parkLot struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	waiters atomic.Int64
+}
+
+// hasVisibleWork reports whether a parked worker has any reason to wake:
+// the batch finished, or the ring holds a claimable unit. Reads only
+// atomics; called under the lot mutex.
+func (ex *executor) hasVisibleWork() bool {
+	return ex.nsDone.v.Load() != 0 || ex.ring.head.v.Load() < ex.ring.tail.v.Load()
+}
+
+// park blocks the worker until work becomes visible. The caller must be
+// outside the execution epoch (parked workers count as quiescent, so abort
+// fences never wait on them).
+func (ex *executor) park() {
+	lot := &ex.lot
+	lot.mu.Lock()
+	if !ex.hasVisibleWork() {
+		lot.waiters.Add(1)
+		ex.parks.Add(1)
+		for !ex.hasVisibleWork() {
+			lot.cond.Wait()
+		}
+		lot.waiters.Add(-1)
+	}
+	lot.mu.Unlock()
+}
+
+// wakeOne wakes one parked worker after a push. The waiters fast path keeps
+// the common no-sleeper case to one atomic load.
+//
+// No wake-up is ever lost: a push (atomic tail bump) is sequenced before
+// this load, and a parker re-checks the ring under the lot mutex after
+// registering in waiters — so either the parker sees the push and stays
+// awake, or the waker sees the parker and signals it.
+func (ex *executor) wakeOne() {
+	if ex.lot.waiters.Load() == 0 {
+		return
+	}
+	ex.lot.mu.Lock()
+	ex.lot.cond.Signal()
+	ex.lot.mu.Unlock()
+}
+
+// wakeAll wakes every parked worker (batch completion, abort rebuild), on
+// the same no-lost-wake-up argument as wakeOne.
+func (ex *executor) wakeAll() {
+	if ex.lot.waiters.Load() == 0 {
+		return
+	}
+	ex.lot.mu.Lock()
+	ex.lot.cond.Broadcast()
+	ex.lot.mu.Unlock()
 }

@@ -16,65 +16,17 @@ import (
 	"morphstream/internal/txn"
 )
 
-// This file is the correctness net of the KeyID-range sharded executor:
-// the shard map itself, result equivalence across shard counts (the
-// partitioning must be invisible to users), cross-shard abort hand-off
-// under mid-run failure injection, and the spin-then-park discipline of
-// idle ns-explore workers.
+// This file is the correctness net of the executor's one ready ring:
+// result equivalence across thread counts (any number of workers popping
+// the ring must reproduce the serial oracle), abort hand-off between many
+// workers under mid-run failure injection, and the spin-then-park
+// discipline of idle ns-explore workers.
 
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 16, 16: 16, 17: 32}
 	for in, want := range cases {
 		if got := nextPow2(in); got != want {
 			t.Errorf("nextPow2(%d) = %d; want %d", in, got, want)
-		}
-	}
-}
-
-// TestShardMapProperties pins the contiguous-range contract: shards are
-// monotone in KeyID, cover [0, num), ranges differ in width by at most one,
-// and keys interned after planning clamp into the last occupied range.
-func TestShardMapProperties(t *testing.T) {
-	for _, tc := range []struct{ num, span int }{
-		{1, 1}, {1, 100}, {2, 7}, {4, 4}, {4, 64}, {8, 1000}, {16, 37}, {32, 5},
-	} {
-		m := newShardMap(tc.num, store.KeyID(tc.span))
-		width := make(map[int]int)
-		last := 0
-		for id := 0; id < tc.span; id++ {
-			s := m.of(store.KeyID(id))
-			if s < 0 || s >= tc.num {
-				t.Fatalf("num=%d span=%d: of(%d) = %d out of range", tc.num, tc.span, id, s)
-			}
-			if s < last {
-				t.Fatalf("num=%d span=%d: of(%d) = %d < previous shard %d (not contiguous)", tc.num, tc.span, id, s, last)
-			}
-			last = s
-			width[s]++
-		}
-		if tc.span >= tc.num {
-			if lo := m.of(0); lo != 0 {
-				t.Errorf("num=%d span=%d: of(0) = %d; want 0", tc.num, tc.span, lo)
-			}
-			if hi := m.of(store.KeyID(tc.span - 1)); hi != tc.num-1 {
-				t.Errorf("num=%d span=%d: of(span-1) = %d; want %d", tc.num, tc.span, hi, tc.num-1)
-			}
-			minW, maxW := tc.span, 0
-			for _, w := range width {
-				if w < minW {
-					minW = w
-				}
-				if w > maxW {
-					maxW = w
-				}
-			}
-			if maxW-minW > 1 {
-				t.Errorf("num=%d span=%d: range widths %d..%d (unbalanced)", tc.num, tc.span, minW, maxW)
-			}
-		}
-		// Late-interned keys (ND writes) clamp into the last range.
-		if got, want := m.of(store.KeyID(tc.span)+1000), m.of(store.KeyID(tc.span-1)); got != want {
-			t.Errorf("num=%d span=%d: clamp of out-of-span id = %d; want %d", tc.num, tc.span, got, want)
 		}
 	}
 }
@@ -110,7 +62,7 @@ func (w resultWorkload) generate() ([]*txn.Transaction, *store.Table) {
 				}
 				return src[0].(int64) + amount, nil
 			})
-		case 1: // guarded transfer across two keys (often across two shards)
+		case 1: // guarded transfer across two keys
 			s := key(rng.Intn(w.keys))
 			r := key(rng.Intn(w.keys))
 			for r == s {
@@ -167,57 +119,57 @@ func blotterResults(txns []*txn.Transaction) map[int64][]string {
 	return out
 }
 
-// TestShardEquivalenceAcrossShardCounts is the shard-boundary cross-check
-// of the acceptance criteria: for every strategy in the 12-way matrix,
-// running identical batches at shards ∈ {1, 2, workers, 4×workers} must
-// reproduce the serial oracle exactly — final state, aborted set, and
+// TestOneRingEquivalenceAcrossThreadCounts is the thread-count cross-check
+// of the one-ring executor: for every strategy in the 12-way matrix,
+// running identical batches with 1, 2, 4 and 16 workers (one subtest each)
+// must reproduce the serial oracle exactly — final state, aborted set, and
 // committed blotter results.
-func TestShardEquivalenceAcrossShardCounts(t *testing.T) {
-	const workers = 4
+func TestOneRingEquivalenceAcrossThreadCounts(t *testing.T) {
 	workloads := []resultWorkload{
 		{keys: 16, txns: 200, seed: 11},
 		{keys: 12, txns: 200, seed: 12, abortEvery: 7},
 		{keys: 3, txns: 150, seed: 13, abortEvery: 4}, // hot keys, cascades
 	}
-	for _, w := range workloads {
-		oTxns, oTable := w.generate()
-		Serial(oTxns, oTable)
-		wantState := oTable.Snapshot()
-		wantAborted := abortedIDs(oTxns)
-		wantResults := blotterResults(oTxns)
+	for _, workers := range []int{1, 2, 4, 16} {
+		t.Run(fmt.Sprintf("threads=%d", workers), func(t *testing.T) {
+			for _, w := range workloads {
+				oTxns, oTable := w.generate()
+				Serial(oTxns, oTable)
+				wantState := oTable.Snapshot()
+				wantAborted := abortedIDs(oTxns)
+				wantResults := blotterResults(oTxns)
 
-		for _, d := range allDecisions() {
-			for _, shards := range []int{1, 2, workers, 4 * workers} {
-				name := fmt.Sprintf("seed=%d/%v/shards=%d", w.seed, d, shards)
-				txns, table := w.generate()
-				g := buildGraphFromTable(txns, table, false)
-				Run(g, Config{Decision: d, Threads: workers, Shards: shards, Table: table})
-				if got := table.Snapshot(); !reflect.DeepEqual(got, wantState) {
-					t.Errorf("%s: final state diverges from serial oracle", name)
-				}
-				if got := abortedIDs(txns); !reflect.DeepEqual(got, wantAborted) {
-					t.Errorf("%s: aborted txn set diverges from oracle", name)
-				}
-				if got := blotterResults(txns); !reflect.DeepEqual(got, wantResults) {
-					t.Errorf("%s: committed blotter results diverge from oracle", name)
+				for _, d := range allDecisions() {
+					name := fmt.Sprintf("seed=%d/%v", w.seed, d)
+					txns, table := w.generate()
+					g := buildGraphFromTable(txns, table, false)
+					Run(g, Config{Decision: d, Threads: workers, Table: table})
+					if got := table.Snapshot(); !reflect.DeepEqual(got, wantState) {
+						t.Errorf("%s: final state diverges from serial oracle", name)
+					}
+					if got := abortedIDs(txns); !reflect.DeepEqual(got, wantAborted) {
+						t.Errorf("%s: aborted txn set diverges from oracle", name)
+					}
+					if got := blotterResults(txns); !reflect.DeepEqual(got, wantResults) {
+						t.Errorf("%s: committed blotter results diverge from oracle", name)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
-// TestCrossShardEdgeFailureInjection stresses the cross-shard hand-off
-// under aborts: with 4×workers shards, failures are armed mid-run only in
-// transactions whose two writes live on different shards, so every abort
-// round rolls back state across a shard boundary while thieves and home
-// workers race the fence. Assertions are the stress-suite serializability
-// invariants (nothing lost, funds conserved).
-func TestCrossShardEdgeFailureInjection(t *testing.T) {
+// TestOneRingFailureInjection stresses the abort hand-off between many
+// workers sharing the one ready ring: 16 workers pop it while injectors arm
+// failures mid-run, so abort rounds drain and reseed the ring while workers
+// race the fence. Every transaction writes two different keys. Assertions
+// are the stress-suite serializability invariants (nothing lost, funds
+// conserved).
+func TestOneRingFailureInjection(t *testing.T) {
 	const (
 		keys      = 16
 		numTxns   = 300
-		workers   = 4
-		shards    = 4 * workers
+		workers   = 16
 		injectors = 4
 	)
 	for _, d := range []sched.Decision{
@@ -232,19 +184,6 @@ func TestCrossShardEdgeFailureInjection(t *testing.T) {
 			txns, amounts, armed, table := injectedWorkload(t, keys, numTxns, 321)
 			g := buildGraphFromTable(txns, table, false)
 
-			// Arm only transactions whose two target keys straddle a shard
-			// boundary, using the very map the executor will build.
-			smap := newShardMap(shards, g.KeySpan)
-			var crossShard []int
-			for i, tr := range txns {
-				if len(tr.Ops) == 2 && smap.of(tr.Ops[0].KeyID) != smap.of(tr.Ops[1].KeyID) {
-					crossShard = append(crossShard, i+1) // txn IDs are 1-based
-				}
-			}
-			if len(crossShard) < numTxns/8 {
-				t.Fatalf("only %d cross-shard transactions; workload too narrow", len(crossShard))
-			}
-
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for inj := 0; inj < injectors; inj++ {
@@ -258,13 +197,13 @@ func TestCrossShardEdgeFailureInjection(t *testing.T) {
 							return
 						default:
 						}
-						armed[crossShard[rng.Intn(len(crossShard))]].Store(true)
+						armed[1+rng.Intn(numTxns)].Store(true) // txn IDs are 1-based
 						runtime.Gosched()
 					}
 				}(inj)
 			}
 
-			res := Run(g, Config{Decision: d, Threads: workers, Shards: shards, Table: table})
+			res := Run(g, Config{Decision: d, Threads: workers, Table: table})
 			close(stop)
 			wg.Wait()
 
@@ -294,7 +233,7 @@ func TestCrossShardEdgeFailureInjection(t *testing.T) {
 				sum += v.(int64)
 			}
 			if want := int64(keys)*1000 + committedSum; sum != want {
-				t.Fatalf("total funds = %d; want %d (cross-shard rollback lost or double-applied writes)", sum, want)
+				t.Fatalf("total funds = %d; want %d (rollback lost or double-applied writes)", sum, want)
 			}
 		})
 	}
@@ -367,50 +306,5 @@ func TestNarrowStratumParksInsteadOfSpinning(t *testing.T) {
 	// where the wall is dominated by the serial UDF sleeps.
 	if limit := 2 * wall; cpu > limit {
 		t.Errorf("idle workers burned %v CPU over %v wall (limit %v); spin-then-park not engaging", cpu, wall, limit)
-	}
-}
-
-// TestShardRingsSeeOnlyHomeUnits pins the home invariant the ring capacity
-// discipline depends on: every unit is enqueued only on its home shard's
-// ring, so a ring never holds more units than are homed there.
-func TestShardRingsSeeOnlyHomeUnits(t *testing.T) {
-	w := resultWorkload{keys: 32, txns: 300, seed: 5, abortEvery: 6}
-	txns, table := w.generate()
-	g := buildGraphFromTable(txns, table, false)
-	res := Run(g, Config{
-		Decision: sched.Decision{Explore: sched.NSExplore, Gran: sched.CSchedule, Abort: sched.LAbort},
-		Threads:  4,
-		Shards:   8,
-		Table:    table,
-	})
-	if res.Committed+res.Aborted != len(txns) {
-		t.Fatalf("batch incomplete: %+v", res)
-	}
-	// Reconstruct the executor's own mapping and validate the partition.
-	smap := newShardMap(8, g.KeySpan)
-	units, _ := sched.BuildUnits(g, sched.CSchedule)
-	perShard := make(map[int]int)
-	for _, u := range units {
-		home := -1
-		for _, op := range u.Ops {
-			if op.KeyID != store.NoKeyID {
-				home = smap.of(op.KeyID)
-				break
-			}
-		}
-		if home < 0 {
-			home = u.ID % 8
-		}
-		perShard[home]++
-	}
-	total := 0
-	for s, n := range perShard {
-		if s < 0 || s >= 8 {
-			t.Fatalf("unit homed on shard %d outside [0,8)", s)
-		}
-		total += n
-	}
-	if total != len(units) {
-		t.Fatalf("partition covers %d units; want %d", total, len(units))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"morphstream/internal/store"
+	"morphstream/internal/tpg"
 	"morphstream/internal/txn"
 )
 
@@ -17,9 +18,9 @@ var ndFreshEpoch atomic.Int64
 
 // TestNDWritesCreateLateKeysAcrossShards regresses the late-key growth
 // path: ND writes create fresh keys during execution, after planning sized
-// the shard maps — executor and table both clamp them into their last
-// KeyID-range shard, and the table's shard must grow race-clean while
-// several workers create keys concurrently. Run under -race.
+// the table's KeyID ranges — the table clamps them into its last shard, and
+// that shard must grow race-clean while several workers create keys
+// concurrently. Run under -race.
 func TestNDWritesCreateLateKeysAcrossShards(t *testing.T) {
 	epoch := ndFreshEpoch.Add(1)
 	freshKey := func(i int) txn.Key {
@@ -60,24 +61,29 @@ func TestNDWritesCreateLateKeysAcrossShards(t *testing.T) {
 	for _, d := range allDecisions() {
 		txns, table := gen()
 		g := buildGraph(txns, table)
-		// Mimic the engine: align the table to the executor's shard map
-		// before the run. Every fresh key is interned after this point.
-		table.Align(NumShards(4, 4), g.KeySpan)
-		res := Run(g, Config{Decision: d, Threads: 4, Shards: 4, Table: table})
+		// Mimic the engine: align the table before the run. Every fresh
+		// key is interned after this point.
+		AlignTable(table, 0, 4, g)
+		res := Run(g, Config{Decision: d, Threads: 4, Table: table})
 		if res.Aborted != 0 {
 			t.Errorf("%v: unexpected aborts: %d", d, res.Aborted)
 		}
 		if got := table.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: ND late-key state diverges", d)
 		}
-		// The table must partition every key like the executor's map over
-		// the planned span, and the fresh keys, beyond it, must have clamped
-		// into the last shard of both.
+		// The table must partition the planned span into contiguous ranges
+		// (shard id*num/span), and the fresh keys, beyond it, must have
+		// clamped into the last shard.
 		num, tableShard := tableShards(table)
-		smap := newShardMap(num, g.KeySpan)
+		if num != 4 {
+			t.Fatalf("%v: table has %d shards; want 4", d, num)
+		}
 		for id, got := range tableShard {
-			if want := smap.of(id); got != want {
-				t.Errorf("%v: key %d in table shard %d; exec shard %d", d, id, got, want)
+			if id >= g.KeySpan {
+				continue
+			}
+			if want := int(uint64(id) * uint64(num) / uint64(g.KeySpan)); got != want {
+				t.Errorf("%v: key %d in table shard %d; want %d", d, id, got, want)
 			}
 		}
 		for i := 2; i <= 120; i += 2 {
@@ -91,41 +97,32 @@ func TestNDWritesCreateLateKeysAcrossShards(t *testing.T) {
 			if got, want := tableShard[id], num-1; got != want {
 				t.Errorf("%v: late key %d in table shard %d; want last shard %d", d, id, got, want)
 			}
-			if got, want := smap.of(id), num-1; got != want {
-				t.Errorf("%v: late key %d in exec shard %d; want last shard %d", d, id, got, want)
-			}
 		}
 	}
 }
 
-// TestTableAlignMatchesExecShardMap pins the congruence shard-local
-// execution builds on: an aligned table partitions the KeyID space exactly
-// like the executor's shard map over the same (num, span).
-func TestTableAlignMatchesExecShardMap(t *testing.T) {
-	for _, tc := range []struct {
-		num  int
-		span store.KeyID
-	}{
-		{1, 1}, {2, 10}, {4, 1000}, {8, 1000}, {16, 37}, {3, 64}, {64, 64}, {7, 5},
-	} {
+// TestAlignTablePartitionsByThreadCount pins AlignTable's partition: the
+// smallest power of two covering the thread count, over the widest graph's
+// KeySpan (nil graphs skipped), whatever the unused shard argument says.
+func TestAlignTablePartitionsByThreadCount(t *testing.T) {
+	narrow := &tpg.Graph{KeySpan: 1}
+	for _, tc := range []struct{ threads, want int }{{0, 1}, {1, 1}, {3, 4}, {4, 4}, {5, 8}} {
 		table := store.NewTable()
-		// Every id up to span+100 must name a key for the table to hold it.
-		for n := table.DictLen(); n < int(tc.span)+100; n = table.DictLen() {
-			store.Intern(store.Key(fmt.Sprintf("align-pad-%d", n)))
+		var ids []store.KeyID
+		for i := 0; i < 64; i++ {
+			id := store.Intern(store.Key(fmt.Sprintf("align-threads-%d", i)))
+			table.PreloadID(id, int64(i))
+			ids = append(ids, id)
 		}
-		table.Align(tc.num, tc.span)
-		for id := store.KeyID(0); id < tc.span+100; id++ {
-			table.PreloadID(id, int64(0))
-		}
+		wide := &tpg.Graph{KeySpan: ids[len(ids)-1] + 1}
+		AlignTable(table, 0, tc.threads, narrow, nil, wide)
 		num, tableShard := tableShards(table)
-		if num != tc.num {
-			t.Fatalf("Align(%d,%d) -> %d shards", tc.num, tc.span, num)
+		if num != tc.want {
+			t.Fatalf("threads=%d: %d table shards; want %d", tc.threads, num, tc.want)
 		}
-		smap := newShardMap(tc.num, tc.span)
-		for id := store.KeyID(0); id < tc.span+100; id++ {
-			if got, want := tableShard[id], smap.of(id); got != want {
-				t.Fatalf("num=%d span=%d: table shard %d != exec shard %d for id %d",
-					tc.num, tc.span, got, want, id)
+		for _, id := range ids {
+			if got, want := tableShard[id], int(uint64(id)*uint64(num)/uint64(wide.KeySpan)); got != want {
+				t.Fatalf("threads=%d: key %d in shard %d; want %d over the wide graph's span", tc.threads, id, got, want)
 			}
 		}
 	}

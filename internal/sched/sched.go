@@ -376,44 +376,6 @@ func Stratify(units []*Unit) [][]*Unit {
 	return strata
 }
 
-// StratifySharded is Stratify with each stratum additionally bucketed by the
-// units' home shard (shardOf is indexed by Unit.ID, as computed by the
-// executor's KeyID-range shard map): units of one shard end up contiguous
-// within their stratum, so executor threads claiming adjacent stratum slots
-// work runs of shard-local state instead of interleaving every shard's cache
-// lines. The bucketing is stable, preserving Stratify's within-rank order.
-func StratifySharded(units []*Unit, shardOf []int32, numShards int) [][]*Unit {
-	strata := Stratify(units)
-	if numShards <= 1 || len(shardOf) < len(units) {
-		return strata
-	}
-	offsets := make([]int32, numShards+1)
-	var buf []*Unit
-	for _, stratum := range strata {
-		if len(stratum) < 2 {
-			continue
-		}
-		clear(offsets)
-		for _, u := range stratum {
-			offsets[shardOf[u.ID]+1]++
-		}
-		for s := 1; s <= numShards; s++ {
-			offsets[s] += offsets[s-1]
-		}
-		if cap(buf) < len(stratum) {
-			buf = make([]*Unit, len(stratum))
-		}
-		buf = buf[:len(stratum)]
-		for _, u := range stratum {
-			s := shardOf[u.ID]
-			buf[offsets[s]] = u
-			offsets[s]++
-		}
-		copy(stratum, buf)
-	}
-	return strata
-}
-
 // ModelInputs couple the measured TPG properties with the profiled workload
 // characteristics the model needs (paper Table 2): UDF complexity C is
 // measured from execution, the aborting ratio a from the previous batch.

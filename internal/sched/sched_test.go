@@ -327,73 +327,3 @@ func TestLinkUnitsDedupAndSelf(t *testing.T) {
 		t.Fatal("edge endpoints wrong")
 	}
 }
-
-// TestStratifyShardedBucketsStrata: the sharded variant must keep exactly
-// Stratify's rank partition while making each stratum's units contiguous by
-// home shard (non-decreasing shard sequence), with edges still respected.
-func TestStratifyShardedBucketsStrata(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var specs [][2]string
-	for i := 0; i < 200; i++ {
-		specs = append(specs, [2]string{
-			fmt.Sprintf("k%d", rng.Intn(8)),
-			fmt.Sprintf("k%d", rng.Intn(8)),
-		})
-	}
-	g := buildGraph(t, specs)
-	const numShards = 4
-	for _, gran := range []Granularity{FSchedule, CSchedule} {
-		units, _ := BuildUnits(g, gran)
-		shardOf := make([]int32, len(units))
-		for i := range shardOf {
-			shardOf[i] = int32(rng.Intn(numShards))
-		}
-		wantRanks := make(map[int]int)
-		for r, s := range Stratify(units) {
-			wantRanks[r] = len(s)
-		}
-		strata := StratifySharded(units, shardOf, numShards)
-		if len(strata) != len(wantRanks) {
-			t.Fatalf("%v: %d strata; want %d", gran, len(strata), len(wantRanks))
-		}
-		for r, stratum := range strata {
-			if len(stratum) != wantRanks[r] {
-				t.Fatalf("%v: stratum %d has %d units; want %d", gran, r, len(stratum), wantRanks[r])
-			}
-			for i, u := range stratum {
-				if u.Rank != r {
-					t.Fatalf("%v: unit of rank %d in stratum %d", gran, u.Rank, r)
-				}
-				if i > 0 && shardOf[stratum[i-1].ID] > shardOf[u.ID] {
-					t.Fatalf("%v: stratum %d not bucketed by shard at slot %d", gran, r, i)
-				}
-			}
-			for _, u := range stratum {
-				for _, c := range u.Children() {
-					if c.Rank <= u.Rank {
-						t.Fatalf("%v: child rank %d <= parent rank %d after bucketing", gran, c.Rank, u.Rank)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestStratifyShardedSingleShardIsStratify: numShards <= 1 must not touch
-// the stratify output at all.
-func TestStratifyShardedSingleShardIsStratify(t *testing.T) {
-	g := buildGraph(t, [][2]string{{"A", ""}, {"B", "A"}, {"A", "B"}, {"C", ""}})
-	units, _ := BuildUnits(g, FSchedule)
-	want := Stratify(units)
-	got := StratifySharded(units, make([]int32, len(units)), 1)
-	if len(got) != len(want) {
-		t.Fatalf("strata = %d; want %d", len(got), len(want))
-	}
-	for r := range want {
-		for i := range want[r] {
-			if got[r][i] != want[r][i] {
-				t.Fatalf("stratum %d slot %d differs", r, i)
-			}
-		}
-	}
-}

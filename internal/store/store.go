@@ -19,19 +19,22 @@
 // Latest, for set-up code and for reading results; they resolve through the
 // process-wide dictionary.
 //
-// # Shard-aligned arena layout
+// # KeyID-range shards
 //
-// The table is partitioned into contiguous KeyID-range shards using the same
-// multiply-divide map as the executor's KeyID-range shards (exec.Config.
-// Shards over tpg.Graph.KeySpan); Align re-partitions the table to the
-// executor's shard map at a batch boundary, so one executor worker's state
-// accesses stay inside one table shard's memory. Each shard owns:
+// The table is partitioned into contiguous KeyID-range shards, id*num/span
+// for ids below span. The engine calls Align at every batch boundary with
+// the next power of two at or above its thread count and the batch's
+// tpg.Graph.KeySpan (exec.AlignTable). The partition has two uses: the
+// quiescent whole-table sweeps run one goroutine per shard (LatestSince and
+// LatestFor for WAL records, Restore and RestoreDelta for recovery, snapshot
+// encode and decode in the WAL), and compaction runs per shard. Each shard
+// owns:
 //
 //   - a directory of fixed-size chain blocks (512 slots each) published
 //     through an atomic pointer. Blocks never move once installed, so
 //     growth — including keys interned after planning, which clamp into the
-//     last shard exactly as in the executor's shard map — is a copy-on-write
-//     CAS of the immutable directory: shard-local, lock-free and race-clean.
+//     last shard — is a copy-on-write CAS of the immutable directory:
+//     shard-local, lock-free and race-clean.
 //   - two bump arenas, one for version runs and one for chain headers.
 //     When a shard has churned enough chunks, Truncate compacts survivors
 //     into fresh chunks and drops the rest wholesale — the batch-boundary
@@ -147,9 +150,8 @@ type tableShard struct {
 }
 
 // layout is one immutable partition of the KeyID space [0, span) into num
-// contiguous shards — the same multiply-divide map as the executor's
-// shardMap, so an Align'd table is shard-congruent with the executor.
-// Tables start as a single all-covering shard until Align is called.
+// contiguous shards by a multiply-divide map, so neighbouring keys share a
+// shard. Tables start as a single all-covering shard until Align is called.
 type layout struct {
 	num    int
 	span   uint64
@@ -181,8 +183,7 @@ func newLayout(num int, span KeyID, births *atomic.Int64) *layout {
 }
 
 // indexOf maps a KeyID to its shard index. Ids at or beyond span — keys
-// interned after the layout was built — clamp into the last shard, mirroring
-// the executor's shard map.
+// interned after the layout was built — clamp into the last shard.
 func (ly *layout) indexOf(id KeyID) int {
 	x := uint64(id)
 	if x >= ly.span {
@@ -339,8 +340,8 @@ func NewTable() *Table {
 }
 
 // Align re-partitions the table into num contiguous KeyID-range shards over
-// [0, span) — the executor's shard map (exec shard count over
-// tpg.Graph.KeySpan) — moving existing chain headers to their new shards.
+// [0, span) (the engine passes a power of two covering its threads and
+// tpg.Graph.KeySpan), moving existing chain headers to their new shards.
 // The span never shrinks and always covers every key already present, so
 // repeated alignment cannot thrash. The engine aligns once per punctuation,
 // before executor workers start.
@@ -919,7 +920,7 @@ func (t *Table) LatestFor(dirty []KeyID, since uint64) [][]Entry {
 // parallel: distinct keys take the lock-free dense-ID write path (directory
 // growth is a shard-local CAS, arena allocation an atomic bump), so restore
 // speed scales with the snapshot's shard count. The next Align re-partitions
-// the rebuilt table to the executor's shard map as usual. Requires the same
+// the rebuilt table as usual. Requires the same
 // quiescence as every whole-table operation; the engine restores only
 // before its pipeline starts.
 func (t *Table) Restore(shards [][]Entry) {

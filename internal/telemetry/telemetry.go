@@ -29,6 +29,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -396,8 +397,9 @@ func (r *Registry) families() [][]instrument {
 
 // RegisterRuntime adds process-level gauges (goroutines, heap bytes, GC
 // cycles and total pause) to r: the baseline any admin endpoint should
-// expose even before a subsystem is instrumented. ReadMemStats runs at
-// scrape time only.
+// expose even before a subsystem is instrumented. Heap bytes and GC cycles
+// come from runtime/metrics, which does not stop the world; only the pause
+// total still needs ReadMemStats, once per scrape.
 func RegisterRuntime(r *Registry) {
 	if r == nil {
 		return
@@ -405,19 +407,22 @@ func RegisterRuntime(r *Registry) {
 	r.GaugeFunc("morph_go_goroutines", "Live goroutines.", func() int64 {
 		return int64(runtime.NumGoroutine())
 	})
-	r.GaugeFunc("morph_go_heap_alloc_bytes", "Bytes of allocated heap objects.", func() int64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	})
-	r.GaugeFunc("morph_go_gc_cycles_total", "Completed GC cycles.", func() int64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.NumGC)
-	})
+	r.GaugeFunc("morph_go_heap_alloc_bytes", "Bytes of allocated heap objects.",
+		runtimeMetric("/memory/classes/heap/objects:bytes"))
+	r.GaugeFunc("morph_go_gc_cycles_total", "Completed GC cycles.",
+		runtimeMetric("/gc/cycles/total:gc-cycles"))
 	r.GaugeFunc("morph_go_gc_pause_ns_total", "Cumulative GC stop-the-world pause.", func() int64 {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return int64(ms.PauseTotalNs)
 	})
+}
+
+// runtimeMetric reads one uint64 runtime/metrics sample at scrape time.
+func runtimeMetric(name string) func() int64 {
+	return func() int64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		return int64(s[0].Value.Uint64())
+	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -391,6 +392,30 @@ func TestRegisterRuntime(t *testing.T) {
 		t.Fatalf("runtime gauges missing:\n%s", sb.String())
 	}
 	RegisterRuntime(nil) // must not panic
+}
+
+// TestRuntimeGaugesReadRuntimeMetrics: the GC cycle gauge must rise across
+// a forced collection, and the heap gauge must read a live heap.
+func TestRuntimeGaugesReadRuntimeMetrics(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntime(r)
+	read := func(name string) int64 {
+		for _, s := range r.Snapshot() {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("%s not registered", name)
+		return 0
+	}
+	before := read("morph_go_gc_cycles_total")
+	runtime.GC()
+	if after := read("morph_go_gc_cycles_total"); after <= before {
+		t.Fatalf("gc cycles %d -> %d across runtime.GC(); want a rise", before, after)
+	}
+	if heap := read("morph_go_heap_alloc_bytes"); heap <= 0 {
+		t.Fatalf("heap bytes = %d; want > 0", heap)
+	}
 }
 
 func BenchmarkTelemetryInstruments(b *testing.B) {

@@ -237,9 +237,9 @@ type Graph struct {
 	// the scheduler uses them as coarse-grained scheduling units.
 	Chains [][]*txn.Operation
 	// KeySpan is one past the highest KeyID referenced by the batch
-	// (targets and sources). The executor partitions [0, KeySpan) into
-	// contiguous per-shard ranges; keys interned after planning (ND
-	// writes) clamp into the last range.
+	// (targets and sources). The engine partitions the state table's
+	// [0, KeySpan) into contiguous per-shard ranges; keys interned after
+	// planning (ND writes) clamp into the last range.
 	KeySpan store.KeyID
 	// Props are the graph's decision-model properties.
 	Props Props
@@ -315,9 +315,9 @@ func (b *Builder) Finalize(workers int) *Graph {
 	// Non-deterministic fan-out: a pessimistic virtual operation of every
 	// ND op goes into every known key list (paper Section 4.4). The
 	// universe also feeds KeySpan below: an ND access resolves to any of
-	// these keys at execution time, so the executor's (and the aligned
-	// state table's) KeyID-range shard map must cover them — otherwise
-	// every ND-resolved key would clamp into the last shard. Keys the ND
+	// these keys at execution time, so the aligned state table's
+	// KeyID-range partition must cover them — otherwise every ND-resolved
+	// key would clamp into the last shard. Keys the ND
 	// write *creates* mid-batch are interned after planning and still
 	// clamp; the table grows its last shard race-clean for exactly them.
 	var ndSpan store.KeyID

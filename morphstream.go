@@ -35,8 +35,8 @@
 // blocks when it is full — the pipeline's backpressure. A planner stage
 // drains the queue, running PreProcess, StateAccess and TPG construction for batch N+1
 // *concurrently* with the execution of batch N: planning touches no table
-// state, so the state-table alignment and the lock-free sharded execution
-// stay inside the punctuation quiescent point at the stage boundary.
+// state, so the state-table alignment and the lock-free execution stay
+// inside the punctuation quiescent point at the stage boundary.
 // Punctuation is policy — WithPunctuationCount seals a batch every n
 // events, WithPunctuationInterval bounds how long a slow stream can hold a
 // batch open and lets the engine seal earlier, as soon as the executor has
@@ -209,22 +209,10 @@ type (
 	Option = engine.Option
 	// PipelineStats is one consistent reading of the engine's pipeline
 	// counters (Engine.PipelineStats): the plan/execute overlap meter,
-	// cumulative batch/event/commit/abort totals, stage latencies, steal
-	// and park counts, ingest-ring occupancy, and WAL progress.
+	// cumulative batch/event/commit/abort totals, stage latencies, park
+	// counts, ingest-ring occupancy, and WAL progress.
 	PipelineStats = engine.PipelineStats
 )
-
-// WithShards pins the number of KeyID-range shards of the execution layer
-// (per-shard ready queues and parking lots) AND of the state table: before
-// every batch the engine aligns the table's contiguous KeyID-range shards —
-// each owning its own version arenas — to the executor's shard map, so a
-// worker's state accesses stay inside shard-local table memory and an abort
-// round's rollback touches only the aborting shard's arenas. The default —
-// n <= 0, or no option — is the smallest power of two >= Config.Threads, so
-// partitioned execution is on for every multi-threaded engine; pin it
-// explicitly to trade hand-off locality (more shards) against steal
-// frequency (fewer shards).
-func WithShards(n int) Option { return engine.WithShards(n) }
 
 // WithFusion toggles plan-time same-key operation fusion: runs of fusible
 // operations on one key (plain deterministic writes whose only source is
@@ -300,7 +288,7 @@ func RegisterWALValue(v any) { wal.RegisterValue(v) }
 func NewWALFileSink(dir string) (WALSink, error) { return wal.NewFileSink(dir) }
 
 // Telemetry (lock-free metrics registry + admin HTTP endpoint). A registry
-// holds sharded atomic instruments the engine, executor, WAL and RPC front
+// holds lock-free atomic instruments the engine, WAL and RPC front
 // door update on their hot paths; telemetry.Serve (or the -admin flag of
 // cmd/morphserve and cmd/morphbench) exposes it over HTTP as Prometheus
 // text (/metrics), a JSON snapshot (/varz, /statusz), a health probe

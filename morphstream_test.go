@@ -310,55 +310,3 @@ func TestPublicAPIDurableRestart(t *testing.T) {
 		t.Fatalf("acct after resume = %v; want 12", v)
 	}
 }
-
-// TestWithShardsOptionEquivalence drives the same multi-punctuation deposit
-// stream through engines pinned to 1, 2 and 8 executor shards plus the
-// automatic default: shard count is a data-layout decision and must never
-// change results.
-func TestWithShardsOptionEquivalence(t *testing.T) {
-	run := func(opts ...morphstream.Option) map[morphstream.Key]morphstream.Value {
-		eng := newBarrierEngine(t, morphstream.Config{Threads: 4, Cleanup: false}, opts...)
-		keys := make([]morphstream.Key, 12)
-		for i := range keys {
-			keys[i] = morphstream.Key(fmt.Sprintf("acct%d", i))
-			eng.Table().Preload(keys[i], int64(0))
-		}
-		op := morphstream.OperatorFuncs{
-			Pre: func(ev *morphstream.Event) (*morphstream.EventBlotter, error) {
-				eb := morphstream.NewEventBlotter()
-				eb.Params["i"] = ev.Data.(int)
-				return eb, nil
-			},
-			Access: func(eb *morphstream.EventBlotter, b *morphstream.TxnBuilder) error {
-				i := eb.Params["i"].(int)
-				k := keys[i%len(keys)]
-				b.Write(k, []morphstream.Key{k},
-					func(_ *morphstream.Ctx, src []morphstream.Value) (morphstream.Value, error) {
-						if i%17 == 0 {
-							return nil, morphstream.ErrAbort
-						}
-						return src[0].(int64) + int64(i), nil
-					})
-				return nil
-			},
-			Post: func(*morphstream.Event, *morphstream.EventBlotter, bool) error { return nil },
-		}
-		for batch := 0; batch < 3; batch++ {
-			for i := 0; i < 60; i++ {
-				eng.ingest(op, &morphstream.Event{Data: batch*60 + i})
-			}
-			eng.drain()
-		}
-		return eng.Table().Snapshot()
-	}
-
-	want := run(morphstream.WithShards(1))
-	for _, n := range []int{2, 8, 0} {
-		got := run(morphstream.WithShards(n))
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("shards=%d: %s = %v; want %v", n, k, got[k], v)
-			}
-		}
-	}
-}
