@@ -214,8 +214,7 @@ func BenchmarkStoreReadWrite(b *testing.B) {
 
 // BenchmarkStoreContended measures the dense-ID state-table hot path under
 // multi-worker contention — the executor's access pattern. Each parallel
-// worker owns a disjoint contiguous KeyID range (shard-aligned access, as
-// the KeyID-range sharded executor produces) and per iteration runs a
+// worker owns a disjoint contiguous KeyID range and per iteration runs a
 // write/read/rollback cycle ("readwrite") or a pure version-chain lookup
 // ("read"). The benchgate tracks both variants: they bound the per-operation
 // synchronisation cost every explore strategy pays on every state access.
@@ -236,9 +235,6 @@ func BenchmarkStoreContended(b *testing.B) {
 		for _, id := range ids {
 			t.PreloadID(id, v)
 		}
-		// Partition the key range as the engine does for 4 workers before
-		// every batch.
-		t.Align(4, ids[nKeys-1]+1)
 		return t
 	}
 
@@ -286,7 +282,7 @@ func BenchmarkStoreContended(b *testing.B) {
 // in-order append pattern through a pinned View.
 //
 //   - full-8192: every key of a small table written four times, then the
-//     whole-table Truncate(^0) — the sweep plus the per-shard arena recycle.
+//     whole-table Truncate(^0) — the sweep plus the arena recycle.
 //   - full-262144 / dirty-4096-of-262144: msbench's sl-uniform shape, 4,096
 //     of 262,144 keys written once per batch. full pays for the table
 //     (Truncate(^0) walks every chain slot to find the 4,096 that grew),
@@ -326,7 +322,7 @@ func BenchmarkStoreTruncate(b *testing.B) {
 		for _, id := range ids {
 			t.PreloadID(id, v)
 		}
-		t.Truncate(^uint64(0)) // first boundary: compacts the preload arenas
+		t.Truncate(^uint64(0)) // first boundary: the preload is the compaction baseline
 		view := t.View()
 		rng := rand.New(rand.NewSource(1))
 		dirty := make([]store.KeyID, nDirty)
@@ -336,8 +332,8 @@ func BenchmarkStoreTruncate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			// An odd stride walks distinct keys: every chain grows 1 -> 2
-			// in its headroom, so no shard comes due for compaction and
-			// the two variants differ in the sweep alone.
+			// in its headroom, so the table never comes due for compaction
+			// and the two variants differ in the sweep alone.
 			start, stride := rng.Intn(nKeys), 2*rng.Intn(nKeys/2)+1
 			for j := range dirty {
 				ts++
@@ -699,8 +695,8 @@ func BenchmarkPipelinePaced(b *testing.B) {
 }
 
 // BenchmarkWALAppend measures the per-punctuation durability hot path in
-// isolation: gob-encoding one net-delta record (1024 key deltas bucketed
-// into 4 shards — a batchSize-1024 punctuation's worth of "commit
+// isolation: gob-encoding one net-delta record (1024 key deltas in 4
+// buckets — a batchSize-1024 punctuation's worth of "commit
 // information, not traffic") and appending the checksummed frame through the
 // sink. "mem" isolates encode + CRC, "file-nosync" adds the buffered file
 // write, "file-fsync" adds the per-punctuation group fsync of the default
@@ -774,7 +770,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // one punctuation touched 1k keys. "dirty" is the commit path as shipped —
 // LatestFor over the batch's touched keys, O(touched); "full" is the
 // superseded whole-table LatestSince sweep, O(keys), kept as the oracle.
-// Both run against the same aligned table at the same watermark and return
+// Both run against the same table at the same watermark and return
 // the same 1k entries, so ns/op is directly comparable; the CI bench gate
 // tracks both so neither the fast path nor the oracle regresses. The sweeps
 // are read-only, so the table is built once and reused across iterations.
@@ -787,7 +783,6 @@ func BenchmarkWALCommitSparse(b *testing.B) {
 		ids[i] = store.Intern(workload.KeyName(i))
 		tb.PreloadID(ids[i], int64(i))
 	}
-	tb.Align(4, ids[nKeys-1]+1)
 	dirty := make([]store.KeyID, touched)
 	for i := range dirty {
 		id := ids[i*(nKeys/touched)]

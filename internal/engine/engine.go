@@ -4,16 +4,15 @@
 //
 // The engine exposes the paper's three-stage paradigm as a *pipeline*: the
 // planning stage (PreProcess, StateAccess, TPG construction) and the
-// transaction processing stage (refine, decide, align, execute,
-// post-process) operate on explicit per-batch state, so the streaming
-// lifecycle (Start/Ingest/Drain/Close, pipeline.go) — the engine's only way
-// in — can run planning of batch N+1 concurrently with execution of batch N.
+// transaction processing stage (refine, decide, execute, post-process)
+// operate on explicit per-batch state, so the streaming lifecycle
+// (Start/Ingest/Drain/Close, pipeline.go) — the engine's only way in — can
+// run planning of batch N+1 concurrently with execution of batch N.
 // Planning touches no table state — the non-deterministic fan-out universe
-// comes from a snapshot refreshed at quiescent points — so the state-table
-// alignment and the lock-free execution stay inside the punctuation
-// quiescent point at the stage boundary. A caller that needs a barrier per
-// window ingests the window, calls Drain, and reads what its result sink
-// received.
+// comes from a snapshot refreshed at quiescent points — so the lock-free
+// execution stays inside the punctuation quiescent point at the stage
+// boundary. A caller that needs a barrier per window ingests the window,
+// calls Drain, and reads what its result sink received.
 package engine
 
 import (
@@ -524,8 +523,8 @@ func (e *Engine) seal(pb *pendingBatch) *plannedBatch {
 }
 
 // executeBatch runs the transaction processing phase of one sealed batch:
-// decide per group, align the state table, execute all groups concurrently,
-// post-process the cached events, profile, and clean temporal objects up.
+// decide per group, execute all groups concurrently, post-process the
+// cached events, profile, and clean temporal objects up.
 // Exactly one executeBatch runs at a time (the punctuation quiescent
 // point); in the pipeline it overlaps only planning, which touches no table
 // state.
@@ -536,25 +535,15 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	res.Dropped = pb.dropped
 	res.PlanElapsed = pb.planned
 
-	graphs := make([]*tpg.Graph, len(pb.jobs))
-	for i, pj := range pb.jobs {
+	for _, pj := range pb.jobs {
 		res.Decisions[pj.id] = e.decide(pj.id, pj.graph)
 		res.Props = mergeProps(res.Props, pj.graph.Props)
-		graphs[i] = pj.graph
-	}
-
-	// Re-partition the state table's KeyID ranges over the batch's key
-	// span before any worker starts: this is the punctuation's quiescent
-	// point, so the re-partition (a chain-header move, steady-state no-op
-	// once the key space stabilises) cannot race the lock-free hot path.
-	if len(graphs) > 0 {
-		exec.AlignTable(e.table, 0, e.cfg.Threads, graphs...)
 	}
 
 	// Execute all groups concurrently, splitting threads between them
 	// (nested scheduling, Section 8.2.3).
-	threads := max(e.cfg.Threads/max(len(graphs), 1), 1)
-	results := make([]exec.Result, len(graphs))
+	threads := max(e.cfg.Threads/max(len(pb.jobs), 1), 1)
+	results := make([]exec.Result, len(pb.jobs))
 	var wg sync.WaitGroup
 	for i, pj := range pb.jobs {
 		wg.Add(1)

@@ -131,73 +131,6 @@ func TestEngineBasicBatch(t *testing.T) {
 	}
 }
 
-// TestPunctuateAlignsTableToExecutorShards: every punctuation must leave the
-// state table partitioned into nextPow2(Threads) contiguous KeyID ranges
-// over the batch's KeySpan, the ranges its shard-parallel sweeps run over.
-// The batch blind-writes keys the table has never held, so only the batch's
-// graph can size the span: aligning without it would leave the empty
-// table's one-id span and clamp every key into shard 0. Padding interned
-// between the keys spreads them over most of the id space, so several
-// shard boundaries fall inside the batch's key range.
-func TestPunctuateAlignsTableToExecutorShards(t *testing.T) {
-	e := newBarrierEngine(t, Config{Threads: 8, Cleanup: true})
-	const n, shards = 32, 8
-	stride := e.Table().DictLen()/8 + 1
-	keys := make([]txn.Key, n)
-	for i := range keys {
-		for p := 0; p < stride; p++ {
-			store.Intern(fmt.Sprintf("align-pad-%d-%d", i, p))
-		}
-		keys[i] = txn.Key(fmt.Sprintf("align-fresh-%d", i))
-		store.Intern(keys[i])
-	}
-	op := OperatorFuncs{
-		Pre: func(ev *Event) (*txn.EventBlotter, error) {
-			eb := txn.NewEventBlotter()
-			eb.Params["key"] = ev.Data
-			return eb, nil
-		},
-		Access: func(eb *txn.EventBlotter, b *txn.Builder) error {
-			b.Write(eb.Params["key"].(txn.Key), nil, func(*txn.Ctx, []txn.Value) (txn.Value, error) { return int64(1), nil })
-			return nil
-		},
-	}
-	for _, k := range keys {
-		e.ingest(op, &Event{Data: k})
-	}
-	res := e.drain()
-	if res.Committed != n {
-		t.Fatalf("committed = %d; want %d", res.Committed, n)
-	}
-	// The batch's KeySpan is one past its highest key id; Align maps id to
-	// shard id*shards/span.
-	span := uint64(0)
-	for _, k := range keys {
-		span = max(span, uint64(store.Intern(k))+1)
-	}
-	buckets := e.Table().LatestSince(0)
-	if len(buckets) != shards {
-		t.Fatalf("table shards = %d; want Config.Threads = %d", len(buckets), shards)
-	}
-	seen, used := 0, map[int]bool{}
-	for si, es := range buckets {
-		for _, en := range es {
-			id := uint64(store.Intern(en.Key))
-			if want := int(id * shards / span); si != want {
-				t.Errorf("key %s (id %d) in shard %d; want %d (span %d)", en.Key, id, si, want, span)
-			}
-			seen++
-			used[si] = true
-		}
-	}
-	if seen != n {
-		t.Fatalf("table holds %d keys; want %d", seen, n)
-	}
-	if len(used) < shards/2 {
-		t.Fatalf("batch keys fill %d shards; want the padding to spread them over >= %d", len(used), shards/2)
-	}
-}
-
 func TestEngineAbortFlagsPostProcess(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newBarrierEngine(t, Config{Threads: 2}, WithTelemetry(reg))

@@ -24,7 +24,7 @@ var (
 // queue (a buffered channel) feeding a planner goroutine, which seals
 // punctuation batches and hands them to an executor goroutine over a depth-1
 // channel — so planning of batch N+1 (PreProcess + StateAccess + TPG
-// construction, table-free) overlaps execution of batch N (align + execute +
+// construction, table-free) overlaps execution of batch N (execute +
 // post-process, the punctuation quiescent point).
 //
 //	Ingest* -> [ingest queue] -> planner -> [execCh] -> executor -> Results/Sink

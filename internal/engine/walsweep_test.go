@@ -67,9 +67,8 @@ func flattenRecordShards(t *testing.T, label string, shards [][]store.Entry) map
 // drains, the newest WAL record — produced by LatestFor over the planner's
 // per-key lists plus the ND-resolved keys — must carry exactly the entries a
 // full-table LatestSince(previous watermark + 1) sweep reports at the same
-// quiescent point. Entries are compared as key→(TS, value) maps because the
-// engine may re-align the table (and thus the bucket count) after the record
-// was cut; bucket congruence itself is pinned by the store-level tests.
+// quiescent point. Entries are compared as key→(TS, value) maps; bucket
+// order itself is pinned by the store-level tests.
 func TestWALRecordMatchesDeltaOracle(t *testing.T) {
 	workloads := []struct {
 		name  string

@@ -291,8 +291,7 @@ func (ex *executor) handleAborts(failed []*txn.Operation, local bool) {
 	// Roll back and settle the aborted transactions (T4): remove every
 	// version they installed, discard any results their earlier operations
 	// blotted, and pin their operations at ABT. The removals go through the
-	// run's table view under the fence; the arena-backed table keeps the
-	// storm inside the aborting keys' table shards.
+	// run's table view under the fence.
 	for t := range abortTxns {
 		t.Blotter.Reset()
 		for _, op := range t.Ops {

@@ -72,33 +72,10 @@ type Result struct {
 	Parks int
 }
 
-// nextPow2 returns the smallest power of two >= n (minimum 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// AlignTable partitions the state table into nextPow2(threads) contiguous
-// KeyID ranges over the widest graph's KeySpan (store.Table.Align). The
-// partition is the table's own: its quiescent sweeps (LatestSince,
-// LatestFor, Restore, snapshot encode and decode) run one goroutine per
-// range, and compaction runs per range. The executor does not read it. The
-// second argument is unused and every caller passes 0; it stays only
-// because msbench's probe calls this signature (ROADMAP item 4(b)). Must be
-// called at a quiescent point — no executor running against t — as the
-// engine's per-punctuation call site is by construction.
-func AlignTable(t *store.Table, _ int, threads int, graphs ...*tpg.Graph) {
-	span := store.KeyID(0)
-	for _, g := range graphs {
-		if g != nil && g.KeySpan > span {
-			span = g.KeySpan
-		}
-	}
-	t.Align(nextPow2(threads), span)
-}
+// AlignTable does nothing: the state table is one KeyID space with no
+// partition to align. It keeps its signature only because msbench's probe
+// calls it (ROADMAP item 4(b)).
+func AlignTable(*store.Table, int, int, ...*tpg.Graph) {}
 
 // executor carries the runtime state of one batch execution.
 type executor struct {
@@ -124,10 +101,8 @@ type executor struct {
 	// epoch increments on every abort round; workers abandon stale units.
 	epoch atomic.Int64
 
-	// tv is the run's state-table handle: the table layout pinned once at
-	// Run start (the engine aligns the table before any worker exists), so
-	// per-operation state access is pure array indexing with no lock and no
-	// repeated layout resolution.
+	// tv is the run's state-table handle: per-operation state access is
+	// pure array indexing with no lock.
 	// Whole-table operations stay out of the run entirely — they require
 	// the quiescence the epoch fence provides, see the store contract.
 	tv store.View

@@ -22,15 +22,6 @@ import (
 // workers under mid-run failure injection, and the spin-then-park
 // discipline of idle ns-explore workers.
 
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 16, 16: 16, 17: 32}
-	for in, want := range cases {
-		if got := nextPow2(in); got != want {
-			t.Errorf("nextPow2(%d) = %d; want %d", in, got, want)
-		}
-	}
-}
-
 // resultWorkload is an SL-style batch whose read operations deposit values
 // in the blotters, so equivalence checks cover the result path, not only
 // the final state: deposits, guarded transfers, reads, and deterministic

@@ -20,18 +20,15 @@ type bumpChunk[T any] struct {
 	buf []T
 }
 
-// bump is a lock-free bump allocator. Each table shard owns two — one for
-// version runs, one for chain headers — so the storage of one KeyID range
-// lives in that range's chunks: an abort round's rollback or a
-// batch-boundary truncate touches only the affected shard's memory.
-// Allocation is an atomic fetch-add on the current chunk; exhaustion
-// installs a fresh chunk by CAS (the loser retries against the winner's
-// chunk), so the path stays mutex-free even while ND writes create keys
-// concurrently.
+// bump is a lock-free bump allocator. The table owns two — one for version
+// runs, one for chain headers. Allocation is an atomic fetch-add on the
+// current chunk; exhaustion installs a fresh chunk by CAS (the loser retries
+// against the winner's chunk), so the path stays mutex-free even while ND
+// writes create keys concurrently.
 type bump[T any] struct {
 	cur atomic.Pointer[bumpChunk[T]]
 	// installs counts chunk swap-ins; Truncate compares it against the
-	// count at the last compaction to decide whether a shard has churned
+	// count at the last compaction to decide whether the table has churned
 	// enough garbage to be worth compacting.
 	installs atomic.Int64
 }
@@ -59,7 +56,7 @@ func (a *bump[T]) alloc(n int) []T {
 
 // reset detaches the current chunk so subsequent allocations start in fresh
 // memory; old chunks are garbage-collected once no chain references them.
-// Truncate calls it per shard before compacting survivors.
+// Truncate calls it before compacting survivors.
 func (a *bump[T]) reset() { a.cur.Store(nil) }
 
 // allocVersions serves a version run of capacity n, spilling oversized

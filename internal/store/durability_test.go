@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,18 +21,12 @@ func TestLatestSinceSnapshotRestoreRoundtrip(t *testing.T) {
 		src.WriteID(id, uint64(100+i), int64(i))
 		src.WriteID(id, uint64(1000+i), int64(i*2))
 	}
-	src.Align(4, KeyID(src.DictLen()))
-
 	shards := src.LatestSince(0)
-	if len(shards) != 4 {
-		t.Fatalf("shard buckets = %d; want 4 (aligned)", len(shards))
+	if len(shards) != 1 {
+		t.Fatalf("buckets = %d; want 1 (one KeyID space)", len(shards))
 	}
-	total := 0
-	for _, es := range shards {
-		total += len(es)
-	}
-	if total != 300 {
-		t.Fatalf("entries = %d; want 300", total)
+	if n := len(shards[0]); n != 300 {
+		t.Fatalf("entries = %d; want 300", n)
 	}
 
 	dst := NewTable()
@@ -95,30 +90,8 @@ func TestLatestSinceDeltaFiltering(t *testing.T) {
 	}
 }
 
-// TestLatestSinceShardBucketing: entry buckets are congruent with the
-// table's shard map, so the WAL's shard-bucketed records mirror ShardOf.
-func TestLatestSinceShardBucketing(t *testing.T) {
-	tb := NewTable()
-	const keys = 97
-	for i := 0; i < keys; i++ {
-		tb.Preload(fmt.Sprintf("bucket-%02d", i), int64(i))
-	}
-	tb.Align(8, KeyID(tb.DictLen()))
-	for si, es := range tb.LatestSince(0) {
-		for _, en := range es {
-			id, ok := LookupID(en.Key)
-			if !ok {
-				t.Fatalf("entry key %q not interned", en.Key)
-			}
-			if want := tb.ShardOf(id); want != si {
-				t.Errorf("key %q in bucket %d; ShardOf = %d", en.Key, si, want)
-			}
-		}
-	}
-}
-
-// flattenEntries folds shard buckets into a key-indexed map and checks that
-// no key appears twice across buckets.
+// flattenEntries folds buckets into a key-indexed map and checks that no
+// key appears twice across buckets.
 func flattenEntries(t *testing.T, label string, shards [][]Entry) map[Key]Entry {
 	t.Helper()
 	out := make(map[Key]Entry)
@@ -140,96 +113,73 @@ func flattenEntries(t *testing.T, label string, shards [][]Entry) map[Key]Entry 
 // hostile shapes the commit path produces: duplicate dirty ids, ids of keys
 // that were only read (latest version below the watermark), writes rolled
 // back by RemoveID (including a brand-new key whose only version is removed),
-// ND-style keys interned after Align (their ids land past the shard span and
-// clamp into the last shard), and ghost ids never written at all. Runs under
-// several shard alignments, with a mid-run re-Align folding the late keys in.
+// ND-style keys interned mid-run (their ids lie past every preloaded key),
+// and ghost ids never written at all. LatestFor must leave dirty as it got
+// it: the engine reuses the slice for TruncateFor and the checkpoint set.
 func TestLatestForMatchesLatestSince(t *testing.T) {
-	for _, shards := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(9000 + shards)))
-			tb := NewTable()
-			ids := make([]KeyID, 0, 128)
-			for i := 0; i < 128; i++ {
-				id := Intern(fmt.Sprintf("prop-%d-%03d", shards, i))
-				tb.PreloadID(id, int64(i)) // TS 0: below every watermark
-				ids = append(ids, id)
-			}
-			tb.Align(shards, KeyID(tb.DictLen()))
-			ts := uint64(1)
-			for batch := 0; batch < 40; batch++ {
-				if batch == 20 {
-					// Fold the ND keys interned so far into a fresh span.
-					tb.Align(shards, KeyID(tb.DictLen()))
-				}
-				watermark := ts
-				var dirty []KeyID
-				for n := 1 + rng.Intn(12); n > 0; n-- {
-					id := ids[rng.Intn(len(ids))]
-					tb.WriteID(id, ts, int64(rng.Intn(1000)))
-					dirty = append(dirty, id)
-					ts++
-				}
-				for n := rng.Intn(3); n > 0; n-- {
-					// Aborted-then-rolled-back write: net state unchanged,
-					// but the planner still reports the key dirty.
-					id := ids[rng.Intn(len(ids))]
-					tb.WriteID(id, ts, int64(-7))
-					tb.RemoveID(id, ts)
-					dirty = append(dirty, id)
-					ts++
-				}
-				for n := rng.Intn(3); n > 0; n-- {
-					// ND fan-out resolved a fresh key mid-execution: interned
-					// past the aligned span, so it clamps into the last shard.
-					id := Intern(fmt.Sprintf("prop-%d-nd-%d-%d", shards, batch, n))
-					tb.WriteID(id, ts, int64(batch))
-					ids = append(ids, id)
-					dirty = append(dirty, id)
-					ts++
-				}
-				if rng.Intn(4) == 0 {
-					// Aborted insert: the key's only-ever version rolls back,
-					// leaving an empty chain behind a dirty id.
-					id := Intern(fmt.Sprintf("prop-%d-abins-%d", shards, batch))
-					tb.WriteID(id, ts, int64(-8))
-					tb.RemoveID(id, ts)
-					dirty = append(dirty, id)
-					ts++
-				}
-				dirty = append(dirty, dirty...)                // duplicates
-				dirty = append(dirty, ids[rng.Intn(len(ids))]) // read-only id
-				dirty = append(dirty, Intern(fmt.Sprintf("prop-%d-ghost-%d", shards, batch)))
-				rng.Shuffle(len(dirty), func(i, j int) { dirty[i], dirty[j] = dirty[j], dirty[i] })
+	rng := rand.New(rand.NewSource(9000))
+	tb := NewTable()
+	ids := make([]KeyID, 0, 128)
+	for i := 0; i < 128; i++ {
+		id := Intern(fmt.Sprintf("prop-%03d", i))
+		tb.PreloadID(id, int64(i)) // TS 0: below every watermark
+		ids = append(ids, id)
+	}
+	ts := uint64(1)
+	for batch := 0; batch < 40; batch++ {
+		watermark := ts
+		var dirty []KeyID
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			id := ids[rng.Intn(len(ids))]
+			tb.WriteID(id, ts, int64(rng.Intn(1000)))
+			dirty = append(dirty, id)
+			ts++
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			// Aborted-then-rolled-back write: net state unchanged, but the
+			// planner still reports the key dirty.
+			id := ids[rng.Intn(len(ids))]
+			tb.WriteID(id, ts, int64(-7))
+			tb.RemoveID(id, ts)
+			dirty = append(dirty, id)
+			ts++
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			// ND fan-out resolved a fresh key mid-execution.
+			id := Intern(fmt.Sprintf("prop-nd-%d-%d", batch, n))
+			tb.WriteID(id, ts, int64(batch))
+			ids = append(ids, id)
+			dirty = append(dirty, id)
+			ts++
+		}
+		if rng.Intn(4) == 0 {
+			// Aborted insert: the key's only-ever version rolls back,
+			// leaving an empty chain behind a dirty id.
+			id := Intern(fmt.Sprintf("prop-abins-%d", batch))
+			tb.WriteID(id, ts, int64(-8))
+			tb.RemoveID(id, ts)
+			dirty = append(dirty, id)
+			ts++
+		}
+		dirty = append(dirty, dirty...)                // duplicates
+		dirty = append(dirty, ids[rng.Intn(len(ids))]) // read-only id
+		dirty = append(dirty, Intern(fmt.Sprintf("prop-ghost-%d", batch)))
+		rng.Shuffle(len(dirty), func(i, j int) { dirty[i], dirty[j] = dirty[j], dirty[i] })
+		arg := slices.Clone(dirty)
 
-				got := tb.LatestFor(dirty, watermark)
-				want := tb.LatestSince(watermark)
-				if len(got) != len(want) {
-					t.Fatalf("batch %d: bucket count %d; want %d", batch, len(got), len(want))
-				}
-				gm := flattenEntries(t, "LatestFor", got)
-				wm := flattenEntries(t, "LatestSince", want)
-				for k, wen := range wm {
-					if gen, ok := gm[k]; !ok || gen != wen {
-						t.Errorf("batch %d: LatestFor[%s] = %+v (present %v); want %+v", batch, k, gen, ok, wen)
-					}
-				}
-				if len(gm) != len(wm) {
-					t.Fatalf("batch %d: LatestFor keys = %d; want %d", batch, len(gm), len(wm))
-				}
-				// Bucketing and in-bucket order must be congruent too: the
-				// WAL record's shape is part of the recovery contract.
-				for si := range want {
-					if len(got[si]) != len(want[si]) {
-						t.Fatalf("batch %d shard %d: %d entries; want %d", batch, si, len(got[si]), len(want[si]))
-					}
-					for i := range want[si] {
-						if got[si][i] != want[si][i] {
-							t.Fatalf("batch %d shard %d entry %d: %+v; want %+v", batch, si, i, got[si][i], want[si][i])
-						}
-					}
-				}
-			}
-		})
+		got := tb.LatestFor(dirty, watermark)
+		if !slices.Equal(dirty, arg) {
+			t.Fatalf("batch %d: LatestFor reordered its argument:\n got %v\nwant %v", batch, dirty, arg)
+		}
+		want := tb.LatestSince(watermark)
+		if len(got) != 1 || len(want) != 1 {
+			t.Fatalf("batch %d: bucket counts %d and %d; want 1 each", batch, len(got), len(want))
+		}
+		// In-bucket order must be congruent too: the WAL record's shape is
+		// part of the recovery contract.
+		if !slices.Equal(got[0], want[0]) {
+			t.Fatalf("batch %d: LatestFor = %+v\nwant LatestSince = %+v", batch, got[0], want[0])
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ func (t *Table) WriteID(id KeyID, ts uint64, v Value) {
 	t.noteUntracked()
 	t.View().WriteID(id, ts, v)
 }
-func (t *Table) VersionCountID(id KeyID) int { return len(t.layout.Load().chainAt(id)) }
+func (t *Table) VersionCountID(id KeyID) int { return len(t.chainAt(id)) }
 
 func (t *Table) Read(k Key, ts uint64) (Value, bool)      { return t.ReadID(t.idOf(k), ts) }
 func (t *Table) ReadRange(k Key, lo, hi uint64) []Version { return t.ReadRangeID(t.idOf(k), lo, hi) }
@@ -29,12 +29,3 @@ func (t *Table) Keys() []Key {
 	}
 	return out
 }
-
-// Shards reports the current (num shards, span) partition.
-func (t *Table) Shards() (int, KeyID) {
-	ly := t.layout.Load()
-	return ly.num, KeyID(ly.span)
-}
-
-// ShardOf reports the shard index id currently maps to.
-func (t *Table) ShardOf(id KeyID) int { return t.layout.Load().indexOf(id) }

@@ -190,15 +190,13 @@ func (t *modNTable) TotalVersions() int {
 
 // TestArenaTableMatchesModNReference drives random interleavings of
 // PreloadID/WriteID/ReadID/ReadRangeID/RemoveID/Truncate against the
-// seed-layout reference, re-aligning the arena table mid-sequence so the
-// comparison also covers chain moves across shard re-partitions.
+// seed-layout reference.
 func TestArenaTableMatchesModNReference(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tb := NewTable()
 		ref := newModN(64)
 		const nKeys = 300
-		base := Intern(fmt.Sprintf("equiv-%d-0", seed))
 		ids := make([]KeyID, nKeys)
 		for i := range ids {
 			ids[i] = Intern(fmt.Sprintf("equiv-%d-%d", seed, i))
@@ -240,9 +238,6 @@ func TestArenaTableMatchesModNReference(t *testing.T) {
 					}
 					tb.Truncate(cut)
 					ref.Truncate(cut)
-				} else {
-					// Re-partition mid-sequence; must be invisible.
-					tb.Align(1+rng.Intn(8), base+KeyID(nKeys))
 				}
 			}
 		}
@@ -329,88 +324,67 @@ func TestOverlappingReadersOfOneChain(t *testing.T) {
 	}
 }
 
-// --- Late-key growth: fresh ids beyond the aligned span must clamp into
-// the last shard and grow it race-clean under concurrent creators ---
+// --- Late-key growth: fresh ids past every preloaded key grow the one
+// block directory race-clean under concurrent creators ---
 
-func TestLateKeyGrowthShardLocalAndRaceClean(t *testing.T) {
+// TestConcurrentLateKeyCreation is the ND write pattern: several goroutines
+// create fresh keys, interned after the table was preloaded, at the same
+// time. The ids are dealt round-robin, so every new block is wanted by all
+// creators at once: directory growth races on the copy-on-write CAS and
+// every chain birth on the two shared arena bumps. Run under -race.
+func TestConcurrentLateKeyCreation(t *testing.T) {
 	tb := NewTable()
-	lo := Intern("late-base")
-	tb.PreloadID(lo, int64(1))
-	span := lo + 16
-	tb.Align(4, span)
-	num, _ := tb.Shards()
-	if num != 4 {
-		t.Fatalf("Shards() = %d; want 4", num)
-	}
+	top := Intern("late-base")
+	tb.PreloadID(top, int64(1))
 
-	// Concurrent creators of distinct fresh keys, all beyond span — the ND
-	// write pattern. Each lands in the last shard and grows its directory.
-	const workers, perWorker = 8, 400
+	const workers, perWorker = 8, 400 // 3,200 ids: several fresh blocks
 	ids := make([][]KeyID, workers)
 	for w := range ids {
 		ids[w] = make([]KeyID, perWorker)
-		for i := range ids[w] {
+	}
+	for i := 0; i < perWorker; i++ {
+		for w := range ids {
 			ids[w][i] = Intern(fmt.Sprintf("late-%d-%d", w, i))
 		}
 	}
-	var wg sync.WaitGroup
+	var ready, wg sync.WaitGroup
+	start := make(chan struct{})
 	for w := 0; w < workers; w++ {
+		ready.Add(1)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			v := tb.View()
+			ready.Done()
+			<-start
 			for i, id := range ids[w] {
-				tb.WriteID(id, uint64(i+1), int64(w*perWorker+i))
-				if v, ok := tb.ReadID(id, uint64(i+2)); !ok || v.(int64) != int64(w*perWorker+i) {
-					t.Errorf("worker %d: readback of late key %d = %v,%v", w, id, v, ok)
+				v.WriteID(id, uint64(i+1), int64(w*perWorker+i))
+				if got, ok := v.ReadID(id, uint64(i+2)); !ok || got.(int64) != int64(w*perWorker+i) {
+					t.Errorf("worker %d: readback of late key %d = %v,%v", w, id, got, ok)
 					return
 				}
 			}
 		}(w)
 	}
+	ready.Wait()
+	close(start)
 	wg.Wait()
 
-	for w := range ids {
-		for i, id := range ids[w] {
-			if id >= span && tb.ShardOf(id) != num-1 {
-				t.Fatalf("late key %d mapped to shard %d; want last shard %d", id, tb.ShardOf(id), num-1)
-			}
-			if v, ok := tb.ReadID(id, ^uint64(0)); !ok || v.(int64) != int64(w*perWorker+i) {
-				t.Fatalf("late key %d lost its version: %v,%v", id, v, ok)
-			}
-		}
+	if n := tb.Len(); n != 1+workers*perWorker {
+		t.Fatalf("Len = %d; want %d", n, 1+workers*perWorker)
 	}
-
-	// A later Align must absorb the late keys into the span proper.
-	tb.Align(4, span)
-	if _, newSpan := tb.Shards(); newSpan <= span {
-		t.Fatalf("re-Align span = %d; want > %d (late keys absorbed)", newSpan, span)
+	if n := tb.KeyBirths(); n != 1+workers*perWorker {
+		t.Fatalf("KeyBirths = %d; want %d", n, 1+workers*perWorker)
 	}
 	for w := range ids {
 		for i, id := range ids[w] {
-			if v, ok := tb.ReadID(id, ^uint64(0)); !ok || v.(int64) != int64(w*perWorker+i) {
-				t.Fatalf("late key %d lost its version after re-Align: %v,%v", id, v, ok)
+			if id <= top {
+				t.Fatalf("fresh key %d not past the preloaded key %d", id, top)
+			}
+			if got, ok := tb.LatestID(id); !ok || got.(int64) != int64(w*perWorker+i) {
+				t.Fatalf("late key %d lost its version: %v,%v", id, got, ok)
 			}
 		}
-	}
-}
-
-// TestAlignNeverShrinksAndCoversPresent pins the Align span rules: a span
-// below the current one, or below a present key, is raised.
-func TestAlignNeverShrinksAndCoversPresent(t *testing.T) {
-	tb := NewTable()
-	id := Intern("align-cover-key")
-	tb.PreloadID(id, int64(7))
-	tb.Align(8, 4) // requested span far below the present key
-	if _, span := tb.Shards(); span < id+1 {
-		t.Fatalf("span = %d; want >= %d (must cover present keys)", span, id+1)
-	}
-	before, spanBefore := tb.Shards()
-	tb.Align(before, spanBefore/2)
-	if _, span := tb.Shards(); span != spanBefore {
-		t.Fatalf("span shrank: %d -> %d", spanBefore, span)
-	}
-	if v, ok := tb.ReadID(id, 1); !ok || v.(int64) != 7 {
-		t.Fatalf("value lost across Align: %v,%v", v, ok)
 	}
 }
 
@@ -435,7 +409,7 @@ func sameTables(t *testing.T, label string, got, want *Table) {
 // TestTruncateForToleratesSloppyDirtySets: the engine's dirty set is a
 // superset with noise — duplicates, keys that were only read, keys whose
 // write was rolled back, ids the table never held (an ND read that missed,
-// NoKeyID, an id beyond every shard). None of it may change the outcome
+// NoKeyID, an id beyond every block). None of it may change the outcome
 // relative to the full sweep.
 func TestTruncateForToleratesSloppyDirtySets(t *testing.T) {
 	const n = 64
@@ -449,7 +423,6 @@ func TestTruncateForToleratesSloppyDirtySets(t *testing.T) {
 		for i, id := range ids {
 			tb.PreloadID(id, int64(i))
 		}
-		tb.Align(4, ids[n-1]+1)
 		return tb
 	}
 	got, want := build(), build()
@@ -526,12 +499,13 @@ func TestTruncateForFallsBackWhenUntracked(t *testing.T) {
 	}
 }
 
-// TestTruncateForCompactsDueShardWhole: the arena recycle is per shard and
-// all-or-nothing. A shard whose arenas churned past compactAfterInstalls is
-// compacted whole — chains outside the dirty set move to the fresh chunks
-// too, or the old chunks could never be freed — while a quiet shard's
-// untouched chains are not even looked at.
-func TestTruncateForCompactsDueShardWhole(t *testing.T) {
+// TestTruncateForCompactsDueTableWhole: the arena recycle is all-or-nothing.
+// A table whose arenas churned past compactAfterInstalls is compacted whole —
+// chains outside the dirty set move to the fresh chunks too, or the old
+// chunks could never be freed — while a quiet table's untouched chains are
+// not even looked at. A fresh preload is not churn: the first truncate
+// takes it as the baseline and copies nothing.
+func TestTruncateForCompactsDueTableWhole(t *testing.T) {
 	const n = 1024
 	ids := make([]KeyID, n)
 	for i := range ids {
@@ -541,70 +515,69 @@ func TestTruncateForCompactsDueShardWhole(t *testing.T) {
 	for i, id := range ids {
 		tb.PreloadID(id, int64(i))
 	}
-	// The process dictionary hands out this test's ids somewhere above 0;
-	// a span of twice their midpoint puts the shard boundary in their middle.
-	tb.Align(2, 2*ids[n/2])
-	ly := tb.layout.Load()
-	var busy, quiet []KeyID // keys of shard 0 and shard 1
-	for _, id := range ids {
-		if ly.indexOf(id) == 0 {
-			busy = append(busy, id)
-		} else {
-			quiet = append(quiet, id)
-		}
+	bystander, written, churned := ids[0], ids[1], ids[2:]
+	hdr := tb.headerAt(bystander)
+	tb.Truncate(^uint64(0))
+	if tb.headerAt(bystander) != hdr {
+		t.Fatal("the first truncate after a preload compacted the table")
 	}
-	if len(busy) < 200 || len(quiet) < 2 {
-		t.Fatalf("shard split %d/%d: the process dictionary put too few test keys in a shard", len(busy), len(quiet))
-	}
-	busyBystander, churned := busy[0], busy[1:]
-	quietBystander, quietWritten := quiet[0], quiet[1]
 
-	// Long in-order chains on shard 0 regrow their runs again and again:
-	// far more than compactAfterInstalls chunks of version garbage.
+	// A quiet batch: one in-place write (the compacted run kept headroom)
+	// installs no chunk, so TruncateFor visits only what dirty names.
 	v := tb.View()
+	v.WriteID(written, 1, int64(1))
+	if tb.compactionDue() {
+		t.Fatal("set-up: an in-place write made the table due")
+	}
+	tb.TruncateFor([]KeyID{written})
+	if tb.headerAt(bystander) != hdr {
+		t.Fatal("the table was not due, but a chain outside dirty was re-installed")
+	}
+	if n := tb.VersionCountID(written); n != 1 {
+		t.Fatalf("dirty chain holds %d versions after TruncateFor; want 1", n)
+	}
+
+	// A busy batch: long in-order chains regrow their runs again and again,
+	// far more than compactAfterInstalls chunks of version garbage.
 	const depth = 64
-	for ts := uint64(1); ts <= depth; ts++ {
+	for ts := uint64(2); ts <= depth+1; ts++ {
 		for _, id := range churned {
 			v.WriteID(id, ts, int64(ts))
 		}
 	}
-	v.WriteID(quietWritten, 1, int64(1)) // in place: preload left headroom
-	sh0, sh1 := &ly.shards[0], &ly.shards[1]
-	if !sh0.compactionDue() || sh1.compactionDue() {
-		t.Fatalf("set-up: compaction due = %v/%v; want true/false", sh0.compactionDue(), sh1.compactionDue())
+	if !tb.compactionDue() {
+		t.Fatal("set-up: the busy batch did not make the table due")
 	}
-	busyHdr, quietHdr := ly.headerAt(busyBystander), ly.headerAt(quietBystander)
-
-	tb.TruncateFor(append(append([]KeyID(nil), churned...), quietWritten))
-
-	if sh0.compactionDue() {
-		t.Fatal("shard 0 still due after TruncateFor: it was not compacted")
+	hdr = tb.headerAt(bystander)
+	tb.TruncateFor(churned)
+	if tb.compactionDue() {
+		t.Fatal("table still due after TruncateFor: it was not compacted")
 	}
-	if ly.headerAt(busyBystander) == busyHdr {
-		t.Fatal("shard 0 was due, but a chain outside dirty kept its old header: the shard was not compacted whole")
-	}
-	if ly.headerAt(quietBystander) != quietHdr {
-		t.Fatal("shard 1 was not due, but a chain outside dirty was re-installed")
+	if tb.headerAt(bystander) == hdr {
+		t.Fatal("the table was due, but a chain outside dirty kept its old header: it was not compacted whole")
 	}
 	if tv := tb.TotalVersions(); tv != n {
 		t.Fatalf("%d versions over %d keys after TruncateFor", tv, n)
 	}
 	for _, id := range churned {
-		if val, ok := tb.LatestID(id); !ok || val.(int64) != depth {
-			t.Fatalf("churned key %d = %v,%v; want %d", id, val, ok, depth)
+		if val, ok := tb.LatestID(id); !ok || val.(int64) != depth+1 {
+			t.Fatalf("churned key %d = %v,%v; want %d", id, val, ok, depth+1)
 		}
 	}
-	if val, _ := tb.LatestID(quietWritten); val.(int64) != 1 {
-		t.Fatalf("quiet shard's written key = %v; want 1", val)
+	if val, _ := tb.LatestID(written); val.(int64) != 1 {
+		t.Fatalf("quiet batch's written key = %v; want 1", val)
+	}
+	if val, _ := tb.LatestID(bystander); val.(int64) != 0 {
+		t.Fatalf("bystander = %v; want its preload 0", val)
 	}
 	// The compacted runs were sized to the observed demand: the next batch
-	// of the same shape appends in place and the shard does not come due.
-	for ts := uint64(depth + 1); ts <= 2*depth; ts++ {
+	// of the same shape appends in place and the table does not come due.
+	for ts := uint64(depth + 2); ts <= 2*depth+1; ts++ {
 		for _, id := range churned {
 			v.WriteID(id, ts, int64(ts))
 		}
 	}
-	if sh0.compactionDue() {
+	if tb.compactionDue() {
 		t.Fatal("steady-state batch after compaction churned the arena again")
 	}
 }

@@ -236,11 +236,6 @@ type Graph struct {
 	// Chains groups the real operations of each key in timestamp order;
 	// the scheduler uses them as coarse-grained scheduling units.
 	Chains [][]*txn.Operation
-	// KeySpan is one past the highest KeyID referenced by the batch
-	// (targets and sources). The engine partitions the state table's
-	// [0, KeySpan) into contiguous per-shard ranges; keys interned after
-	// planning (ND writes) clamp into the last range.
-	KeySpan store.KeyID
 	// Props are the graph's decision-model properties.
 	Props Props
 
@@ -313,14 +308,7 @@ func (b *Builder) AppendDirtyKeys(dst []store.KeyID) []store.KeyID {
 // probe that calls it.
 func (b *Builder) Finalize(workers int) *Graph {
 	// Non-deterministic fan-out: a pessimistic virtual operation of every
-	// ND op goes into every known key list (paper Section 4.4). The
-	// universe also feeds KeySpan below: an ND access resolves to any of
-	// these keys at execution time, so the aligned state table's
-	// KeyID-range partition must cover them — otherwise every ND-resolved
-	// key would clamp into the last shard. Keys the ND
-	// write *creates* mid-batch are interned after planning and still
-	// clamp; the table grows its last shard race-clean for exactly them.
-	var ndSpan store.KeyID
+	// ND op goes into every known key list (paper Section 4.4).
 	if len(b.ndOps) > 0 {
 		universe := map[store.KeyID]struct{}{}
 		if b.allKeyIDs != nil {
@@ -335,9 +323,6 @@ func (b *Builder) Finalize(workers int) *Graph {
 			universe[l.id] = struct{}{}
 		}
 		for id := range universe {
-			if id != store.NoKeyID && id+1 > ndSpan {
-				ndSpan = id + 1
-			}
 			for _, op := range b.ndOps {
 				b.appendEntry(id, entry{op: op, kind: ndvo})
 			}
@@ -369,14 +354,6 @@ func (b *Builder) Finalize(workers int) *Graph {
 	b.poolOps = nil
 	for _, t := range b.txns {
 		for _, op := range t.Ops {
-			if op.KeyID != store.NoKeyID && op.KeyID >= g.KeySpan {
-				g.KeySpan = op.KeyID + 1
-			}
-			for _, src := range op.SrcIDs {
-				if src >= g.KeySpan {
-					g.KeySpan = src + 1
-				}
-			}
 			switch op.Kind {
 			case txn.OpNDRead, txn.OpNDWrite:
 				g.Props.NumND++
@@ -402,10 +379,6 @@ func (b *Builder) Finalize(workers int) *Graph {
 			g.Props.FusedAway += len(op.Fan)
 		}
 	}
-	if ndSpan > g.KeySpan {
-		g.KeySpan = ndSpan
-	}
-
 	b.derive(g)
 	b.linkEdges(g)
 

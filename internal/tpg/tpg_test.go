@@ -407,67 +407,6 @@ func TestEdgesRespectTimestampOrder(t *testing.T) {
 	}
 }
 
-// TestKeySpanCoversBatchKeys: Graph.KeySpan must be one past the highest
-// KeyID the batch references, targets and sources alike.
-func TestKeySpanCoversBatchKeys(t *testing.T) {
-	t1 := txn.NewTransaction(1, 1)
-	mkWrite(t1, "span-a")
-	t2 := txn.NewTransaction(2, 2)
-	mkWrite(t2, "span-b", "span-c") // source key counts too
-
-	b := NewBuilderIDs(nil)
-	b.AddTxns([]*txn.Transaction{t1, t2}, 1)
-	g := b.Finalize(1)
-
-	var want store.KeyID
-	for _, k := range []txn.Key{"span-a", "span-b", "span-c"} {
-		if id := store.Intern(k); id >= want {
-			want = id + 1
-		}
-	}
-	if g.KeySpan != want {
-		t.Fatalf("KeySpan = %d; want %d", g.KeySpan, want)
-	}
-}
-
-// TestKeySpanCoversNDUniverse: with non-deterministic operations in the
-// batch, KeySpan must also cover the fan-out key universe — an ND access
-// can resolve to any of those keys at execution time, and without the
-// widened span the executor's (and the aligned table's) shard map would
-// clamp every ND-resolved key into the last shard.
-func TestKeySpanCoversNDUniverse(t *testing.T) {
-	universe := make([]store.KeyID, 0, 8)
-	var top store.KeyID
-	for i := 0; i < 8; i++ {
-		id := store.Intern(fmt.Sprintf("ndspan-%d", i))
-		universe = append(universe, id)
-		if id >= top {
-			top = id + 1
-		}
-	}
-
-	t1 := txn.NewTransaction(1, 1)
-	txn.Build(t1).NDRead(func(*txn.Ctx) (txn.Key, error) { return "ndspan-0", nil }, nil)
-
-	b := NewBuilderIDs(func() []store.KeyID { return universe })
-	b.AddTxns([]*txn.Transaction{t1}, 1)
-	g := b.Finalize(1)
-	if g.KeySpan < top {
-		t.Fatalf("KeySpan = %d; want >= %d (the ND fan-out universe)", g.KeySpan, top)
-	}
-
-	// Without ND operations the universe must not inflate the span.
-	t2 := txn.NewTransaction(2, 2)
-	mkWrite(t2, "ndspan-plain")
-	b2 := NewBuilderIDs(func() []store.KeyID { return universe })
-	b2.AddTxns([]*txn.Transaction{t2}, 1)
-	g2 := b2.Finalize(1)
-	id, _ := store.LookupID("ndspan-plain")
-	if g2.KeySpan != id+1 {
-		t.Fatalf("KeySpan without ND = %d; want %d", g2.KeySpan, id+1)
-	}
-}
-
 // graphFingerprint reduces a graph to a comparable shape: edge set by
 // (txnID, op ordinal) pairs — op IDs are process-global, so ordinals make
 // fingerprints comparable across materializations — plus chain count and
@@ -486,7 +425,7 @@ func graphFingerprint(g *Graph) string {
 		}
 	}
 	sort.Strings(edges)
-	return fmt.Sprintf("edges=%v chains=%d props=%+v span=%d", edges, len(g.Chains), g.Props, g.KeySpan)
+	return fmt.Sprintf("edges=%v chains=%d props=%+v", edges, len(g.Chains), g.Props)
 }
 
 // TestRecycleSteadyStateEquivalence drives the engine's pooled punctuation

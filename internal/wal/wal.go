@@ -5,8 +5,9 @@
 // holds the net final version per key. Instead of logging raw event traffic,
 // the WAL logs that delta set — one length-prefixed, checksummed record per
 // batch, carrying the batch sequence number, the maximum timestamp the batch
-// consumed, and the changed keys bucketed by table shard ("commit
-// information, not traffic").
+// consumed, and the changed keys in buckets ("commit information, not
+// traffic"). The table fills one bucket; the format, and the reader, take
+// any number.
 //
 // Layout on the sink:
 //
@@ -18,7 +19,7 @@
 // Each frame is [4B LE payload len][4B CRC-32C of payload][gob payload],
 // encoded with a fresh gob encoder so every frame is self-contained and
 // replay can resume from any record boundary. Snapshots hold a header frame
-// followed by one frame per table shard, encoded shard-parallel.
+// followed by one frame per bucket.
 //
 // # Log-structured snapshots
 //
@@ -37,7 +38,7 @@
 //
 // Open locates the newest snapshot chain whose every link is readable and
 // returns a Recovery whose contents stream instead of materialising:
-// NextSnapshot yields the chain's shard images oldest-first (the base, to
+// NextSnapshot yields the chain's bucketed images oldest-first (the base, to
 // apply with store.Table.Restore, then each diff for RestoreDelta), and
 // Next yields replay records one at a time, decoding each frame as it is
 // consumed so recovery memory is bounded by a single record rather than the
@@ -60,7 +61,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 	"time"
 
 	"morphstream/internal/store"
@@ -74,8 +74,9 @@ type Record struct {
 	// MaxTS is the highest transaction timestamp at or below this
 	// punctuation; replay seeds the engine's timestamp allocator past it.
 	MaxTS uint64
-	// Shards holds the final-version-per-key deltas bucketed by the table
-	// shard that owned the key when the record was cut.
+	// Shards holds the final-version-per-key deltas in buckets, a key in
+	// at most one. The table writes one bucket; logs whose writer cut
+	// several replay the same way.
 	Shards [][]store.Entry
 }
 
@@ -240,42 +241,29 @@ type snapHeader struct {
 	Kind int
 	// Parent is the Seq of the previous chain link (-1 for a base).
 	Parent int64
+	// Shards counts the bucket frames that follow the header.
 	Shards int
 }
 
 func encodeSnapshot(hdr snapHeader, shards [][]store.Entry) ([]byte, error) {
-	bufs := make([][]byte, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var b bytes.Buffer
-			errs[i] = gob.NewEncoder(&b).Encode(shards[i])
-			bufs[i] = b.Bytes()
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	hdr.Shards = len(shards)
-	var hb, out bytes.Buffer
-	if err := gob.NewEncoder(&hb).Encode(hdr); err != nil {
+	var b, out bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(hdr); err != nil {
 		return nil, err
 	}
-	writeFrame(&out, hb.Bytes())
-	for _, b := range bufs {
-		writeFrame(&out, b)
+	writeFrame(&out, b.Bytes())
+	for _, es := range shards {
+		b.Reset()
+		if err := gob.NewEncoder(&b).Encode(es); err != nil {
+			return nil, err
+		}
+		writeFrame(&out, b.Bytes())
 	}
 	return out.Bytes(), nil
 }
 
-// verifySnapshot decodes a snapshot's header and checks every shard frame's
-// checksum without decoding the shard payloads — the cheap "is this link
+// verifySnapshot decodes a snapshot's header and checks every bucket frame's
+// checksum without decoding the bucket payloads — the cheap "is this link
 // usable" probe the chain walk runs before recovery commits to a chain.
 func verifySnapshot(payload []byte) (snapHeader, error) {
 	var hdr snapHeader
@@ -297,32 +285,19 @@ func verifySnapshot(payload []byte) (snapHeader, error) {
 	return hdr, nil
 }
 
-// decodeSnapshotShards decodes a verified snapshot's shard images,
-// shard-parallel.
+// decodeSnapshotShards decodes a verified snapshot's bucket frames, however
+// many the writer cut.
 func decodeSnapshotShards(payload []byte) ([][]store.Entry, error) {
 	hdr, err := verifySnapshot(payload)
 	if err != nil {
 		return nil, err
 	}
 	_, off, _ := readFrame(payload)
-	raw := make([][]byte, hdr.Shards)
-	for i := 0; i < hdr.Shards; i++ {
-		sp, sn, _ := readFrame(payload[off:])
-		raw[i], off = sp, off+sn
-	}
 	shards := make([][]store.Entry, hdr.Shards)
-	errs := make([]error, hdr.Shards)
-	var wg sync.WaitGroup
-	for i := range raw {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = gob.NewDecoder(bytes.NewReader(raw[i])).Decode(&shards[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i := range shards {
+		sp, sn, _ := readFrame(payload[off:])
+		off += sn
+		if err := gob.NewDecoder(bytes.NewReader(sp)).Decode(&shards[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"morphstream/internal/store"
@@ -601,4 +602,74 @@ func TestFileSinkSurvivesUncleanBufferedTail(t *testing.T) {
 	if r.LastSeq != 1 || len(d.records) != 1 {
 		t.Fatalf("recovered LastSeq %d Records %d; want 1/1 (unsynced tail lost)", r.LastSeq, len(d.records))
 	}
+}
+
+// TestThreeBucketLogRecoversIntoOneRangeTable: logs written before the
+// state table became one KeyID space carry one frame per KeyID range — a
+// 3-range table wrote 3 bucket frames per snapshot and per record, leaving
+// a range the batch did not touch empty. Recovery must apply that shape
+// into today's one-range table and reproduce the writer's state exactly:
+// every key, latest value and surviving timestamp.
+func TestThreeBucketLogRecoversIntoOneRangeTable(t *testing.T) {
+	sinks(t, func(t *testing.T, mk func(t *testing.T) Sink) {
+		const n = 300
+		src := store.NewTable()
+		ids := make([]store.KeyID, n)
+		for i := range ids {
+			ids[i] = store.Intern(fmt.Sprintf("three-bucket/%03d", i))
+			src.PreloadID(ids[i], int64(i))
+		}
+		// thirds buckets entries by the contiguous KeyID range of a 3-range
+		// table over these keys.
+		thirds := func(es []store.Entry) [][]store.Entry {
+			out := make([][]store.Entry, 3)
+			for _, en := range es {
+				id, _ := store.LookupID(en.Key)
+				b := 0
+				for b < 2 && id >= ids[(b+1)*n/3] {
+					b++
+				}
+				out[b] = append(out[b], en)
+			}
+			return out
+		}
+
+		s := mk(t)
+		l, _, _ := openFresh(t, s, Options{})
+		base := thirds(src.LatestSince(0)[0])
+		if err := l.Snapshot(0, 0, base); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		// Batch 1 writes the first and last ranges only.
+		v := src.View()
+		ts := uint64(0)
+		for i := 0; i < n; i++ {
+			if i < n/6 || i >= 5*n/6 {
+				ts++
+				v.WriteID(ids[i], ts, int64(1000+i))
+			}
+		}
+		delta := thirds(src.LatestSince(1)[0])
+		if len(delta[0]) == 0 || len(delta[1]) != 0 || len(delta[2]) == 0 {
+			t.Fatalf("set-up: record buckets hold %d/%d/%d entries; want the middle one empty",
+				len(delta[0]), len(delta[1]), len(delta[2]))
+		}
+		if err := l.Append(Record{Seq: 1, MaxTS: ts, Shards: delta}); err != nil {
+			t.Fatal(err)
+		}
+
+		_, _, d := reopen(t, s, Options{})
+		if len(d.chain) != 1 || len(d.chain[0]) != 3 {
+			t.Fatalf("recovered chain = %d links; want one base of 3 buckets", len(d.chain))
+		}
+		if len(d.records) != 1 || len(d.records[0].Shards) != 3 {
+			t.Fatalf("recovered records = %+v; want one record of 3 buckets", d.records)
+		}
+		dst := store.NewTable()
+		dst.Restore(d.chain[0])
+		dst.RestoreDelta(d.records[0].Shards)
+		if got, want := dst.LatestSince(0), src.LatestSince(0); !slices.Equal(got[0], want[0]) {
+			t.Fatalf("recovered table differs from the writer's:\n got %v\nwant %v", got[0], want[0])
+		}
+	})
 }

@@ -35,8 +35,8 @@
 // blocks when it is full — the pipeline's backpressure. A planner stage
 // drains the queue, running PreProcess, StateAccess and TPG construction for batch N+1
 // *concurrently* with the execution of batch N: planning touches no table
-// state, so the state-table alignment and the lock-free execution stay
-// inside the punctuation quiescent point at the stage boundary.
+// state, so the lock-free execution stays inside the punctuation quiescent
+// point at the stage boundary.
 // Punctuation is policy — WithPunctuationCount seals a batch every n
 // events, WithPunctuationInterval bounds how long a slow stream can hold a
 // batch open and lets the engine seal earlier, as soon as the executor has
@@ -250,7 +250,7 @@ func WithResultSink(fn func(*BatchResult)) Option { return engine.WithResultSink
 // Durability (punctuation-delta WAL). With durability enabled the engine
 // logs, at every punctuation, the batch's net final-version-per-key
 // state deltas — "commit information, not traffic" — as one checksummed
-// record; periodic shard-parallel snapshots bound the log, and Start recovers
+// record; periodic snapshots bound the log, and Start recovers
 // the table by restoring the newest snapshot and replaying the records above
 // it with batch-sequence idempotence. Under the default sync policy a
 // delivered BatchResult implies a durable batch, so after a crash the stream
