@@ -131,6 +131,54 @@ func TestEngineBasicBatch(t *testing.T) {
 	}
 }
 
+// TestPunctuationKeepsOneKeySpace: the engine sweeps the state table as one
+// KeyID space, whatever its thread count. A batch run on 8 threads
+// blind-writes keys the table has never held, spread by padding interned
+// between them over several of the table's directory blocks; after the
+// punctuation the whole-table sweep is one bucket, ascending by KeyID,
+// holding every key the batch created with the value it wrote.
+func TestPunctuationKeepsOneKeySpace(t *testing.T) {
+	e := newBarrierEngine(t, Config{Threads: 8, Cleanup: true})
+	const n = 32
+	keys := make([]txn.Key, n)
+	for i := range keys {
+		for p := 0; p < 700; p++ {
+			store.Intern(fmt.Sprintf("onespace-pad-%d-%d", i, p))
+		}
+		keys[i] = txn.Key(fmt.Sprintf("onespace-fresh-%d", i))
+		store.Intern(keys[i])
+	}
+	op := OperatorFuncs{
+		Pre: func(ev *Event) (*txn.EventBlotter, error) {
+			eb := txn.NewEventBlotter()
+			eb.Params["key"] = ev.Data
+			return eb, nil
+		},
+		Access: func(eb *txn.EventBlotter, b *txn.Builder) error {
+			b.Write(eb.Params["key"].(txn.Key), nil, func(*txn.Ctx, []txn.Value) (txn.Value, error) { return int64(1), nil })
+			return nil
+		},
+	}
+	for _, k := range keys {
+		e.ingest(op, &Event{Data: k})
+	}
+	if res := e.drain(); res.Committed != n {
+		t.Fatalf("committed = %d; want %d", res.Committed, n)
+	}
+	buckets := e.Table().LatestSince(0)
+	if len(buckets) != 1 {
+		t.Fatalf("table sweep = %d buckets; want 1 at Config.Threads = 8", len(buckets))
+	}
+	if len(buckets[0]) != n {
+		t.Fatalf("table holds %d keys; want %d", len(buckets[0]), n)
+	}
+	for i, en := range buckets[0] {
+		if en.Key != keys[i] || en.Value != int64(1) {
+			t.Fatalf("entry %d = %s=%v; want %s=1 (ascending KeyID order)", i, en.Key, en.Value, keys[i])
+		}
+	}
+}
+
 func TestEngineAbortFlagsPostProcess(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newBarrierEngine(t, Config{Threads: 2}, WithTelemetry(reg))

@@ -75,3 +75,33 @@ func TestNDWritesCreateLateKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestAlignTableIsNoOp pins the probe's call sequence — AlignTable, then
+// Run — on the one-KeyID-space table: AlignTable leaves the table exactly
+// as it was (contents, version counts, key births), whatever thread count
+// and graphs it is given, and the run after it still matches the serial
+// oracle under every decision.
+func TestAlignTableIsNoOp(t *testing.T) {
+	w := workloadSpec{keys: 32, txns: 200, seed: 54, abortEvery: 11}
+	wantState, wantAborted, _ := runSerialOracle(w)
+	for _, d := range allDecisions() {
+		txns, table := w.generate()
+		g := buildGraph(txns, table)
+		before, versions, births := table.LatestSince(0), table.TotalVersions(), table.KeyBirths()
+		AlignTable(table, 0, 8, g, nil, g)
+		if got := table.LatestSince(0); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%v: AlignTable changed the table's contents", d)
+		}
+		if table.TotalVersions() != versions || table.KeyBirths() != births {
+			t.Fatalf("%v: AlignTable changed the table: versions %d -> %d, births %d -> %d",
+				d, versions, table.TotalVersions(), births, table.KeyBirths())
+		}
+		Run(g, Config{Decision: d, Threads: 4, Table: table})
+		if got := table.Snapshot(); !reflect.DeepEqual(got, wantState) {
+			t.Errorf("%v: state after AlignTable and Run diverges from the serial oracle", d)
+		}
+		if got := abortedIDs(txns); !reflect.DeepEqual(got, wantAborted) {
+			t.Errorf("%v: aborted = %v; want %v", d, got, wantAborted)
+		}
+	}
+}

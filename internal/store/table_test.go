@@ -581,3 +581,56 @@ func TestTruncateForCompactsDueTableWhole(t *testing.T) {
 		t.Fatal("steady-state batch after compaction churned the arena again")
 	}
 }
+
+// TestFirstTruncateAfterRestoreTakesBaseline: Restore starts the compaction
+// accounting afresh. The restored image was packed into fresh arenas as it
+// arrived, so the first truncate after it records the baseline and copies
+// nothing, even when the table's earlier baseline (here an empty table's)
+// would call the restore's chunk installs churn. Churn after that baseline
+// still compacts.
+func TestFirstTruncateAfterRestoreTakesBaseline(t *testing.T) {
+	const n = 3000
+	ids := make([]KeyID, n)
+	image := make([]Entry, n)
+	for i := range ids {
+		k := fmt.Sprintf("restore-baseline/%d", i)
+		ids[i] = Intern(k)
+		image[i] = Entry{Key: k, TS: 1, Value: int64(i)}
+	}
+	tb := NewTable()
+	tb.Truncate(^uint64(0)) // baseline on the empty table: zero live chunks
+	tb.Restore([][]Entry{image})
+	if tb.installs() < compactAfterInstalls {
+		t.Fatalf("set-up: restoring %d keys installed %d chunks; want >= %d", n, tb.installs(), compactAfterInstalls)
+	}
+	bystander := ids[0]
+	hdr := tb.headerAt(bystander)
+	tb.TruncateFor(nil) // untracked after Restore: the full sweep
+	if tb.headerAt(bystander) != hdr {
+		t.Fatal("the first truncate after Restore compacted the restored image")
+	}
+	if tb.compactionDue() {
+		t.Fatal("table due right after taking the restored image as its baseline")
+	}
+
+	const depth = 64
+	v := tb.View()
+	for ts := uint64(2); ts <= depth+1; ts++ {
+		for _, id := range ids[1:] {
+			v.WriteID(id, ts, int64(ts))
+		}
+	}
+	if !tb.compactionDue() {
+		t.Fatal("set-up: the busy batch did not make the restored table due")
+	}
+	tb.TruncateFor(ids[1:])
+	if tb.headerAt(bystander) == hdr {
+		t.Fatal("the restored table was due, but it was not compacted whole")
+	}
+	if val, _ := tb.LatestID(bystander); val.(int64) != 0 {
+		t.Fatalf("bystander = %v; want its restored 0", val)
+	}
+	if tv := tb.TotalVersions(); tv != n {
+		t.Fatalf("%d versions over %d keys after compaction", tv, n)
+	}
+}
