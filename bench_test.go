@@ -887,74 +887,31 @@ func BenchmarkWindowReadCost(b *testing.B) {
 	}
 }
 
-// BenchmarkHotKeyFusion measures plan-time same-key operation fusion end to
-// end on the θ=1.2 hot-key workload: TPG construction plus execution, with
-// fusion off and on. The hot set concentrates the batch onto a few keys, so
-// without fusion the planner emits one vertex per write and the executor
-// walks ~20k-node dependency chains; with fusion runs collapse (the
-// planner caps each fan at 32 constituents) and both stages shrink. tpg-nodes reports the planned
-// vertex count per variant.
-func BenchmarkHotKeyFusion(b *testing.B) {
+// BenchmarkHotKeyChains measures planning plus execution end to end on the
+// θ=1.2 hot-key workload: the hot set concentrates the batch onto a few
+// keys, so the planner emits long same-key dependency chains (one vertex
+// per operation) and the executor walks them. tpg-nodes reports the planned
+// vertex count.
+func BenchmarkHotKeyChains(b *testing.B) {
 	batch := workload.HK(workload.Config{
 		Txns: 8192, StateSize: 1024, Theta: 1.2, Length: 2,
 		MultiRatio: 0.05, HotSetFraction: 0.25, Seed: 7,
 	})
 	d := sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: sched.LAbort}
-	for _, fusion := range []bool{false, true} {
-		name := "off"
-		if fusion {
-			name = "on"
-		}
-		b.Run("fusion="+name, func(b *testing.B) {
-			b.ReportAllocs()
-			var nodes int
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				txns, table := batch.Materialize()
-				b.StartTimer()
-				builder := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
-				builder.AddTxns(txns, 2)
-				graph := builder.Finalize(2)
-				exec.Run(graph, exec.Config{Decision: d, Threads: 4, Table: table})
-				nodes = len(graph.Ops)
-			}
-			b.ReportMetric(float64(nodes), "tpg-nodes")
-			b.ReportMetric(float64(len(batch.Specs)*b.N)/b.Elapsed().Seconds(), "events/s")
-		})
+	b.ReportAllocs()
+	var nodes int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		txns, table := batch.Materialize()
+		b.StartTimer()
+		builder := tpg.NewBuilderIDs(table.KeyIDs)
+		builder.AddTxns(txns, 2)
+		graph := builder.Finalize(2)
+		exec.Run(graph, exec.Config{Decision: d, Threads: 4, Table: table})
+		nodes = len(graph.Ops)
 	}
-}
-
-// BenchmarkFusionUnderAborts is a reading row, outside the CI gate: the
-// hot-key stream of BenchmarkHotKeyFusion with 0.1 %, 1 % and 10 % forced
-// aborts, at θ 0.6 and 1.2, fusion off and on, under e-abort — the decision
-// model's pick whenever the abort ratio is below 0.25 — and under l-abort.
-// It shows where fusion stops paying under aborts.
-func BenchmarkFusionUnderAborts(b *testing.B) {
-	for _, theta := range []float64{0.6, 1.2} {
-		for _, ratio := range []float64{0.001, 0.01, 0.1} {
-			batch := workload.HK(workload.Config{
-				Txns: 8192, StateSize: 1024, Theta: theta, Length: 2, AbortRatio: ratio,
-				MultiRatio: 0.05, HotSetFraction: 0.25, Seed: 7,
-			})
-			for _, abort := range []sched.AbortMode{sched.EAbort, sched.LAbort} {
-				d := sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: abort}
-				for _, fusion := range []bool{false, true} {
-					name := fmt.Sprintf("theta=%.1f/aborts=%g/%v/fusion=%v", theta, ratio, abort, fusion)
-					b.Run(name, func(b *testing.B) {
-						for i := 0; i < b.N; i++ {
-							b.StopTimer()
-							txns, table := batch.Materialize()
-							b.StartTimer()
-							builder := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
-							builder.AddTxns(txns, 2)
-							exec.Run(builder.Finalize(2), exec.Config{Decision: d, Threads: 2, Table: table})
-						}
-						b.ReportMetric(float64(len(batch.Specs)*b.N)/b.Elapsed().Seconds(), "events/s")
-					})
-				}
-			}
-		}
-	}
+	b.ReportMetric(float64(nodes), "tpg-nodes")
+	b.ReportMetric(float64(len(batch.Specs)*b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkTelemetryOverhead runs the identical pipelined lifecycle with

@@ -37,7 +37,6 @@ func main() {
 		threads   = flag.Int("threads", 4, "executor threads")
 		punctuate = flag.Int("punctuate", 4096, "punctuation batch size (events)")
 		interval  = flag.Duration("interval", 50*time.Millisecond, "bound on how long a batch stays open; batches seal earlier whenever the executor is idle (0 = count-only punctuation: every batch waits for -punctuate events)")
-		fusion    = flag.Bool("fusion", false, "enable plan-time hot-key operation fusion")
 		walDir    = flag.String("wal", "", "WAL directory (empty = durability off)")
 		accounts  = flag.Int("accounts", 100000, "demo ledger accounts to preload")
 		balance   = flag.Int64("balance", 10000, "initial balance per account")
@@ -51,7 +50,6 @@ func main() {
 		Engine: engine.Config{
 			Threads:           *threads,
 			Cleanup:           true,
-			Fusion:            *fusion,
 			PunctuateEvery:    *punctuate,
 			PunctuateInterval: *interval,
 		},

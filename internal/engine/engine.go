@@ -72,11 +72,6 @@ type Config struct {
 	// Cleanup truncates the multi-version table and discards the TPG after
 	// every punctuation (Section 8.3.3); disable to reproduce Fig. 16b.
 	Cleanup bool
-	// Fusion enables plan-time same-key operation fusion: runs of fusible
-	// operations on one key collapse into single fused TPG vertices, so
-	// hot-key (Zipf-skewed) batches plan far smaller graphs. Observable
-	// semantics are unchanged. See morphstream.WithFusion.
-	Fusion bool
 
 	// PunctuateEvery seals a pipelined batch after this many ingested
 	// events; <= 0 uses DefaultPunctuateEvery.
@@ -258,7 +253,7 @@ func (p *builderPool) take(id int, e *Engine) *tpg.Builder {
 		p.free[id] = l[:len(l)-1]
 		return b
 	}
-	return tpg.NewBuilderIDs(e.universeSnapshot).SetFusion(e.cfg.Fusion)
+	return tpg.NewBuilderIDs(e.universeSnapshot)
 }
 
 // put returns a builder after batch batchNo and evicts stale groups.
@@ -354,17 +349,9 @@ type Engine struct {
 }
 
 // Option customises an Engine's Config beyond its literal fields; the
-// public morphstream package re-exports the constructors (WithFusion, ...).
+// public morphstream package re-exports the constructors (WithDurability,
+// WithTelemetry, ...).
 type Option func(*Config)
-
-// WithFusion toggles plan-time same-key operation fusion (Config.Fusion).
-// Keep it off for streams that abort: under e-abort, the decision model's
-// pick below an abort ratio of 0.25, fusion turned the hot-key gain into a
-// loss at every forced-abort ratio BenchmarkFusionUnderAborts measures
-// (0.1 %, 1 % and 10 %), growing with the ratio.
-func WithFusion(on bool) Option {
-	return func(c *Config) { c.Fusion = on }
-}
 
 // WithPunctuationCount seals a pipelined batch after n ingested events
 // (punctuation as policy rather than a caller-driven method).
@@ -420,10 +407,9 @@ func New(cfg Config, opts ...Option) *Engine {
 func (e *Engine) Table() *store.Table { return e.table }
 
 // universeSnapshot supplies the ND fan-out key universe to TPG builders: the
-// table's key set as of the last quiescent refresh. Keys interned after the
-// snapshot clamp into the state table's last shard exactly like mid-batch
-// ND-created keys (PR 4), and keys touched by the batch being planned are
-// added by the builder itself.
+// table's key set as of the last quiescent refresh. Keys touched by the
+// batch being planned are added by the builder itself; a key in neither set
+// has no planned access in the batch, so no chain needs ordering on it.
 func (e *Engine) universeSnapshot() []store.KeyID {
 	if p := e.universe.Load(); p != nil {
 		return *p
@@ -635,10 +621,10 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 		e.builders.put(pj.id, pj.builder, res.Seq)
 	}
 	if e.cfg.Cleanup {
-		// Discard the batch's temporal objects and recycle churned table
-		// shards' version arenas — the state-table twin of the planner
-		// recycling above, at the same batch boundary. Only the dirty
-		// chains can hold history, so only they are visited.
+		// Discard the batch's temporal objects, and compact the table's
+		// version arenas once enough chunks churned — the state-table twin
+		// of the planner recycling above, at the same batch boundary. Only
+		// the dirty chains can hold history, so only they are visited.
 		cleanupStart := time.Now()
 		e.table.TruncateFor(pb.dirty)
 		cleanupTime = time.Since(cleanupStart)
@@ -673,8 +659,6 @@ func mergeProps(a, b tpg.Props) tpg.Props {
 	a.NumPD += b.NumPD
 	a.NumND += b.NumND
 	a.NumWindow += b.NumWindow
-	a.FusedOps += b.FusedOps
-	a.FusedAway += b.FusedAway
 	if b.DegreeSkew > a.DegreeSkew {
 		a.DegreeSkew = b.DegreeSkew
 	}

@@ -41,9 +41,6 @@ type PipelineStats struct {
 	// Parks counts spin-budget expiries that put a worker to sleep
 	// (exec.Result.Parks, summed).
 	Parks int64
-	// FusedOps counts operations executed as members of fused vertices
-	// (tpg.Props.FusedOps, summed).
-	FusedOps int64
 
 	// PlanElapsed and ExecElapsed are the cumulative planning-stage and
 	// execution-phase times (BatchResult.PlanElapsed/Elapsed, summed); in
@@ -91,7 +88,6 @@ type pipeTotals struct {
 	resetTxns          atomic.Int64
 	opsExecuted        atomic.Int64
 	parks              atomic.Int64
-	fusedOps           atomic.Int64
 	planNS, execNS     atomic.Int64
 	commitNS           atomic.Int64
 	cleanupNS          atomic.Int64
@@ -150,7 +146,6 @@ func (e *Engine) setupTelemetry() {
 		{"morph_engine_abort_rounds_total", "Abort/rollback machinery invocations.", &t.abortRounds},
 		{"morph_engine_redos_total", "Operation re-executions caused by rollback.", &t.redos},
 		{"morph_engine_abort_reset_txns_total", "Transactions sent back for redo by abort rounds (closure width, summed).", &t.resetTxns},
-		{"morph_engine_fused_ops_total", "Operations executed inside fused TPG vertices.", &t.fusedOps},
 		{"morph_exec_parks_total", "Spin-budget expiries that put a worker to sleep.", &t.parks},
 		{"morph_exec_ops_total", "Successful operation executions, redos included.", &t.opsExecuted},
 	} {
@@ -209,7 +204,6 @@ func (e *Engine) recordBatch(res *BatchResult, trigger sealTrigger, commitTime, 
 	t.resetTxns.Add(int64(res.ResetTxns))
 	t.opsExecuted.Add(int64(res.OpsExecuted))
 	t.parks.Add(int64(res.Parks))
-	t.fusedOps.Add(int64(res.Props.FusedOps))
 	t.planNS.Add(int64(res.PlanElapsed))
 	t.execNS.Add(int64(res.Elapsed))
 	t.commitNS.Add(int64(commitTime))
@@ -249,7 +243,6 @@ func (e *Engine) PipelineStats() PipelineStats {
 		ResetTxns:      t.resetTxns.Load(),
 		OpsExecuted:    t.opsExecuted.Load(),
 		Parks:          t.parks.Load(),
-		FusedOps:       t.fusedOps.Load(),
 		PlanElapsed:    time.Duration(t.planNS.Load()),
 		ExecElapsed:    time.Duration(t.execNS.Load()),
 		CommitElapsed:  time.Duration(t.commitNS.Load()),

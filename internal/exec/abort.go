@@ -13,11 +13,6 @@ import (
 type abortScratch struct {
 	abortTxns map[*txn.Transaction]bool
 	resetTxns map[*txn.Transaction]bool
-	// fused maps each fused vertex the round reaches to the index of its
-	// earliest affected constituent: the vertex redoes from that suffix
-	// after rollback, leaving the surviving prefix's versions and results
-	// in place.
-	fused map[*txn.Operation]int
 
 	// txnWork holds reset transactions whose operations are still to be
 	// tainted; sources holds tainted graph vertices whose children are still
@@ -41,13 +36,11 @@ func (sc *abortScratch) reset(ops, units int) {
 	if sc.abortTxns == nil {
 		sc.abortTxns = make(map[*txn.Transaction]bool)
 		sc.resetTxns = make(map[*txn.Transaction]bool)
-		sc.fused = make(map[*txn.Operation]int)
 		sc.opSeen = make([]uint32, ops)
 		sc.unitSeen = make([]uint32, units)
 	}
 	clear(sc.abortTxns)
 	clear(sc.resetTxns)
-	clear(sc.fused)
 	sc.touched = sc.touched[:0]
 	sc.round++
 }
@@ -61,73 +54,20 @@ func (sc *abortScratch) resetTxn(t *txn.Transaction) {
 	sc.txnWork = append(sc.txnWork, t)
 }
 
-// source queues graph vertex v as tainted: what its children read through
-// it is about to change.
-func (sc *abortScratch) source(v *txn.Operation) {
-	if sc.opSeen[v.Index] == sc.round {
-		return
-	}
-	sc.opSeen[v.Index] = sc.round
-	sc.sources = append(sc.sources, v)
-}
-
 // taint records that op's effect is void — the version it installed is about
 // to be removed, or it is an executed read about to re-run — so everything
-// that observed state through it must follow.
+// that observed state through it must follow: its children are queued for
+// examination.
 func (sc *abortScratch) taint(op *txn.Operation) {
-	if f := op.FusedInto; f != nil {
-		// A constituent carries no edges: its vertex stands in for it.
-		sc.redoFrom(f, int(op.FuseIdx))
-		if f.State() != txn.EXE {
-			// The vertex already awaits a redo; its children were tainted
-			// in the round that sent it back, and cannot have run since.
-			return
-		}
-		op = f
-	}
-	sc.source(op)
-}
-
-// redoFrom schedules fused vertex f to redo from constituent k: every later
-// constituent chained off a value that is about to change, and the suffix
-// redo re-runs every non-aborted one of them, so the executed ones' whole
-// transactions reset (blotters included) to keep the redo idempotent.
-// Constituents before the earliest affected index keep their versions and
-// results; that bound, plus the planner's 32-constituent cap on a fan, keeps
-// fusion profitable under abort-heavy hot-key workloads.
-func (sc *abortScratch) redoFrom(f *txn.Operation, k int) {
-	if from, seen := sc.fused[f]; seen && from <= k {
+	if sc.opSeen[op.Index] == sc.round {
 		return
 	}
-	sc.fused[f] = k
-	for _, m := range f.Fan[k:] {
-		if m.State() == txn.EXE {
-			sc.resetTxn(m.Txn)
-		}
-	}
+	sc.opSeen[op.Index] = sc.round
+	sc.sources = append(sc.sources, op)
 }
 
 // observe examines child c of a tainted vertex.
 func (sc *abortScratch) observe(c *txn.Operation) {
-	if c.Fan != nil {
-		// A fused child's own state says nothing about its constituents: a
-		// vertex awaiting a suffix redo is BLK while its prefix has run. The
-		// run starts from the value below its first constituent, so every
-		// executed constituent observed. A settled vertex goes back to BLK
-		// even when none did (all aborted): its constituents carry no edges,
-		// so no bridge leads around it, and only the vertex itself can hold
-		// its children behind the redo of its parents. They read through it,
-		// like the children of any ABT vertex.
-		settled := c.State() == txn.EXE
-		from := slices.IndexFunc(c.Fan, func(m *txn.Operation) bool { return m.State() == txn.EXE })
-		if from >= 0 || settled {
-			sc.redoFrom(c, max(from, 0))
-		}
-		if settled {
-			sc.source(c)
-		}
-		return
-	}
 	switch {
 	case c.IsND():
 		// Non-deterministic accesses keep the structural traversal, whatever
@@ -135,14 +75,14 @@ func (sc *abortScratch) observe(c *txn.Operation) {
 		// key its redo resolves to need not be the one its first run touched,
 		// so its state does not say which neighbours it stood between.
 		sc.resetTxn(c.Txn)
-		sc.source(c)
+		sc.taint(c)
 	case c.State() == txn.BLK:
 		// Never ran, or was sent back by an earlier round that tainted its
 		// children then: nothing below an unexecuted operation has run.
 	case c.Txn.Aborted():
 		// Wrote nothing (or is about to be rolled back as a seed of this
 		// round): its children read through it.
-		sc.source(c)
+		sc.taint(c)
 	default:
 		sc.resetTxn(c.Txn)
 	}
@@ -155,14 +95,6 @@ func (sc *abortScratch) touch(u *sched.Unit) {
 	}
 	sc.unitSeen[u.ID] = sc.round
 	sc.touched = append(sc.touched, u)
-}
-
-// touchOp touches the unit of op's graph vertex.
-func (ex *executor) touchOp(op *txn.Operation) {
-	if f := op.FusedInto; f != nil {
-		op = f
-	}
-	ex.abortSc.touch(ex.unitOf[op.Index])
 }
 
 // handleAborts finalises the abort of every transaction in failed, rolls
@@ -300,7 +232,7 @@ func (ex *executor) handleAborts(failed []*txn.Operation, local bool) {
 				op.ClearWritten()
 			}
 			op.SetState(txn.ABT)
-			ex.touchOp(op)
+			sc.touch(ex.unitOf[op.Index])
 		}
 	}
 
@@ -318,27 +250,8 @@ func (ex *executor) handleAborts(failed []*txn.Operation, local bool) {
 				ex.redos.Add(1)
 			}
 			op.SetState(txn.BLK)
-			ex.touchOp(op)
+			sc.touch(ex.unitOf[op.Index])
 		}
-	}
-
-	// Fused vertices the round reached redo their suffix: the affected
-	// constituents' versions were removed by the loops above (each
-	// constituent owns its written record), and every executed constituent
-	// from the resume index on is in the abort or reset set, so re-running
-	// the vertex re-installs exactly the surviving constituents' versions
-	// and results. A vertex already pending redo from an earlier round
-	// keeps the smaller resume index — its suffix transactions are still
-	// reset from that round.
-	for f, from := range sc.fused {
-		if f.State() == txn.EXE {
-			ex.redos.Add(1)
-			f.FuseFrom = int32(from)
-		} else if int32(from) < f.FuseFrom {
-			f.FuseFrom = int32(from)
-		}
-		f.SetState(txn.BLK)
-		ex.touchOp(f)
 	}
 
 	if local {

@@ -201,9 +201,8 @@ func TestBreakdownPopulated(t *testing.T) {
 // returns a fresh copy of its transactions (the oracle consumes one), in
 // timestamp order, over a table preloaded with every key at 100.
 type ruleScenario struct {
-	keys   []txn.Key
-	fusion bool
-	build  func() []*txn.Transaction
+	keys  []txn.Key
+	build func() []*txn.Transaction
 }
 
 // txnAt builds one transaction at timestamp ts from fill.
@@ -251,7 +250,7 @@ type ruleRun struct {
 
 func (s ruleScenario) start(t *testing.T) *ruleRun {
 	r := &ruleRun{t: t, s: s, txns: s.build(), table: s.table()}
-	g := buildGraphFromTable(r.txns, r.table, s.fusion)
+	g := buildGraphFromTable(r.txns, r.table)
 	r.ex = newExecutor(g, Config{
 		Decision: sched.Decision{Explore: sched.NSExplore, Gran: sched.FSchedule, Abort: sched.LAbort},
 		Threads:  1, Table: r.table,
@@ -262,14 +261,11 @@ func (s ruleScenario) start(t *testing.T) *ruleRun {
 // op returns operation i of the transaction at timestamp ts.
 func (r *ruleRun) op(ts uint64, i int) *txn.Operation { return r.txns[ts-1].Ops[i] }
 
-// exec runs the given operations in order, as a worker would (a fused
-// constituent runs its whole vertex). Every parent must have settled.
+// exec runs the given operations in order, as a worker would. Every parent
+// must have settled.
 func (r *ruleRun) exec(ops ...*txn.Operation) {
 	r.t.Helper()
 	for _, op := range ops {
-		if f := op.FusedInto; f != nil {
-			op = f
-		}
 		if !parentsSettled(op) {
 			r.t.Fatalf("test schedule runs op %d (%s) before its parents settled", op.ID, op.Key)
 		}
@@ -433,42 +429,6 @@ func TestRollbackTaintFollowsReadChain(t *testing.T) {
 	r.finish(2)
 }
 
-// TestRollbackPassesThroughAbortedFusedRun: a fused run whose constituents
-// all aborted wrote nothing either, but no bridge ever leads around it (its
-// constituents carry no edges). The vertex goes back to BLK so it keeps its
-// reader behind the redo, and the reader — which read the removed version
-// through it — redoes.
-func TestRollbackPassesThroughAbortedFusedRun(t *testing.T) {
-	s := ruleScenario{keys: []txn.Key{"a", "b", "c", "o1"}, fusion: true, build: func() []*txn.Transaction {
-		return []*txn.Transaction{
-			txnAt(1, func(b *txn.Builder) {
-				b.Write("a", []txn.Key{"b", "a"}, plus(10)) // cross-key source: not fusible
-				b.Write("c", nil, failWrite)
-			}),
-			txnAt(2, func(b *txn.Builder) { b.Write("a", []txn.Key{"a"}, failWrite) }),
-			txnAt(3, func(b *txn.Builder) { b.Write("a", []txn.Key{"a"}, failWrite) }),
-			txnAt(4, func(b *txn.Builder) { b.Write("o1", []txn.Key{"a"}, plus(0)) }),
-		}
-	}}
-	r := s.start(t)
-	run := r.op(2, 0).FusedInto
-	if run == nil || run != r.op(3, 0).FusedInto {
-		t.Fatal("the two failing writes did not fuse")
-	}
-	r.exec(r.op(1, 0), r.op(2, 0), r.op(4, 0), r.op(1, 1))
-	// The reader, plus the settled vertex itself going back to BLK.
-	if redos, resets := r.round(); redos != 2 || resets != 1 {
-		t.Errorf("round cost %d redos over %d transactions; want 2 over 1", redos, resets)
-	}
-	if st := run.State(); st != txn.BLK {
-		t.Errorf("all-aborted fused run is %v; want BLK, ordering its reader behind the redo", st)
-	}
-	if st := r.op(4, 0).State(); st != txn.BLK {
-		t.Errorf("reader behind the aborted run is %v; want BLK", st)
-	}
-	r.finish(2)
-}
-
 // checkLocalRebuild compares the executor's runtime state, as an incremental
 // round left it, with a from-scratch recomputation of everything the full
 // rebuild derives from the operation states. It runs under the fence.
@@ -534,21 +494,19 @@ func TestLocalRebuildEqualsFullRebuild(t *testing.T) {
 	for _, mc := range cases {
 		batch := mc.batch()
 		for _, gran := range []sched.Granularity{sched.FSchedule, sched.CSchedule} {
-			for _, fusion := range []bool{false, true} {
-				for _, threads := range []int{1, 2, 4} {
-					d := sched.Decision{Explore: sched.NSExplore, Gran: gran, Abort: sched.EAbort}
-					name := fmt.Sprintf("%s/seed=%d/%v/threads=%d/fusion=%v", mc.kind, mc.seed, d, threads, fusion)
-					txns, table := batch.Materialize()
-					g := buildGraphFromTable(txns, table, fusion)
-					ex := newExecutor(g, Config{Decision: d, Threads: threads, Table: table})
-					ex.roundHook = func() {
-						rounds++
-						checkLocalRebuild(t, name, ex)
-					}
-					ex.run()
-					if t.Failed() {
-						return
-					}
+			for _, threads := range []int{1, 2, 4} {
+				d := sched.Decision{Explore: sched.NSExplore, Gran: gran, Abort: sched.EAbort}
+				name := fmt.Sprintf("%s/seed=%d/%v/threads=%d", mc.kind, mc.seed, d, threads)
+				txns, table := batch.Materialize()
+				g := buildGraphFromTable(txns, table)
+				ex := newExecutor(g, Config{Decision: d, Threads: threads, Table: table})
+				ex.roundHook = func() {
+					rounds++
+					checkLocalRebuild(t, name, ex)
+				}
+				ex.run()
+				if t.Failed() {
+					return
 				}
 			}
 		}

@@ -326,16 +326,12 @@ func (ex *executor) mergeBreakdowns() {
 	}
 }
 
-// runOp executes a single operation against the state table. Failed UDFs
-// are recorded in the executor's failure set here (a fused vertex can
-// record several constituent failures in one call); runOp returns false
-// when at least one failure was recorded, so the caller can trigger its
-// abort-handling mode. The caller is inside the execution epoch (or is the
-// only thread touching the graph, as at stratum barriers).
+// runOp executes a single operation against the state table. A failed UDF
+// is recorded in the executor's failure set here; runOp then returns false,
+// so the caller can trigger its abort-handling mode. The caller is inside
+// the execution epoch (or is the only thread touching the graph, as at
+// stratum barriers).
 func (ex *executor) runOp(op *txn.Operation, sc *scratch) bool {
-	if op.Fan != nil {
-		return ex.runFused(op, sc)
-	}
 	if op.Txn.Aborted() {
 		// A logical dependent already failed: settle as aborted (LD).
 		op.SetState(txn.ABT)
@@ -357,77 +353,6 @@ func (ex *executor) runOp(op *txn.Operation, sc *scratch) bool {
 	op.SetState(txn.EXE) // T2
 	ex.execs.Add(1)
 	return true
-}
-
-// runFused executes a fused vertex: its constituents run sequentially in
-// (ts, id) order, threading the running value so each self-sourced write
-// reads its predecessor's result without a store round-trip per source.
-// Every constituent still installs its own version (reads, windows and
-// rollback see the exact version history of unfused execution) and blots
-// through a Ctx carrying its own transaction's timestamp and blotter, so
-// per-event results fan out exactly as if the run had not been fused.
-//
-// A failing constituent aborts only its own transaction: it is recorded in
-// the failure set, its value is skipped (the chain continues from the last
-// successful value, as the serial oracle's rollback would leave it), and
-// the remaining constituents run on. Constituents of already-aborted
-// transactions settle ABT without running.
-//
-// After an abort round the vertex redoes only its affected suffix: FuseFrom
-// (set by the abort handler under the quiescence fence) points at the
-// earliest affected constituent, and the prefix before it kept its versions
-// and results. The running value reseeds from the store below the resume
-// constituent's timestamp, which is exactly the surviving prefix's last
-// value.
-func (ex *executor) runFused(op *txn.Operation, sc *scratch) bool {
-	op.CASState(txn.BLK, txn.RDY) // T1
-	from := op.FuseFrom
-	op.FuseFrom = 0
-	t := ex.tv
-	cur, curOK := t.ReadID(op.KeyID, op.Fan[from].TS())
-	failed := 0
-	for _, c := range op.Fan[from:] {
-		if c.Txn.Aborted() {
-			c.SetState(txn.ABT)
-			continue
-		}
-		c.CASState(txn.BLK, txn.RDY)
-		ts := c.TS()
-		var src []txn.Value
-		if len(c.SrcIDs) > 0 { // self-sourced: Fusible guarantees src == key
-			if !curOK {
-				ex.recordFailure(c) // before ABT is visible, as in runOp
-				c.SetState(txn.ABT)
-				c.Txn.MarkAborted()
-				failed++
-				continue
-			}
-			sc.src = append(sc.src[:0], cur)
-			src = sc.src
-		}
-		sc.ctx = txn.Ctx{TS: ts, Blotter: c.Txn.Blotter, Sink: &sc.sink}
-		var v txn.Value
-		var err error
-		if c.WriteFn != nil {
-			v, err = c.WriteFn(&sc.ctx, src)
-		} else if len(src) > 0 {
-			v = src[0]
-		}
-		if err != nil {
-			ex.recordFailure(c) // before ABT is visible, as in runOp
-			c.SetState(txn.ABT) // T4
-			c.Txn.MarkAborted()
-			failed++
-			continue
-		}
-		t.WriteID(c.KeyID, ts, v)
-		c.MarkWrittenID(c.KeyID)
-		c.SetState(txn.EXE) // T2
-		ex.execs.Add(1)
-		cur, curOK = v, true
-	}
-	op.SetState(txn.EXE) // the vertex settles; constituent aborts are per-txn
-	return failed == 0
 }
 
 // apply dispatches on the operation kind and performs the state access.

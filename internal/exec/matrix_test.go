@@ -16,10 +16,10 @@ import (
 
 // This file is the strategy-matrix fuzz net: seeded workloads from the
 // paper's generators (internal/workload) are executed under every point of
-// the 3x2x2 decision space — with plan-time fusion both off and on — and
-// cross-checked against the serial oracle. Randomised cross-checking,
-// rather than per-strategy unit tests, is the correctness regime guarding
-// the lock-free execution epoch and the fused blot/abort paths.
+// the 3x2x2 decision space and cross-checked against the serial oracle.
+// Randomised cross-checking, rather than per-strategy unit tests, is the
+// correctness regime guarding the lock-free execution epoch and the
+// blot/abort paths.
 
 // matrixCase derives one seeded workload configuration from fuzz inputs.
 type matrixCase struct {
@@ -64,15 +64,15 @@ func (mc matrixCase) batch() *workload.Batch {
 	return workload.SL(cfg)
 }
 
-func buildGraphFromTable(txns []*txn.Transaction, table *store.Table, fusion bool) *tpg.Graph {
-	b := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
+func buildGraphFromTable(txns []*txn.Transaction, table *store.Table) *tpg.Graph {
+	b := tpg.NewBuilderIDs(table.KeyIDs)
 	b.AddTxns(txns, 2)
 	return b.Finalize(2)
 }
 
 // blotterSig reduces the per-transaction blotter results to a comparable
 // signature. Results within one transaction are compared as a multiset:
-// concurrent workers (and fused fan-out) deposit them in nondeterministic
+// concurrent workers deposit them in nondeterministic
 // order, and the serial oracle fixes only the set, not the order.
 func blotterSig(txns []*txn.Transaction) map[int64][]string {
 	sig := make(map[int64][]string, len(txns))
@@ -111,10 +111,9 @@ func runWatched(t *testing.T, name string, g *tpg.Graph, cfg Config) Result {
 	return Result{}
 }
 
-// checkMatrixCase runs one seeded workload through all 12 strategies, with
-// fusion off and on, and fails if any combination diverges from the serial
-// oracle in final state, abort set, commit/abort counts, or per-event
-// blotter results.
+// checkMatrixCase runs one seeded workload through all 12 strategies and
+// fails if any of them diverges from the serial oracle in final state, abort
+// set, commit/abort counts, or per-event blotter results.
 func checkMatrixCase(t *testing.T, mc matrixCase) {
 	t.Helper()
 	batch := mc.batch()
@@ -125,27 +124,24 @@ func checkMatrixCase(t *testing.T, mc matrixCase) {
 	wantAborted := abortedIDs(oTxns)
 	wantBlots := blotterSig(oTxns)
 
-	for _, fusion := range []bool{false, true} {
-		for _, d := range allDecisions() {
-			for _, threads := range []int{1, 4} {
-				name := fmt.Sprintf("%s/seed=%d/%v/threads=%d/fusion=%v",
-					mc.kind, mc.seed, d, threads, fusion)
-				txns, table := batch.Materialize()
-				g := buildGraphFromTable(txns, table, fusion)
-				res := runWatched(t, name, g, Config{Decision: d, Threads: threads, Table: table})
-				if res.Committed != oracle.Committed || res.Aborted != oracle.Aborted {
-					t.Errorf("%s: committed/aborted = %d/%d; oracle %d/%d",
-						name, res.Committed, res.Aborted, oracle.Committed, oracle.Aborted)
-				}
-				if got := abortedIDs(txns); !reflect.DeepEqual(got, wantAborted) {
-					t.Errorf("%s: aborted txn set diverges from oracle", name)
-				}
-				if got := table.Snapshot(); !reflect.DeepEqual(got, wantState) {
-					t.Errorf("%s: final state diverges from oracle", name)
-				}
-				if got := blotterSig(txns); !reflect.DeepEqual(got, wantBlots) {
-					t.Errorf("%s: blotter results diverge from oracle", name)
-				}
+	for _, d := range allDecisions() {
+		for _, threads := range []int{1, 4} {
+			name := fmt.Sprintf("%s/seed=%d/%v/threads=%d", mc.kind, mc.seed, d, threads)
+			txns, table := batch.Materialize()
+			g := buildGraphFromTable(txns, table)
+			res := runWatched(t, name, g, Config{Decision: d, Threads: threads, Table: table})
+			if res.Committed != oracle.Committed || res.Aborted != oracle.Aborted {
+				t.Errorf("%s: committed/aborted = %d/%d; oracle %d/%d",
+					name, res.Committed, res.Aborted, oracle.Committed, oracle.Aborted)
+			}
+			if got := abortedIDs(txns); !reflect.DeepEqual(got, wantAborted) {
+				t.Errorf("%s: aborted txn set diverges from oracle", name)
+			}
+			if got := table.Snapshot(); !reflect.DeepEqual(got, wantState) {
+				t.Errorf("%s: final state diverges from oracle", name)
+			}
+			if got := blotterSig(txns); !reflect.DeepEqual(got, wantBlots) {
+				t.Errorf("%s: blotter results diverge from oracle", name)
 			}
 		}
 	}
@@ -166,24 +162,19 @@ func TestStrategyMatrixSeededWorkloads(t *testing.T) {
 		// Hot-key pathology: nearly every transaction collides.
 		{kind: "SL", seed: 7, theta: 1.2, abortPct: 0.2, txns: 100, states: 4},
 		{kind: "GS", seed: 8, theta: 1.2, abortPct: 0.2, txns: 100, states: 4},
-		// Zipf hot-key probes for fusion: receipt deposits exercise fused
-		// result fan-out; transfers interleave PDs with fused runs; the
+		// Zipf hot-key probes: receipt deposits blot a result per event on
+		// long same-key chains; transfers interleave PDs with them; the
 		// hot-set/churn knobs concentrate and drift the contention.
 		{kind: "HK", seed: 9, theta: 0.6, abortPct: 0, txns: 150, states: 16, hotFrac: 0.25},
 		{kind: "HK", seed: 10, theta: 0.9, abortPct: 0.15, txns: 150, states: 12, churn: 0.1},
 		{kind: "HK", seed: 11, theta: 1.2, abortPct: 0.25, txns: 120, states: 6, hotFrac: 0.5, churn: 0.05},
-		// ND accesses fan pessimistic virtual operations into every list:
-		// fusion must never collapse across them.
+		// ND accesses fan pessimistic virtual operations into every list.
 		{kind: "GSND", seed: 12, theta: 0.6, abortPct: 0.1, txns: 120, states: 10},
 		{kind: "GSND", seed: 13, theta: 0.9, abortPct: 0.2, txns: 120, states: 8},
 		{kind: "GSND", seed: 14, theta: 1.2, abortPct: 0.1, txns: 100, states: 6},
-		// Rollback-rule probes: at this skew and abort ratio fused runs
-		// settle with every constituent aborted, and aborted TD successors
-		// sit between a run's last version and its readers — the shapes an
-		// observed-version closure must pass through. Each HK case below fails
-		// deterministically, with fusion on, when ABT children reached from a
-		// fused vertex are not passed through (at other sizes most of these
-		// seeds do not catch it, hence the per-seed txns/states).
+		// Rollback-rule probes: at this skew and abort ratio aborted TD
+		// successors sit between a chain's last surviving version and its
+		// readers — the shape an observed-version closure must pass through.
 		{kind: "HK", seed: 51, theta: 0.8, abortPct: 0.3, txns: 40, states: 4},
 		{kind: "HK", seed: 54, theta: 0.8, abortPct: 0.3, txns: 200, states: 16},
 		{kind: "HK", seed: 70, theta: 0.8, abortPct: 0.3, txns: 120, states: 16},
@@ -203,37 +194,9 @@ func TestStrategyMatrixSeededWorkloads(t *testing.T) {
 	}
 }
 
-// TestFusionPlansSmallerHotKeyGraph is the planner-side acceptance probe: a
-// θ=1.2 hot-key batch of 100k operations must plan a TPG with at least 10x
-// fewer operation vertices when fusion is on.
-func TestFusionPlansSmallerHotKeyGraph(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large batch")
-	}
-	batch := workload.HK(workload.Config{
-		StateSize: 1024, Theta: 1.2, Txns: 50000, Length: 2, Seed: 61,
-	})
-	txns, table := batch.Materialize()
-	off := buildGraphFromTable(txns, table, false)
-	txns2, table2 := batch.Materialize()
-	on := buildGraphFromTable(txns2, table2, true)
-	if len(off.Ops) != 100000 {
-		t.Fatalf("fusion-off graph has %d ops; want 100000", len(off.Ops))
-	}
-	if want := len(off.Ops) / 10; len(on.Ops) > want {
-		t.Errorf("fusion-on graph has %d ops; want <= %d (10x reduction)", len(on.Ops), want)
-	}
-	if on.Props.FusedOps == 0 || on.Props.FusedAway == 0 {
-		t.Errorf("fusion stats empty: %+v", on.Props)
-	}
-	if got := len(on.Ops); got != on.Props.NumOps-on.Props.FusedAway+on.Props.FusedOps {
-		t.Errorf("vertex count %d inconsistent with props %+v", got, on.Props)
-	}
-}
-
 // FuzzStrategyMatrix is the native fuzz entry point: arbitrary seeds, skew,
 // hot-set/churn knobs, and abort ratios are reduced to a bounded workload
-// and checked against the oracle across the full matrix, fusion off and on.
+// and checked against the oracle across the full matrix.
 // Under plain `go test` it runs the corpus below;
 // `go test -fuzz=FuzzStrategyMatrix ./internal/exec` explores further.
 func FuzzStrategyMatrix(f *testing.F) {

@@ -133,7 +133,7 @@ func TestOneRingEquivalenceAcrossThreadCounts(t *testing.T) {
 				for _, d := range allDecisions() {
 					name := fmt.Sprintf("seed=%d/%v", w.seed, d)
 					txns, table := w.generate()
-					g := buildGraphFromTable(txns, table, false)
+					g := buildGraphFromTable(txns, table)
 					Run(g, Config{Decision: d, Threads: workers, Table: table})
 					if got := table.Snapshot(); !reflect.DeepEqual(got, wantState) {
 						t.Errorf("%s: final state diverges from serial oracle", name)
@@ -173,7 +173,7 @@ func TestOneRingFailureInjection(t *testing.T) {
 		d := d
 		t.Run(fmt.Sprintf("%v", d), func(t *testing.T) {
 			txns, amounts, armed, table := injectedWorkload(t, keys, numTxns, 321)
-			g := buildGraphFromTable(txns, table, false)
+			g := buildGraphFromTable(txns, table)
 
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -271,7 +271,7 @@ func TestNarrowStratumParksInsteadOfSpinning(t *testing.T) {
 		workers  = 8
 	)
 	txns, table := chainWorkload(ops, udfDelay)
-	g := buildGraphFromTable(txns, table, false)
+	g := buildGraphFromTable(txns, table)
 
 	cpuBefore := cpuTime(t)
 	start := time.Now()

@@ -71,7 +71,7 @@ func TestConcurrentFailureInjectionStress(t *testing.T) {
 		d := d
 		t.Run(fmt.Sprintf("%v", d), func(t *testing.T) {
 			txns, amounts, armed, table := injectedWorkload(t, keys, numTxns, 123)
-			g := buildGraphFromTable(txns, table, false)
+			g := buildGraphFromTable(txns, table)
 
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -146,7 +146,7 @@ func TestRepeatedFenceConvergence(t *testing.T) {
 		for i := 1; i <= numTxns; i += 2 {
 			armed[i].Store(true)
 		}
-		g := buildGraphFromTable(txns, table, false)
+		g := buildGraphFromTable(txns, table)
 		res := Run(g, Config{Decision: d, Threads: 8, Table: table})
 		if res.Aborted != numTxns/2 {
 			t.Fatalf("%v: aborted = %d; want %d", d, res.Aborted, numTxns/2)

@@ -23,7 +23,7 @@ type Transfer struct {
 	Amount   int64
 }
 
-// Deposit credits Amount to one account unconditionally — the fusible
+// Deposit credits Amount to one account unconditionally — the self-sourced
 // hot-key write of the Zipf workloads, servable over the same operator.
 type Deposit struct {
 	To     string

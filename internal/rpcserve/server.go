@@ -19,7 +19,7 @@ type Config struct {
 	// Engine configures the embedded engine. The server owns the result
 	// sink (receipt fan-out rides on it), so Engine.Sink must be nil.
 	Engine engine.Config
-	// Options are extra engine options (WithFusion, WithDurability, ...);
+	// Options are extra engine options (WithDurability, WithTelemetry, ...);
 	// a WithResultSink here is overridden by the server's own sink.
 	Options []engine.Option
 	// MaxPayload bounds a Submit payload; 0 means DefaultMaxPayload.

@@ -55,13 +55,6 @@ type entry struct {
 type keyList struct {
 	id      store.KeyID
 	entries []entry
-	// fusibles counts the fusible real entries appended this batch — the
-	// stream-phase pending-run tracker. The fuse pass only scans lists
-	// where at least two fusible operations could form a run.
-	fusibles int32
-	// sorted marks a list the fuse pass has already ordered, so derive can
-	// skip the re-sort.
-	sorted bool
 }
 
 // Builder accumulates one batch of state transactions and constructs its TPG:
@@ -83,11 +76,6 @@ type Builder struct {
 	// warm. edges is consumed by linkEdges before the next Finalize can run.
 	edges  []edgePair
 	writes []writeAt
-
-	// fusion enables plan-time same-key operation fusion (SetFusion). It
-	// must be set before transactions are added: AddTxn maintains the
-	// per-list fusible counters the fuse pass keys off.
-	fusion bool
 
 	txns   []*txn.Transaction
 	ndOps  []*txn.Operation
@@ -121,16 +109,6 @@ func NewBuilderIDs(allKeyIDs func() []store.KeyID) *Builder {
 	return &Builder{allKeyIDs: allKeyIDs}
 }
 
-// SetFusion toggles plan-time same-key operation fusion for every batch the
-// builder plans. Call it before adding transactions; it returns the builder
-// for chaining. With fusion on, Finalize collapses runs of fusible same-key
-// operations into single fused vertices (see txn.Operation.Fusible), so a
-// hot-key batch plans a TPG orders of magnitude smaller.
-func (b *Builder) SetFusion(on bool) *Builder {
-	b.fusion = on
-	return b
-}
-
 // clearCap zeroes a slice's full capacity region and truncates it to zero
 // length, dropping the pointers a plain [:0] would retain.
 func clearCap[T any](s []T) []T {
@@ -153,8 +131,6 @@ func (b *Builder) Reset() {
 			delete(b.lists, id)
 		} else {
 			l.entries = clearCap(l.entries)
-			l.fusibles = 0
-			l.sorted = false
 		}
 	}
 	// The scratch buffers hold operation pointers of the previous batch in
@@ -181,9 +157,6 @@ func (b *Builder) appendEntry(id store.KeyID, e entry) {
 		b.touched = append(b.touched, l)
 	}
 	l.entries = append(l.entries, e)
-	if e.kind == real && b.fusion && e.op.Fusible() {
-		l.fusibles++
-	}
 }
 
 // AddTxn decomposes one state transaction into its operations and inserts
@@ -196,7 +169,6 @@ func (b *Builder) AddTxn(t *txn.Transaction) {
 	}
 	for _, op := range t.Ops {
 		op.SetState(txn.BLK)
-		op.FusedInto = nil // re-planning the same transactions starts clean
 		if len(op.SrcIDs) > 1 {
 			b.multi++
 		}
@@ -256,7 +228,8 @@ type Graph struct {
 type Props struct {
 	// NumTxns counts the batch's transactions.
 	NumTxns int
-	// NumOps counts their operations, fused constituents included.
+	// NumOps counts their operations; the graph holds one vertex per
+	// operation.
 	NumOps int
 	// NumLD counts logical dependencies: n-1 per n-operation transaction.
 	NumLD int
@@ -268,11 +241,9 @@ type Props struct {
 	NumND int
 	// NumWindow counts window operations.
 	NumWindow int
-	// FusedOps counts the fused vertices planned this batch.
-	FusedOps int
-	// FusedAway counts the constituent operations the fused vertices
-	// replaced, so the graph holds NumOps - FusedAway + FusedOps vertices.
-	FusedAway int
+	// FusedOps and FusedAway are always 0: the graph holds one vertex per
+	// operation. They stay because msbench reads them (ROADMAP item 4(b)).
+	FusedOps, FusedAway int
 	// DegreeSkew is max key-list length over mean length: 1 for perfectly
 	// uniform access, large for hot keys (θ in the paper).
 	DegreeSkew float64
@@ -329,20 +300,10 @@ func (b *Builder) Finalize(workers int) *Graph {
 		}
 	}
 
-	// Fuse pass: with fusion on, collapse runs of fusible same-key
-	// operations into fused vertices before the graph is assembled. Runs
-	// after the ND fan-out so ndvo entries (which chain bidirectionally)
-	// are visible as run breakers.
-	var fusedOps []*txn.Operation
-	if b.fusion {
-		fusedOps = b.fuse()
-	}
-
 	g := &Graph{Txns: b.txns, NDOps: b.ndOps}
 	g.Props.NumTxns = len(b.txns)
 	g.Props.NumOps = b.numOps
 	g.Props.NumLD = b.numLD
-	g.Props.FusedOps = len(fusedOps)
 	if b.numOps > 0 {
 		g.Props.MultiAccessRatio = float64(b.multi) / float64(b.numOps)
 	}
@@ -360,23 +321,8 @@ func (b *Builder) Finalize(workers int) *Graph {
 			case txn.OpWindowRead, txn.OpWindowWrite:
 				g.Props.NumWindow++
 			}
-			if op.FusedInto != nil {
-				// Constituent of a fused vertex: excluded from the graph;
-				// Index -1 fails fast if anything indexes it.
-				op.Index = -1
-				continue
-			}
 			op.Index = int32(len(g.Ops))
 			g.Ops = append(g.Ops, op)
-		}
-	}
-	if len(fusedOps) > 0 {
-		// Fused vertices follow the plain operations in (ts, id) order.
-		slices.SortFunc(fusedOps, txn.CompareOps)
-		for _, op := range fusedOps {
-			op.Index = int32(len(g.Ops))
-			g.Ops = append(g.Ops, op)
-			g.Props.FusedAway += len(op.Fan)
 		}
 	}
 	b.derive(g)
@@ -410,110 +356,6 @@ func (b *Builder) Finalize(workers int) *Graph {
 		g.Chains = append(g.Chains, []*txn.Operation{op})
 	}
 	return g
-}
-
-// fuseRun records one detected run: the entry index of its first member and
-// the fused vertex replacing it during compaction.
-type fuseRun struct {
-	first int
-	op    *txn.Operation
-}
-
-// maxFuseRun caps the fan of one fused vertex. Aborts redo a fused vertex
-// wholesale — every fan transaction resets — so an unbounded fan would turn
-// one forced violation on a hot key into a batch-wide redo storm. Chunking
-// runs at this size bounds the blast radius while keeping the planner-side
-// reduction within a few percent of unbounded fusion.
-const maxFuseRun = 32
-
-// fuse scans each candidate key list for runs of fusible operations in
-// strictly increasing timestamp order, compacts each run into a single fused
-// vertex placed at its first member's slot, and returns the fused vertices.
-//
-// Run breakers: ndvo entries (they chain bidirectionally, so fusing across
-// one could cycle), non-fusible writes (window or cross-key parametric — the
-// value chain must flow through them), and equal timestamps (a same-ts write
-// reads strictly below its own timestamp and replaces its sibling's version,
-// so chaining would feed it the wrong input). Plain reads and vo source
-// placeholders do NOT break runs: execution installs every constituent's
-// version, and those accesses are timestamp-addressed.
-func (b *Builder) fuse() []*txn.Operation {
-	var out []*txn.Operation
-	var members []int
-	var runs []fuseRun
-	var fan []*txn.Operation
-	for _, l := range b.touched {
-		if l.fusibles < 2 {
-			continue
-		}
-		entries := l.entries
-		slices.SortStableFunc(entries, entryBefore)
-		l.sorted = true
-		runs = runs[:0]
-		members = members[:0]
-		var lastTS uint64
-		closeRun := func() {
-			if len(members) >= 2 {
-				fan = fan[:0]
-				for _, i := range members {
-					fan = append(fan, entries[i].op)
-				}
-				runs = append(runs, fuseRun{first: members[0], op: txn.NewFused(fan)})
-			}
-			members = members[:0]
-		}
-		for i := range entries {
-			e := &entries[i]
-			switch e.kind {
-			case ndvo:
-				closeRun()
-			case vo:
-				// timestamp-addressed source placeholder; not a breaker
-			case real:
-				switch {
-				case e.op.Fusible():
-					if len(members) > 0 && e.op.TS() <= lastTS {
-						closeRun()
-					}
-					if len(members) == maxFuseRun {
-						closeRun()
-					}
-					members = append(members, i)
-					lastTS = e.op.TS()
-				case e.op.IsWrite():
-					closeRun()
-				default:
-					// plain read; timestamp-addressed, not a breaker
-				}
-			}
-		}
-		closeRun()
-		if len(runs) == 0 {
-			continue
-		}
-		kept := entries[:0]
-		ri := 0
-		for i, e := range entries {
-			if ri < len(runs) && i == runs[ri].first {
-				kept = append(kept, entry{op: runs[ri].op, kind: real})
-				ri++
-				continue
-			}
-			if e.kind == real && e.op.FusedInto != nil {
-				continue // non-leading constituent: absorbed by its vertex
-			}
-			kept = append(kept, e)
-		}
-		// Zero the truncated tail so dropped entries release their ops.
-		for i := len(kept); i < len(entries); i++ {
-			entries[i] = entry{}
-		}
-		l.entries = kept
-		for _, r := range runs {
-			out = append(out, r.op)
-		}
-	}
-	return out
 }
 
 // edgePair is one "child depends on parent" dependency.
@@ -619,15 +461,10 @@ func searchWrites(writes []writeAt, t uint64) int {
 	return i
 }
 
-// writeAt is one real write in a key list, for PD derivation. A fused
-// vertex contributes one writeAt per constituent, each carrying the
-// constituent's timestamp and owning transaction (owner drives the window
-// same-transaction exclusion) while op points at the vertex that is
-// actually in the graph.
+// writeAt is one real write in a key list, for PD derivation.
 type writeAt struct {
-	ts    uint64
-	op    *txn.Operation
-	owner *txn.Transaction
+	ts uint64
+	op *txn.Operation
 }
 
 // derive sorts every list touched this batch, derives its TD/PD edges into
@@ -641,9 +478,7 @@ func (b *Builder) derive(g *Graph) {
 	maxList, totList := 0, 0
 	for _, l := range b.touched {
 		entries := l.entries
-		if !l.sorted {
-			slices.SortStableFunc(entries, entryBefore)
-		}
+		slices.SortStableFunc(entries, entryBefore)
 		totList += len(entries)
 		maxList = max(maxList, len(entries))
 
@@ -661,13 +496,7 @@ func (b *Builder) derive(g *Graph) {
 				}
 				lastChain = e.op
 				if e.op.IsWrite() && e.kind == real {
-					if fan := e.op.Fan; fan != nil {
-						for _, c := range fan {
-							writes = append(writes, writeAt{c.TS(), e.op, c.Txn})
-						}
-					} else {
-						writes = append(writes, writeAt{e.op.TS(), e.op, e.op.Txn})
-					}
+					writes = append(writes, writeAt{e.op.TS(), e.op})
 				}
 			case vo:
 				if e.window > 0 {
@@ -679,7 +508,7 @@ func (b *Builder) derive(g *Graph) {
 						lo = e.op.TS() - e.window
 					}
 					for i := searchWrites(writes, lo); i < len(writes) && writes[i].ts < e.op.TS(); i++ {
-						if writes[i].owner != e.op.Txn {
+						if writes[i].op.Txn != e.op.Txn {
 							b.edges = append(b.edges, edgePair{p: writes[i].op, c: e.op})
 							g.Props.NumPD++
 						}

@@ -9,6 +9,7 @@ import (
 
 	"morphstream/internal/store"
 	"morphstream/internal/txn"
+	"morphstream/internal/workload"
 )
 
 // mkWrite builds a write op "key = f(srcs)" for tests.
@@ -249,6 +250,54 @@ func TestChainsGroupByKey(t *testing.T) {
 				t.Errorf("chain for %s out of order", c[0].Key)
 			}
 		}
+	}
+}
+
+// TestHotKeyBatchPlansOneVertexPerOperation: on a θ=1.2 hot-key batch —
+// long runs of self-sourced writes on a few keys — the graph holds exactly
+// the transactions' operations, each once, and every key's chain is one TD
+// edge per consecutive pair of its operations.
+func TestHotKeyBatchPlansOneVertexPerOperation(t *testing.T) {
+	batch := workload.HK(workload.Config{
+		Txns: 2000, StateSize: 64, Theta: 1.2, Length: 2,
+		MultiRatio: 0.05, HotSetFraction: 0.25, Seed: 7,
+	})
+	txns, table := batch.Materialize()
+	b := NewBuilderIDs(table.KeyIDs)
+	b.AddTxns(txns, 1)
+	g := b.Finalize(1)
+
+	planned := map[*txn.Operation]bool{}
+	for _, tx := range txns {
+		for _, op := range tx.Ops {
+			planned[op] = true
+		}
+	}
+	if len(g.Ops) != len(planned) || g.Props.NumOps != len(planned) {
+		t.Fatalf("graph has %d vertices, Props.NumOps %d; want %d operations", len(g.Ops), g.Props.NumOps, len(planned))
+	}
+	for i, op := range g.Ops {
+		if !planned[op] {
+			t.Fatalf("vertex %d (op %d) is no transaction's operation", i, op.ID)
+		}
+		if int(op.Index) != i {
+			t.Fatalf("vertex %d carries Index %d", i, op.Index)
+		}
+	}
+	if g.Props.FusedOps != 0 || g.Props.FusedAway != 0 {
+		t.Errorf("FusedOps/FusedAway = %d/%d; want 0/0", g.Props.FusedOps, g.Props.FusedAway)
+	}
+	longest := 0
+	for _, c := range g.Chains {
+		longest = max(longest, len(c))
+		for i := 1; i < len(c); i++ {
+			if !hasEdge(c[i-1], c[i]) {
+				t.Fatalf("chain of %s: no TD edge from op %d to op %d", c[0].Key, c[i-1].ID, c[i].ID)
+			}
+		}
+	}
+	if longest < 100 {
+		t.Errorf("longest chain has %d ops; the batch is not hot-key shaped", longest)
 	}
 }
 

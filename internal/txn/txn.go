@@ -213,63 +213,6 @@ type Operation struct {
 	// writes resolve the id at execution time.
 	written   atomic.Bool
 	writtenID store.KeyID
-
-	// Fan, when non-nil, marks this operation as a plan-time fused vertex
-	// standing in for a run of same-key fusible operations, listed in
-	// (ts, id) order. The fused vertex is a planner construct: it belongs
-	// to no transaction's Ops and executes its constituents sequentially,
-	// installing every constituent's version so reads, rollback and
-	// windows see the exact version history of unfused execution.
-	Fan []*Operation
-
-	// FusedInto points a constituent at its fused vertex. Constituents are
-	// excluded from the graph's Ops and carry Index -1; execution state and
-	// the written record stay per-constituent. FuseIdx is the constituent's
-	// position within the vertex's Fan.
-	FusedInto *Operation
-	// FuseIdx is the constituent's position within FusedInto.Fan.
-	FuseIdx int32
-
-	// FuseFrom is a fused vertex's redo resume index: constituents before it
-	// survived the last abort round with versions and results intact, so a
-	// redo re-executes only Fan[FuseFrom:]. Written by the abort handler
-	// under the quiescence fence, consumed (and zeroed) by the next run.
-	FuseFrom int32
-}
-
-// Fusible reports whether the operation is eligible for plan-time same-key
-// fusion: a plain deterministic write whose only source (if any) is its own
-// target, so a run of them collapses to sequential evaluation over one key.
-// ND targets, window writes and multi-source (parametric cross-key) writes
-// never fuse.
-func (o *Operation) Fusible() bool {
-	return o.Kind == OpWrite && o.Window == 0 && o.KeyID != store.NoKeyID &&
-		(len(o.SrcIDs) == 0 || (len(o.SrcIDs) == 1 && o.SrcIDs[0] == o.KeyID))
-}
-
-// NewFused builds a fused vertex over fan, which must hold >= 2 fusible
-// operations on one key in strictly increasing timestamp order. The vertex
-// adopts the first constituent's (TS, ID) identity, so it occupies exactly
-// that operation's topological slot: every dependent of the run sorts at or
-// after the first member, which keeps each edge of the fused vertex valid
-// under CompareOps by construction. Each constituent is marked FusedInto
-// and dropped from the planned graph by the builder.
-func NewFused(fan []*Operation) *Operation {
-	first := fan[0]
-	op := &Operation{
-		ID:    first.ID,
-		Kind:  OpWrite,
-		Txn:   first.Txn, // timestamp carrier only; not in Txn.Ops
-		Index: -1,
-		Key:   first.Key,
-		KeyID: first.KeyID,
-		Fan:   slices.Clone(fan),
-	}
-	for i, c := range fan {
-		c.FusedInto = op
-		c.FuseIdx = int32(i)
-	}
-	return op
 }
 
 // TS returns the operation's timestamp: that of its transaction.

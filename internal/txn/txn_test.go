@@ -3,6 +3,7 @@ package txn
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"morphstream/internal/store"
 )
@@ -75,6 +76,19 @@ func TestAddEdgeAndDedup(t *testing.T) {
 	}
 	if len(b.Parents()) != 1 || b.Parents()[0] != a {
 		t.Fatalf("parents = %v", b.Parents())
+	}
+}
+
+// TestOperationFootprint pins the size of a TPG vertex: the planner
+// allocates one Operation per state access, so a field added here costs every
+// operation of every batch. 208 bytes is one allocation size class; growing
+// past it moves each operation into the next class.
+func TestOperationFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the bound is stated for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Operation{}); got > 208 {
+		t.Fatalf("unsafe.Sizeof(Operation{}) = %d B; want <= 208", got)
 	}
 }
 

@@ -169,10 +169,10 @@ func distinctPicker(z *sampler, n int) func() Key {
 	}
 }
 
-// HK generates the hot-key skew workload of the fusion experiments: receipt
-// deposits (fusible self-sourced writes that blot their post balance,
-// exercising fused result fan-out), interleaved with transfer pairs whose
-// cross-key parametric dependency interrupts fused runs. MultiRatio is the
+// HK generates the hot-key skew workload: receipt deposits (self-sourced
+// writes that blot their post balance, so long same-key chains carry a
+// result per event), interleaved with transfer pairs whose cross-key
+// parametric dependency links the chains. MultiRatio is the
 // transfer-transaction ratio (0 = pure deposits); skew comes from Theta plus
 // the HotSetFraction/ChurnRatio knobs; AbortRatio forces violations as
 // usual.

@@ -48,8 +48,7 @@ const (
 	// (sources: segment; dst: vehicle account).
 	FnTollCalc
 	// FnDepositReceipt: dst += Amount, depositing the post-balance into the
-	// blotter. Its per-event result makes it the probe for fused-operation
-	// result fan-out (it is fusible: a plain self-sourced write).
+	// blotter: a plain self-sourced write with a per-event result.
 	FnDepositReceipt
 )
 

@@ -214,18 +214,6 @@ type (
 	PipelineStats = engine.PipelineStats
 )
 
-// WithFusion toggles plan-time same-key operation fusion: runs of fusible
-// operations on one key (plain deterministic writes whose only source is
-// their own target) collapse into single fused TPG vertices at planning
-// time, so Zipf-skewed hot-key batches plan graphs orders of magnitude
-// smaller. Per-event results, abort fan-out and the version history are
-// preserved exactly; ND and window operations never fuse. Fusion is for
-// streams that do not abort: under e-abort, which the decision model picks
-// for any abort ratio below 0.25, the hot-key stream of
-// BenchmarkFusionUnderAborts ran about 1.2× slower fused than unfused with
-// 0.1 % forced aborts, 4× slower with 1 % and 9× slower with 10 %.
-func WithFusion(on bool) Option { return engine.WithFusion(on) }
-
 // WithPunctuationCount seals a pipelined batch after n ingested events.
 // Punctuation is policy; Drain and Close are the explicit barriers.
 func WithPunctuationCount(n int) Option { return engine.WithPunctuationCount(n) }
